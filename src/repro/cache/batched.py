@@ -15,6 +15,9 @@ Every batched cache engine in this package follows the same recipe
    would have, packed into :class:`~repro.cache.base.BatchResult`
    arrays.
 
+The plain-LRU ``ConventionalCache`` narrows step 3's loop to each
+block's first touch in the batch (docs/CACHE_ENGINES.md, step 5).
+
 This module holds the parts of that recipe that are identical across
 designs, so a cache variant only implements its replacement/sectoring
 policy:

@@ -7,11 +7,15 @@ why Piccolo-cache exists.
 
 Batched engine (docs/CACHE_ENGINES.md): the design is exactly a
 conventional LRU cache specialised to 8 B lines, so it inherits
-:class:`~repro.cache.conventional.ConventionalCache`'s array-backed
+:class:`~repro.cache.conventional.ConventionalCache`'s first-touch
 ``access_many`` engine and replay hooks unchanged -- a one-word line
 means the touched/dirty masks collapse to single bits and the
 same-block run compression degenerates to same-word runs, with no
-behavioural difference from the scalar loop.
+behavioural difference from the scalar loop.  Word-granular lines
+thrash small caches: a victim is then often a word the call touches
+again, so on the 1 KB Fig. 11 toy geometry about half the touched sets
+fall back to the per-run replay, and the engine runs at about the
+per-run loop's speed there.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ boundaries to exercise cross-batch state) through both paths and
 compare everything observable.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cache.base import BaseCache
 from repro.cache.conventional import ConventionalCache
+from repro.cache.fine8b import EightByteLineCache
 from repro.cache.variants import FIG11_VARIANTS
 from repro.core.collection_mshr import CollectionExtendedMSHR
 from repro.core.memory_path import (
@@ -93,13 +96,11 @@ def cache_signature(cache):
     return sig
 
 
-@pytest.mark.parametrize("kind", sorted(CACHE_FACTORIES))
-@settings(max_examples=40, deadline=None)
-@given(addrs=addr_streams, seed=chunk_seed, rmw=rmw_flags)
-def test_access_many_matches_scalar_loop(kind, addrs, seed, rmw):
-    batched = CACHE_FACTORIES[kind]()
-    scalar = CACHE_FACTORIES[kind]()
-    for chunk in split_chunks(addrs, seed):
+def assert_matches_scalar(batched, scalar, batches):
+    """Feed ``(addrs, rmw)`` batches to both caches; everything observable
+    must agree, recency order included (``state_digest`` after every
+    batch)."""
+    for chunk, rmw in batches:
         res_b = batched.access_many(chunk, rmw)
         res_s = scalar_batch(scalar, chunk, rmw)
         assert res_b.accesses == res_s.accesses
@@ -107,8 +108,20 @@ def test_access_many_matches_scalar_loop(kind, addrs, seed, rmw):
         np.testing.assert_array_equal(res_b.ev_addr, res_s.ev_addr)
         np.testing.assert_array_equal(res_b.ev_is_wb, res_s.ev_is_wb)
         np.testing.assert_array_equal(res_b.ev_bytes, res_s.ev_bytes)
+        assert batched.state_digest() == scalar.state_digest()
     assert cache_signature(batched) == cache_signature(scalar)
     assert batched.flush() == scalar.flush()
+
+
+@pytest.mark.parametrize("kind", sorted(CACHE_FACTORIES))
+@settings(max_examples=40, deadline=None)
+@given(addrs=addr_streams, seed=chunk_seed, rmw=rmw_flags)
+def test_access_many_matches_scalar_loop(kind, addrs, seed, rmw):
+    assert_matches_scalar(
+        CACHE_FACTORIES[kind](),
+        CACHE_FACTORIES[kind](),
+        [(chunk, rmw) for chunk in split_chunks(addrs, seed)],
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,8 +136,110 @@ def test_mixed_read_write_batches(addrs, seed):
         res_s = scalar_batch(scalar, chunk, rmw)
         np.testing.assert_array_equal(res_b.ev_addr, res_s.ev_addr)
         np.testing.assert_array_equal(res_b.ev_is_wb, res_s.ev_is_wb)
+        assert batched.state_digest() == scalar.state_digest()
     assert cache_signature(batched) == cache_signature(scalar)
     assert batched.flush() == scalar.flush()
+
+
+# ---------------------------------------------------------------------------
+# ConventionalCache's first-touch pass (inherited by the 8 B-line cache):
+# within one call, re-touches resolve as hits without a walk as long as no
+# first-touch miss evicts a line the call touches again; otherwise that
+# set alone replays its runs one by one.
+# ---------------------------------------------------------------------------
+@st.composite
+def run_heavy_streams(draw):
+    """2k-4k accesses in same-block runs over a small block pool, so one
+    set sees many runs, re-touches and evictions per call (the short
+    ``addr_streams`` rarely put more than a few runs in one set)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.choice(1 << 8, size=draw(st.integers(1, 64)), replace=False)
+    n = draw(st.integers(2000, 4000))
+    runs = rng.choice(pool, size=n)
+    blocks = np.repeat(runs, rng.integers(1, 9, size=n))[:n]
+    return blocks * 64 + rng.integers(0, 8, size=n) * 8
+
+
+@pytest.mark.parametrize("kind", ["conventional", "fig11-8b-line"])
+@settings(max_examples=30, deadline=None)
+@given(addrs=run_heavy_streams(), seed=chunk_seed, rmw=rmw_flags)
+def test_run_heavy_streams_match_scalar_loop(kind, addrs, seed, rmw):
+    assert_matches_scalar(
+        CACHE_FACTORIES[kind](),
+        CACHE_FACTORIES[kind](),
+        [(chunk, rmw) for chunk in split_chunks(addrs, seed)],
+    )
+
+
+#: 2 sets x 4 ways at either line size: even blocks map to set 0, odd to 1
+LINE_CACHES = {
+    "conventional": lambda: ConventionalCache(512, ways=4),
+    "8b-line": lambda: EightByteLineCache(64, ways=4),
+}
+#: written first, so every resident line is dirty and evictions write back
+WARM_BLOCKS = [0, 2, 4, 6, 1, 3, 5, 7]
+#: set 0 switches tiles: first touches evict the four old lines, then the
+#: fifth to seventh new blocks evict new lines whose runs are over
+TILE_SWITCH = [8, 10, 8, 12, 10, 14, 12, 14, 16, 18, 16, 20, 18, 20]
+#: set 1: block 9 is touched, evicted by four new blocks, then re-touched
+EVICT_RETOUCH = [9, 11, 13, 15, 17, 9]
+#: both kinds of set in one call (sets are independent, so interleaving
+#: keeps each set's sequence)
+BOTH = [
+    b for pair in itertools.zip_longest(TILE_SWITCH, EVICT_RETOUCH)
+    for b in pair if b is not None
+]
+
+
+def line_addrs(cache, blocks):
+    """One access per block id, cycling through the words of the line."""
+    words = cache.line_bytes // 8
+    return np.asarray(
+        [b * cache.line_bytes + 8 * (i % words) for i, b in enumerate(blocks)],
+        dtype=np.int64,
+    )
+
+
+@pytest.fixture
+def replayed_sets(monkeypatch):
+    """Records each set the first-touch pass hands to the run-by-run
+    replay."""
+    sets = []
+    replay = ConventionalCache._replay_runs
+
+    def spy(self, s, *args):
+        sets.append(s)
+        return replay(self, s, *args)
+
+    monkeypatch.setattr(ConventionalCache, "_replay_runs", spy)
+    return sets
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_CACHES))
+@pytest.mark.parametrize("is_write", [True, False])
+@pytest.mark.parametrize(
+    "blocks, replays",
+    [
+        (TILE_SWITCH, []),
+        (EVICT_RETOUCH, [1]),
+        (BOTH, [1]),
+    ],
+    ids=["tile-switch", "evict-retouch", "both"],
+)
+def test_first_touch_pass_matches_scalar(
+    replayed_sets, kind, is_write, blocks, replays
+):
+    batched = LINE_CACHES[kind]()
+    scalar = LINE_CACHES[kind]()
+    assert_matches_scalar(
+        batched,
+        scalar,
+        [
+            (line_addrs(batched, WARM_BLOCKS), True),
+            (line_addrs(batched, blocks), is_write),
+        ],
+    )
+    assert replayed_sets == replays
 
 
 @settings(max_examples=40, deadline=None)

@@ -129,22 +129,5 @@ class AcceleratorSystem:
         scale = self._stream_scale()
         return nbytes / scale if scale < 1.0 else nbytes
 
-    # ------------------------------------------------------------------
-    def _phase_path(self):
-        """The memory path feeding the per-tile/block phase, if any."""
-        return getattr(self, "path", None)
-
-    def _phase_streaming(self) -> bool:
-        """Chunk-streamed DRAM-phase evaluation: on for systems with a
-        cached random-access path, when ``stream_phase`` says so (None =
-        auto: enabled whenever tile chunking is on)."""
-        path = self._phase_path()
-        if path is None:
-            return False
-        stream_phase = getattr(self, "stream_phase", None)
-        if stream_phase is not None:
-            return stream_phase
-        return path.chunk_size is not None
-
     def run(self, graph, algorithm: str, max_iterations: int = 40) -> SystemResult:
         raise NotImplementedError

@@ -41,7 +41,6 @@ class _ECSystem(AcceleratorSystem):
         layout: MemoryLayout | None = None,
         chunk_size: int | None = None,
         replay_capacity: int | None = None,
-        stream_phase: bool | None = None,
     ) -> None:
         super().__init__(dram_config, pipeline)
         self.onchip_bytes = onchip_bytes
@@ -51,9 +50,6 @@ class _ECSystem(AcceleratorSystem):
         #: defaults), mirroring the vertex-centric systems
         self.chunk_size = chunk_size
         self.replay_capacity = replay_capacity
-        #: chunk-streamed DRAM-phase evaluation (None = auto: on when
-        #: tile chunking is on), mirroring the vertex-centric systems
-        self.stream_phase = stream_phase
 
     def tile_widths(self, graph: CSRGraph) -> tuple[int, int]:
         """(source, destination) tile widths in vertices."""
@@ -183,34 +179,19 @@ class ECPiccoloSystem(_ECSystem):
     def _charge_random_phase(
         self, result, compute_ns, run_fn, **stream_kwargs
     ) -> None:
-        """Run ``run_fn`` (memory-path accesses) and charge the phase,
-        chunk-streaming the request stream into a PhaseAccumulator when
-        phase streaming is on."""
-        if self._phase_streaming():
-            acc = self.dram.open_phase()
-            self.path.phase_sink = acc
-            try:
-                run_fn()
-            finally:
-                self.path.phase_sink = None
-            fim_ops, addrs, writes = self.path.drain()
-            if len(fim_ops) or addrs.size:
-                acc.add(
-                    addrs=addrs if addrs.size else None,
-                    is_write=writes if addrs.size else None,
-                    fim_ops=fim_ops if len(fim_ops) else None,
-                )
-            self._merge_phase(result, compute_ns, acc.close(**stream_kwargs))
-            return
-        run_fn()
+        """Run ``run_fn`` (memory-path accesses) and charge the phase:
+        a chunked path drains each chunk into the phase as it goes, the
+        rest of the request stream joins it afterwards."""
+        acc = self.dram.open_phase()
+        self.path.phase_sink = acc
+        try:
+            run_fn()
+        finally:
+            self.path.phase_sink = None
         fim_ops, addrs, writes = self.path.drain()
-        self._charge_phase(
-            result, compute_ns,
-            addrs=addrs if addrs.size else None,
-            is_write=writes if addrs.size else None,
-            fim_ops=fim_ops,
-            **stream_kwargs,
-        )
+        if len(fim_ops) or addrs.size:
+            acc.add(addrs=addrs, is_write=writes, fim_ops=fim_ops)
+        self._merge_phase(result, compute_ns, acc.close(**stream_kwargs))
 
     def _run_iteration(self, trace, result) -> None:
         layout = self.layout
@@ -255,10 +236,7 @@ class ECPiccoloSystem(_ECSystem):
         fim_ops, addrs, writes = self.path.drain()
         if fim_ops or addrs.size:
             self._charge_phase(
-                result, 0.0,
-                addrs=addrs if addrs.size else None,
-                is_write=writes if addrs.size else None,
-                fim_ops=fim_ops,
+                result, 0.0, addrs=addrs, is_write=writes, fim_ops=fim_ops
             )
         cache = self.path.cache
         result.cache_hits = cache.stats.hits

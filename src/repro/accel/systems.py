@@ -42,6 +42,9 @@ class _VCMSystem(AcceleratorSystem):
     default_tile_scale: int = 1
     #: on-chip memory budget in bytes (set per system in __init__)
     onchip_bytes: int = 4096
+    #: cached random-access memory path (built in :meth:`setup`); the
+    #: scratchpad and PIM systems have none
+    path: ConventionalMemoryPath | FineGrainedMemoryPath | None = None
 
     def __init__(
         self,
@@ -52,7 +55,6 @@ class _VCMSystem(AcceleratorSystem):
         layout: MemoryLayout | None = None,
         chunk_size: int | None = None,
         replay_capacity: int | None = None,
-        stream_phase: bool | None = None,
         tile_backing: str = "memory",
         tile_store_root=None,
         tile_bucket_edges: int | None = None,
@@ -69,12 +71,6 @@ class _VCMSystem(AcceleratorSystem):
         #: path, so they simply ignore them.
         self.chunk_size = chunk_size
         self.replay_capacity = replay_capacity
-        #: chunk-streamed DRAM-phase evaluation: each processed memory-
-        #: path chunk drains into a PhaseAccumulator instead of piling
-        #: up whole-tile request arrays/FIM batches.  None = auto
-        #: (enabled whenever tile chunking is on); only systems with a
-        #: cached random-access path stream.
-        self.stream_phase = stream_phase
         #: tile-array backing ("memory"/"disk") plus the disk store's
         #: root and external-sort chunk size; bit-identical results
         #: either way (see :mod:`repro.graph.tilestore`)
@@ -91,9 +87,11 @@ class _VCMSystem(AcceleratorSystem):
         """Build per-run on-chip state (caches, MSHRs)."""
 
     def random_access_phase(self, tile: TileTrace, result: SystemResult) -> dict:
-        """Run the tile's random accesses; returns keyword arguments for
-        :meth:`repro.dram.system.DRAMModel.phase` (addrs, is_write,
-        fim_ops, internal_mask, loose_*_bursts)."""
+        """Run the tile's random accesses; returns the keyword arguments
+        of the tile phase's last :meth:`repro.dram.system.PhaseAccumulator.add`
+        (addrs, is_write, fim_ops, internal_mask, loose_*_bursts), or an
+        empty dict when there is nothing left to add.  A chunked memory
+        path has already drained every chunk into the phase."""
         raise NotImplementedError
 
     def end_iteration(self, result: SystemResult) -> None:
@@ -102,14 +100,13 @@ class _VCMSystem(AcceleratorSystem):
     def finish(self, result: SystemResult) -> None:
         """Hook: final write-back of on-chip dirty state."""
 
-    # -- chunk-streamed phase evaluation ---------------------------------
-    # (_phase_path / _phase_streaming live on AcceleratorSystem)
+    # -- random accesses through the memory path --------------------------
     def _run_random_ids(self, ids: np.ndarray, rmw: bool) -> None:
         """Feed vertex ids through the path, materialising the address
         array per chunk (O(chunk) instead of O(tile) temporaries).  The
         outer split lands on the same chunk boundaries the path would
         use internally, so the produced streams are identical."""
-        path = self._phase_path()
+        path = self.path
         chunk = path.chunk_size
         if chunk is None or ids.size <= chunk:
             path.run(self.layout.vtemp_addrs(ids), rmw=rmw)
@@ -183,30 +180,24 @@ class _VCMSystem(AcceleratorSystem):
             stream_rd, stream_wr = self.stream_bytes_for_tile(tile, n_active)
             result.stream_read_bytes += stream_rd
             result.stream_write_bytes += stream_wr
-            if self._phase_streaming():
-                # chunk-streamed: the memory path drains each processed
-                # chunk into the accumulator, so DRAM-phase temporaries
-                # stay O(chunk) like the tile stream itself
-                acc = self.dram.open_phase()
-                path = self._phase_path()
+            # a chunked memory path drains each processed chunk into the
+            # tile's phase, so DRAM-phase temporaries stay O(chunk) like
+            # the tile stream itself
+            acc = self.dram.open_phase()
+            path = self.path
+            if path is not None:
                 path.phase_sink = acc
-                try:
-                    tail_kwargs = self.random_access_phase(tile, result)
-                finally:
+            try:
+                tail_kwargs = self.random_access_phase(tile, result)
+            finally:
+                if path is not None:
                     path.phase_sink = None
-                if tail_kwargs:
-                    acc.add(**tail_kwargs)
-                phase = acc.close(
-                    stream_read_bytes=self.effective_stream_bytes(stream_rd),
-                    stream_write_bytes=stream_wr,
-                )
-            else:
-                phase_kwargs = self.random_access_phase(tile, result)
-                phase = self.dram.phase(
-                    stream_read_bytes=self.effective_stream_bytes(stream_rd),
-                    stream_write_bytes=stream_wr,
-                    **phase_kwargs,
-                )
+            if tail_kwargs:
+                acc.add(**tail_kwargs)
+            phase = acc.close(
+                stream_read_bytes=self.effective_stream_bytes(stream_rd),
+                stream_write_bytes=stream_wr,
+            )
             compute = self.pipeline.compute_ns_for_tile(
                 tile.edge_dst, int(tile.apply_dst.size)
             )
@@ -301,7 +292,6 @@ class GraphDynsCacheSystem(_VCMSystem):
     def __init__(self, *args, cache_ways: int = 8, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.cache_ways = cache_ways
-        self.path: ConventionalMemoryPath | None = None
 
     def setup(self, graph, tile_width):
         cache = ConventionalCache(
@@ -359,7 +349,6 @@ class _FineGrainedSystem(_VCMSystem):
         self.fg_tag_bits = fg_tag_bits
         self.cache_factory = cache_factory
         self.way_partition = way_partition
-        self.path: FineGrainedMemoryPath | None = None
 
     def make_cache(self) -> BaseCache:
         if self.cache_factory is not None:
@@ -418,9 +407,7 @@ class _FineGrainedSystem(_VCMSystem):
         fim_ops, addrs, writes = self.path.drain()
         if fim_ops or addrs.size:
             phase = self.dram.phase(
-                addrs=addrs if addrs.size else None,
-                is_write=writes if addrs.size else None,
-                fim_ops=fim_ops,
+                addrs=addrs, is_write=writes, fim_ops=fim_ops
             )
             result.memory_ns += phase.time_ns
             result.total_ns += phase.time_ns

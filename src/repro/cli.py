@@ -28,7 +28,7 @@ Commands:
     protocol checkers (the FPGA-emulation substitute).
 ``datasets``
     Print the scaled dataset registry (Table II stand-ins).
-``serve [--host H] [--port P] [--store DIR] [--jobs N] [--backend B]``
+``serve [--host H] [--port P] [--store DIR] [--jobs N]``
     Run the long-lived experiment service: POST experiment configs to
     ``/experiments``, repeat requests are served from the
     content-addressed result cache (see docs/SERVICE.md).
@@ -217,27 +217,15 @@ def _cmd_datasets(_args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ExperimentService
-    from repro.service.fastapi_app import fastapi_available, serve_fastapi
-    from repro.service.http import serve
+    from repro.service import ExperimentService, serve
 
-    backend = args.backend
-    if backend == "auto":
-        backend = "fastapi" if fastapi_available() else "stdlib"
     service = ExperimentService(
         args.store,
         max_workers=args.jobs,
         workers_per_job=args.job_workers,
         trajectory_path=args.trajectory,
     )
-    try:
-        if backend == "fastapi":
-            serve_fastapi(service, args.host, args.port)
-        else:
-            serve(service, args.host, args.port)
-    except RuntimeError as exc:  # missing optional backend deps
-        print(str(exc), file=sys.stderr)
-        return 2
+    serve(service, args.host, args.port)
     return 0
 
 
@@ -304,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="bind address (default: 127.0.0.1)")
     serve_cmd.add_argument("--port", type=int, default=8321,
                            help="bind port (default: 8321; 0 picks a "
-                           "free port on the stdlib backend)")
+                           "free port)")
     serve_cmd.add_argument("--store", default=".repro_service",
                            metavar="DIR",
                            help="content-addressed result store "
@@ -323,11 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="PATH",
                            help="trajectory JSON exposed at "
                            "/trajectory (default: BENCH_hotpath.json)")
-    serve_cmd.add_argument("--backend", default="auto",
-                           choices=("auto", "stdlib", "fastapi"),
-                           help="HTTP backend: auto picks fastapi when "
-                           "installed, else the stdlib server "
-                           "(identical contract)")
     serve_cmd.set_defaults(fn=_cmd_serve)
     return parser
 

@@ -32,7 +32,7 @@ state, address stream) triple was simulated before -- e.g. PageRank
 re-running identical iterations -- and replays the recorded events,
 counter deltas, and end state instead of re-simulating.
 
-Chunked tile streaming (paper-scale profiles): a finite ``chunk_size``
+Chunked tile streaming (mid/paper profiles): a finite ``chunk_size``
 streams each ``run`` batch through the engine in bounded chunks, so
 per-batch temporaries -- event arrays, memo records -- stay O(chunk)
 instead of O(tile) while the produced counters and event streams remain
@@ -42,11 +42,12 @@ state carries over).
 
 Issued FIM operations accumulate in an array-backed
 :class:`repro.dram.fim_batch.FimOpBatch` (structure-of-arrays), not a
-Python object list.  When a ``phase_sink``
-(:class:`repro.dram.system.PhaseAccumulator`) is attached, every
-processed chunk is drained straight into it, so even the *request
-stream* handed to the DRAM phase stays O(chunk) -- the final RSS term
-at paper scale.
+Python object list.  A chunked path with a ``phase_sink``
+(:class:`repro.dram.system.PhaseAccumulator`) attached drains every
+processed chunk straight into it, so even the *request stream* handed
+to the DRAM phase stays O(chunk) -- the final RSS term at paper scale.
+An unchunked path leaves its stream for the caller's :meth:`drain`,
+which hands the phase the whole tile in one piece.
 """
 
 from __future__ import annotations
@@ -201,31 +202,31 @@ class ConventionalMemoryPath:
         )
         self.memo = BatchReplayMemo(capacity) if capacity > 0 else None
         self._requests = _RequestAccumulator()
-        #: optional PhaseAccumulator: when set, each processed chunk's
-        #: request stream is drained into it immediately (O(chunk) RSS)
+        #: optional PhaseAccumulator: when set, a chunked path drains each
+        #: processed chunk's request stream into it (O(chunk) RSS)
         self.phase_sink = None
 
     def run(self, addrs: np.ndarray, rmw: bool) -> None:
         """Process a batch of 8 B accesses (``rmw`` marks read-modify-write).
 
         With a finite ``chunk_size`` the batch is streamed in bounded
-        chunks: per-chunk temporaries (event arrays, memo records) stay
-        O(chunk), and the produced request stream and counters are
-        identical to whole-batch execution (the engine is exactly
-        equivalent to the scalar loop, which has no batch boundaries).
+        chunks, each drained into the ``phase_sink`` when one is
+        attached: per-chunk temporaries (event arrays, memo records,
+        the phase's request stream) stay O(chunk), and the produced
+        request stream and counters are identical to whole-batch
+        execution (the engine is exactly equivalent to the scalar loop,
+        which has no batch boundaries).  Without a ``chunk_size`` the
+        requests wait for :meth:`drain`.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
-        n = addrs.size
-        if n == 0:
-            return
         chunk = self.chunk_size
-        if chunk is None or n <= chunk:
-            self._run_batch(addrs, rmw)
-        else:
-            for start in range(0, n, chunk):
-                self._run_batch(addrs[start : start + chunk], rmw)
-                self._drain_to_sink()
-        self._drain_to_sink()
+        if chunk is None:
+            if addrs.size:
+                self._run_batch(addrs, rmw)
+            return
+        for start in range(0, addrs.size, chunk):
+            self._run_batch(addrs[start : start + chunk], rmw)
+            self._drain_to_sink()
 
     def _drain_to_sink(self) -> None:
         if self.phase_sink is None:
@@ -401,8 +402,8 @@ class FineGrainedMemoryPath:
         self._bypass = _RequestAccumulator()
         self._last_bypass_fill = -1
         self._last_bypass_wb = -1
-        #: optional PhaseAccumulator: when set, each processed chunk's
-        #: FIM ops and bypass bursts drain into it immediately
+        #: optional PhaseAccumulator: when set, a chunked path drains each
+        #: processed chunk's FIM ops and bypass bursts into it
         self.phase_sink = None
 
     # ------------------------------------------------------------------
@@ -410,35 +411,30 @@ class FineGrainedMemoryPath:
         """Process a batch of 8 B accesses through cache + MSHR.
 
         With a finite ``chunk_size`` the batch is streamed in bounded
-        chunks (see :meth:`ConventionalMemoryPath.run`); counters, FIM-op
-        streams, and bypass bursts are identical to whole-batch
+        chunks, each drained into the ``phase_sink`` when one is
+        attached (see :meth:`ConventionalMemoryPath.run`); counters,
+        FIM-op streams, and bypass bursts are identical to whole-batch
         execution because the engine is exactly equivalent to the scalar
         loop and all cross-chunk state (cache, MSHR, monitor, burst
-        coalescing watermarks) carries over.
+        coalescing watermarks) carries over.  Without a ``chunk_size``
+        the FIM ops and bursts wait for :meth:`drain`.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
-        n = addrs.size
-        if n == 0:
-            return
         chunk = self.chunk_size
-        if chunk is None or n <= chunk:
-            self._run_batch(addrs, rmw)
-        else:
-            for start in range(0, n, chunk):
-                self._run_batch(addrs[start : start + chunk], rmw)
-                self._drain_to_sink()
-        self._drain_to_sink()
+        if chunk is None:
+            if addrs.size:
+                self._run_batch(addrs, rmw)
+            return
+        for start in range(0, addrs.size, chunk):
+            self._run_batch(addrs[start : start + chunk], rmw)
+            self._drain_to_sink()
 
     def _drain_to_sink(self) -> None:
         if self.phase_sink is None:
             return
         ops, addrs, writes = self.drain()
         if len(ops) or addrs.size:
-            self.phase_sink.add(
-                addrs=addrs if addrs.size else None,
-                is_write=writes if addrs.size else None,
-                fim_ops=ops if len(ops) else None,
-            )
+            self.phase_sink.add(addrs=addrs, is_write=writes, fim_ops=ops)
 
     def _run_batch(self, addrs: np.ndarray, rmw: bool) -> None:
         if not self.batched:

@@ -138,127 +138,35 @@ class DRAMModel:
         loose_read_bursts: int = 0,
         loose_write_bursts: int = 0,
     ) -> PhaseStats:
-        """Evaluate one phase of memory work.
+        """Evaluate one phase of memory work handed over in one piece.
 
-        Args:
-            addrs: byte addresses of burst-granularity random requests.
-            is_write: parallel bool array (False = read).
-            fim_ops: scatter/gather operations (already row-grouped by the
-                collection-extended MSHR), as a :class:`FimOpBatch` (the
-                array fast path) or a plain list of :class:`FimOp`.
-            stream_read_bytes / stream_write_bytes: sequential prefetcher
-                traffic (topology, property streams), charged analytically.
-            internal_mask: parallel bool array marking requests served
-                entirely inside memory (PIM baseline; no bus traffic).
-            loose_read_bursts / loose_write_bursts: bus-only bursts with no
-                bank work (e.g. the PIM baseline's per-atomic response
-                transactions), spread evenly over channels.
+        Opens a :class:`PhaseAccumulator`, adds the request arguments in
+        one :meth:`~PhaseAccumulator.add` and returns
+        :meth:`~PhaseAccumulator.close` of the stream bytes; the argument
+        meanings are documented there.
         """
-        spec = self.spec
-        config = self.config
-        stats = PhaseStats(_burst_bytes=spec.burst_bytes)
-        n_banks = config.total_banks
-        bank_busy = np.zeros(n_banks, dtype=np.float64)
-        bus_busy = np.zeros(config.channels, dtype=np.float64)
-        rank_busy = np.zeros(config.channels * config.ranks, dtype=np.float64)
-
-        # ---------------- random burst requests ------------------------
-        if addrs is not None and len(addrs):
-            addrs = np.asarray(addrs, dtype=np.int64)
-            if is_write is None:
-                is_write = np.zeros(addrs.size, dtype=bool)
-            else:
-                is_write = np.asarray(is_write, dtype=bool)
-            if internal_mask is None:
-                internal_mask = np.zeros(addrs.size, dtype=bool)
-            else:
-                internal_mask = np.asarray(internal_mask, dtype=bool)
-
-            bank, row = self.mapper.bank_key_many(addrs)
-            channel = self.mapper.channel_of_many(addrs)
-            # FR-FCFS approximation: row-hit-first within a window.
-            order = self._window_order(bank, row)
-            if order is not None:
-                bank, row = bank[order], row[order]
-
-            cost = np.full(addrs.size, self._col_cost, dtype=np.float64)
-            self._accumulate_episodes(bank, row, cost, bank_busy, stats)
-
-            external = ~internal_mask
-            n_rd = int(np.count_nonzero(~is_write & external))
-            n_wr = int(np.count_nonzero(is_write & external))
-            stats.read_bursts += n_rd
-            stats.write_bursts += n_wr
-            stats.internal_words += int(
-                np.count_nonzero(internal_mask)
-            ) * (spec.burst_bytes // 8)
-            np.add.at(
-                bus_busy, channel[external], spec.tBURST
-            )
-
-        # ---------------- FIM / NMP operations -------------------------
-        if fim_ops is not None and len(fim_ops):
-            batch = (
-                fim_ops if isinstance(fim_ops, FimOpBatch)
-                else FimOpBatch.from_ops(fim_ops)
-            )
-            fim_bank, fim_row, cost = self._fim_charge(
-                batch, bus_busy, rank_busy, stats
-            )
-            # FIM ops arrive in MSHR-eviction order; allow the same
-            # windowed row-hit-first reorder as ordinary requests so
-            # back-to-back ops on one open row share an episode.
-            order = self._window_order(fim_bank, fim_row)
-            if order is not None:
-                fim_bank, fim_row, cost = (
-                    fim_bank[order], fim_row[order], cost[order]
-                )
-            self._accumulate_episodes(fim_bank, fim_row, cost, bank_busy, stats)
-
-        # ---------------- bus-only transactions --------------------------
-        if loose_read_bursts or loose_write_bursts:
-            bus_busy += (
-                (loose_read_bursts + loose_write_bursts)
-                * spec.tBURST / config.channels
-            )
-            stats.read_bursts += loose_read_bursts
-            stats.write_bursts += loose_write_bursts
-
-        # ---------------- sequential streams ----------------------------
-        stream_bursts_rd = ceil_div(int(stream_read_bytes), spec.burst_bytes)
-        stream_bursts_wr = ceil_div(int(stream_write_bytes), spec.burst_bytes)
-        if stream_bursts_rd or stream_bursts_wr:
-            total = (stream_bursts_rd + stream_bursts_wr) * spec.tBURST
-            bus_busy += total / config.channels
-            stats.read_bursts += stream_bursts_rd
-            stats.write_bursts += stream_bursts_wr
-            stats.acts += ceil_div(
-                int(stream_read_bytes + stream_write_bytes), spec.row_bytes
-            )
-
-        # ---------------- binding resource ------------------------------
-        stats.bus_busy_ns = float(bus_busy.sum())
-        busiest = max(
-            float(bank_busy.max(initial=0.0)),
-            float(bus_busy.max(initial=0.0)),
-            float(rank_busy.max(initial=0.0)),
+        acc = self.open_phase()
+        acc.add(
+            addrs=addrs,
+            is_write=is_write,
+            fim_ops=fim_ops,
+            internal_mask=internal_mask,
+            loose_read_bursts=loose_read_bursts,
+            loose_write_bursts=loose_write_bursts,
         )
-        if busiest > 0.0:
-            busiest = max(busiest, self.latency_ns())
-        stats.time_ns = busiest
-        return stats
+        return acc.close(
+            stream_read_bytes=stream_read_bytes,
+            stream_write_bytes=stream_write_bytes,
+        )
 
     # ------------------------------------------------------------------
     def open_phase(self) -> "PhaseAccumulator":
-        """Begin a chunk-streamed phase evaluation.
+        """Begin a phase evaluation fed in any number of chunks.
 
         ``acc = model.open_phase(); acc.add(...); ...; acc.close(...)``
-        evaluates one phase from any number of request/FIM-op chunks
-        while holding only O(chunk + scheduler window) temporaries --
-        the scheduler-window reorder decision and episode detection
-        still span the whole accumulated stream, so counters and
-        episode counts are bit-identical to a one-shot :meth:`phase`
-        call over the concatenated stream.
+        holds only O(chunk + scheduler window) temporaries, and its
+        :class:`PhaseStats` do not depend on where the chunk boundaries
+        fall (see :class:`PhaseAccumulator`).
         """
         return PhaseAccumulator(self)
 
@@ -307,69 +215,14 @@ class DRAMModel:
         stats.internal_words += int(items.sum())
         return bank, row, cost
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _episode_count(bank: np.ndarray, row: np.ndarray) -> int:
-        """Number of (bank, row) runs a service order produces."""
-        if bank.size == 0:
-            return 0
-        return 1 + int(
-            np.count_nonzero((bank[1:] != bank[:-1]) | (row[1:] != row[:-1]))
-        )
-
-    def _window_order(
-        self, bank: np.ndarray, row: np.ndarray
-    ) -> np.ndarray | None:
-        """Windowed row-hit-first service order, or None for arrival order.
-
-        The chunked lexsort can *split* a row run that arrival order kept
-        together (a same-row tail straddling a chunk boundary gets sorted
-        away from its head).  A real FR-FCFS scheduler reorders only
-        opportunistically, so the reordered schedule is used only when it
-        does not increase the episode count.
-        """
-        n = bank.size
-        if n <= 1 or self.scheduler_window <= 1:
-            return None
-        chunk = np.arange(n, dtype=np.int64) // self.scheduler_window
-        order = np.lexsort((row, bank, chunk))
-        if self._episode_count(bank[order], row[order]) >= self._episode_count(
-            bank, row
-        ):
-            return None
-        return order
-
-    def _accumulate_episodes(
-        self,
-        bank: np.ndarray,
-        row: np.ndarray,
-        cost: np.ndarray,
-        bank_busy: np.ndarray,
-        stats: PhaseStats,
-    ) -> None:
-        """Fold (bank, row, cost) sequences into per-bank episode time."""
-        if bank.size == 0:
-            return
-        spec = self.spec
-        boundary = np.empty(bank.size, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (bank[1:] != bank[:-1]) | (row[1:] != row[:-1])
-        starts = np.flatnonzero(boundary)
-        sums = np.add.reduceat(cost, starts)
-        episode_time = np.maximum(spec.tRAS, spec.tRCD + sums) + spec.tRP
-        np.add.at(bank_busy, bank[starts], episode_time)
-        stats.acts += int(starts.size)
-
 
 class _EpisodeCandidate:
-    """Incremental per-bank episode time for one candidate service order.
+    """Per-bank episode time of one candidate service order, fed in blocks.
 
-    Equivalent to :meth:`DRAMModel._accumulate_episodes` evaluated over
-    the concatenation of every ``consume`` call: row runs carry across
-    chunk boundaries, and a run's cost total is computed with one
-    ``np.add.reduceat`` over the buffered run (NOT a running float sum),
-    so the float episode time is bit-identical to the one-shot
-    whole-array walk no matter where the chunk boundaries fall.
+    Row runs carry across blocks.  A run's cost total is one
+    ``np.add.reduceat`` over its costs (not a running float sum), and
+    each bank adds its episode times in service order, so the float
+    busy times do not depend on where the block boundaries fall.
     """
 
     __slots__ = (
@@ -382,42 +235,47 @@ class _EpisodeCandidate:
         self.episodes = 0
         self._last_bank = -1  # -1 = no open run
         self._last_row = -1
+        #: costs of the open run, which a later block may continue
         self._run: list[np.ndarray] = []
 
-    def consume(
-        self, bank: np.ndarray, row: np.ndarray, cost: np.ndarray
-    ) -> None:
-        n = bank.size
-        if n == 0:
-            return
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = (
-            self._last_bank < 0
-            or bank[0] != self._last_bank
-            or row[0] != self._last_row
-        )
+    def starts(self, bank: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Indices of the (non-empty) block where a new row run starts."""
+        boundary = np.empty(bank.size, dtype=bool)
+        boundary[0] = bank[0] != self._last_bank or row[0] != self._last_row
         boundary[1:] = (bank[1:] != bank[:-1]) | (row[1:] != row[:-1])
-        starts = np.flatnonzero(boundary)
-        if self._last_bank >= 0:
-            if starts.size == 0:
-                # the whole chunk continues the open run
-                self._run.append(cost)
+        return np.flatnonzero(boundary)
+
+    def consume(
+        self,
+        bank: np.ndarray,
+        row: np.ndarray,
+        cost: np.ndarray,
+        starts: np.ndarray,
+        last: bool,
+    ) -> None:
+        """Charge the runs a block closes (``starts`` from :meth:`starts`);
+        the block's trailing run stays open unless ``last``."""
+        if self._run:
+            head = int(starts[0]) if starts.size else bank.size
+            if head:
+                self._run.append(cost[:head])
+            if head == bank.size and not last:
                 return
-            first = int(starts[0])
-            if first > 0:
-                self._run.append(cost[:first])
             self._close_run()
-        spec = self._spec
-        if starts.size > 1:
-            interior = starts[:-1]
-            sums = np.add.reduceat(cost, starts)[:-1]
+            if not starts.size:
+                return
+        sums = np.add.reduceat(cost, starts)
+        if not last:
+            tail = int(starts[-1])
+            self._run = [cost[tail:]]
+            self._last_bank = int(bank[tail])
+            self._last_row = int(row[tail])
+            starts, sums = starts[:-1], sums[:-1]
+        if starts.size:
+            spec = self._spec
             episode_time = np.maximum(spec.tRAS, spec.tRCD + sums) + spec.tRP
-            np.add.at(self.bank_busy, bank[interior], episode_time)
-            self.episodes += int(interior.size)
-        last = int(starts[-1])
-        self._run = [cost[last:]]
-        self._last_bank = int(bank[last])
-        self._last_row = int(row[last])
+            np.add.at(self.bank_busy, bank[starts], episode_time)
+            self.episodes += int(starts.size)
 
     def _close_run(self) -> None:
         spec = self._spec
@@ -433,127 +291,141 @@ class _EpisodeCandidate:
         self._last_row = -1
 
     def finish(self) -> None:
-        if self._last_bank >= 0:
+        if self._run:
             self._close_run()
 
 
 class _EpisodeStream:
-    """Chunk-streamed (bank, row, cost) episodes with the windowed
-    row-hit-first reorder decision of :meth:`DRAMModel.phase`.
+    """One kind of bank work -- random bursts or FIM ops -- fed in chunks
+    and served with a windowed row-hit-first reorder (FR-FCFS).
 
-    FR-FCFS acceptance is a *global* decision (the reorder is used only
-    when it reduces the total episode count), so two candidate schedules
-    -- arrival order and the bounded-window lexsort -- accumulate in
-    parallel and :meth:`finish` picks the winner.  Window boundaries are
-    global across chunks: the trailing partial window is buffered so
-    every window is sorted whole, exactly as the one-shot lexsort over
-    the concatenated stream would sort it.
+    Within each window of ``scheduler_window`` arrivals, requests to the
+    same bank and row are served back-to-back (a stable sort by window,
+    bank, row).  That sort can *split* a row run which arrival order
+    kept together across a window boundary, and a real FR-FCFS scheduler
+    reorders only opportunistically, so the reordered schedule is used
+    only when it has fewer row episodes than arrival order.  The choice
+    is made over the whole stream: both candidate schedules accumulate
+    side by side and :meth:`finish` picks one.  Window boundaries are
+    global across chunks; the unsorted rest of a window waits in the
+    buffer.  A lone chunk waits whole until :meth:`finish`, which then
+    counts both schedules' episodes first and walks only the winner.
     """
 
-    __slots__ = ("window", "total", "_arrival", "_reorder", "_buf", "_buf_n")
+    __slots__ = (
+        "window", "bus_busy", "_banks", "_arrival", "_reorder", "_buf",
+        "_walked",
+    )
 
     def __init__(self, model: DRAMModel) -> None:
         self.window = model.scheduler_window
-        n_banks = model.config.total_banks
-        self.total = 0
-        self._arrival = _EpisodeCandidate(model.spec, n_banks)
-        self._reorder = (
-            _EpisodeCandidate(model.spec, n_banks)
-            if self.window > 1 else None
-        )
+        config = model.config
+        self._banks = config.total_banks
+        #: off-chip data-bus time per channel charged by this stream
+        self.bus_busy = np.zeros(config.channels, dtype=np.float64)
+        self._arrival = _EpisodeCandidate(model.spec, self._banks)
+        self._reorder = _EpisodeCandidate(model.spec, self._banks)
+        #: chunks not yet walked; they start on a window boundary
         self._buf: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._buf_n = 0
+        self._walked = False
 
     def feed(
         self, bank: np.ndarray, row: np.ndarray, cost: np.ndarray
     ) -> None:
-        n = bank.size
-        if n == 0:
-            return
-        self.total += n
-        if self._reorder is None:
-            self._arrival.consume(bank, row, cost)
-            return
+        """Queue a non-empty chunk; a second one walks the whole windows."""
         self._buf.append((bank, row, cost))
-        self._buf_n += n
-        w = self.window
-        full = (self._buf_n // w) * w
-        if full == 0:
-            return
-        bank, row, cost = self._concat_buf()
-        self._consume_window_block(bank[:full], row[:full], cost[:full])
-        if full < bank.size:
-            self._buf = [(bank[full:], row[full:], cost[full:])]
-            self._buf_n = int(bank.size - full)
-        else:
-            self._buf = []
-            self._buf_n = 0
+        if len(self._buf) > 1:
+            self._walk(last=False)
 
-    def _concat_buf(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _order(self, bank: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Row-hit-first service order within each window: a stable sort
+        by (window, bank, row), packed into one int64 key (one stable
+        argsort is several times faster than a three-key lexsort)."""
+        rows = int(row.max()) + 1
+        window = np.arange(bank.size, dtype=np.int64) // self.window
+        key = (window * self._banks + bank) * rows + row
+        return np.argsort(key, kind="stable")
+
+    def _take(self, last: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Buffered requests up to the last whole window (all when
+        ``last``: the trailing partial window is sorted among itself)."""
         if len(self._buf) == 1:
-            return self._buf[0]
-        return tuple(
-            np.concatenate([part[i] for part in self._buf]) for i in range(3)
-        )
+            bank, row, cost = self._buf[0]
+        else:
+            bank, row, cost = (
+                np.concatenate([part[i] for part in self._buf])
+                for i in range(3)
+            )
+        n = bank.size if last else bank.size - bank.size % self.window
+        self._buf = [] if n == bank.size else [(bank[n:], row[n:], cost[n:])]
+        return bank[:n], row[:n], cost[:n]
 
-    def _consume_window_block(self, bank, row, cost) -> None:
-        """Feed both candidates a block of whole scheduler windows (the
-        buffer always starts on a window boundary)."""
-        self._arrival.consume(bank, row, cost)
-        win = np.arange(bank.size, dtype=np.int64) // self.window
-        order = np.lexsort((row, bank, win))
-        self._reorder.consume(bank[order], row[order], cost[order])
+    def _walk(self, last: bool) -> None:
+        """Feed the buffered whole windows to both candidates."""
+        bank, row, cost = self._take(last)
+        if not bank.size:
+            return
+        self._walked = True
+        order = self._order(bank, row)
+        arrival, reorder = self._arrival, self._reorder
+        arrival.consume(bank, row, cost, arrival.starts(bank, row), last)
+        bank, row, cost = bank[order], row[order], cost[order]
+        reorder.consume(bank, row, cost, reorder.starts(bank, row), last)
 
     def finish(self) -> tuple[np.ndarray, int]:
         """(bank_busy, acts) of the accepted schedule."""
-        if self._buf_n:
-            bank, row, cost = self._concat_buf()
-            # one trailing partial window: sorted among itself, like the
-            # final short window of the one-shot lexsort
-            self._arrival.consume(bank, row, cost)
-            order = np.lexsort((row, bank))
-            self._reorder.consume(bank[order], row[order], cost[order])
-            self._buf = []
-            self._buf_n = 0
-        self._arrival.finish()
-        chosen = self._arrival
-        if self._reorder is not None and self.total > 1:
-            self._reorder.finish()
-            if self._reorder.episodes < self._arrival.episodes:
-                chosen = self._reorder
+        arrival, reorder = self._arrival, self._reorder
+        if not self._walked:
+            # the buffer holds the whole stream: decide, then walk once
+            bank, row, cost = self._take(last=True)
+            starts = arrival.starts(bank, row)
+            order = self._order(bank, row)
+            sorted_bank, sorted_row = bank[order], row[order]
+            sorted_starts = arrival.starts(sorted_bank, sorted_row)
+            if sorted_starts.size < starts.size:
+                bank, row, cost = sorted_bank, sorted_row, cost[order]
+                starts = sorted_starts
+            arrival.consume(bank, row, cost, starts, last=True)
+            return arrival.bank_busy, arrival.episodes
+        if self._buf:
+            self._walk(last=True)
+        arrival.finish()
+        reorder.finish()
+        chosen = reorder if reorder.episodes < arrival.episodes else arrival
         return chosen.bank_busy, chosen.episodes
 
 
-class PhaseAccumulator:
-    """Chunk-streamed phase evaluation (:meth:`DRAMModel.open_phase`).
+def _check_mask(mask, n: int, name: str) -> None:
+    """Reject a per-request mask that is not parallel to ``addrs``."""
+    if mask is not None and np.shape(mask) != (n,):
+        raise ValueError(
+            f"{name} has shape {np.shape(mask)}; addrs has {n} entries"
+        )
 
-    ``add`` may be called any number of times with request / FIM-op
-    chunks; ``close`` resolves the scheduler-window decision over the
-    *whole* accumulated stream and returns the phase's
-    :class:`PhaseStats`.  Integer counters, burst/activate counts, and
-    episode counts are bit-identical to a single :meth:`DRAMModel.phase`
-    call over the concatenated stream, while per-chunk temporaries stay
-    O(chunk + scheduler window).  Float busy times are also
-    bit-identical whenever the phase carries only one of {random
-    bursts, FIM ops} (every system's hot phase); a phase mixing both
-    accumulates the two streams into separate busy arrays combined at
-    close, which can differ from the one-shot interleaved walk by ulps.
+
+class PhaseAccumulator:
+    """The DRAM phase evaluator (:meth:`DRAMModel.open_phase`).
+
+    ``add`` takes request / FIM-op chunks any number of times; ``close``
+    resolves the scheduler-window decision over the whole stream and
+    returns the phase's :class:`PhaseStats`.  The stats -- busy-time
+    floats included -- do not depend on how the stream was chunked,
+    while temporaries stay O(chunk + scheduler window).  Random bursts
+    and FIM ops keep separate bank/bus busy arrays, summed at close.
     """
 
     def __init__(self, model: DRAMModel) -> None:
         self._model = model
-        spec = model.spec
         config = model.config
-        self.stats = PhaseStats(_burst_bytes=spec.burst_bytes)
-        self._addr_ep = _EpisodeStream(model)
-        self._fim_ep = _EpisodeStream(model)
-        self._addr_bus = np.zeros(config.channels, dtype=np.float64)
-        self._fim_bus = np.zeros(config.channels, dtype=np.float64)
+        self.stats = PhaseStats(_burst_bytes=model.spec.burst_bytes)
+        #: episode streams of the random bursts and of the FIM ops, built
+        #: on first use (many phases carry only sequential streams)
+        self._bursts: _EpisodeStream | None = None
+        self._fim: _EpisodeStream | None = None
         self._rank_busy = np.zeros(
             config.channels * config.ranks, dtype=np.float64
         )
-        self._loose_read = 0
-        self._loose_write = 0
+        self._loose_bursts = 0
         self._closed = False
 
     def add(
@@ -565,45 +437,70 @@ class PhaseAccumulator:
         loose_read_bursts: int = 0,
         loose_write_bursts: int = 0,
     ) -> None:
-        """Accumulate one chunk of phase work (same argument meanings as
-        :meth:`DRAMModel.phase`)."""
+        """Accumulate one chunk of phase work.
+
+        Args:
+            addrs: byte addresses of burst-granularity random requests.
+            is_write: bool array parallel to ``addrs`` (False = read).
+            fim_ops: scatter/gather operations (already row-grouped by the
+                collection-extended MSHR), as a :class:`FimOpBatch` (the
+                array fast path) or a plain list of :class:`FimOp`.
+            internal_mask: bool array parallel to ``addrs`` marking
+                requests served entirely inside memory (PIM baseline; no
+                bus traffic).
+            loose_read_bursts / loose_write_bursts: bus-only bursts with no
+                bank work (e.g. the PIM baseline's per-atomic response
+                transactions), spread evenly over channels.
+
+        Raises:
+            ValueError: ``is_write`` or ``internal_mask`` is not as long
+                as ``addrs``.
+        """
         if self._closed:
             raise RuntimeError("PhaseAccumulator already closed")
         model = self._model
         spec = model.spec
         stats = self.stats
-        if addrs is not None and len(addrs):
+        n = 0 if addrs is None else len(addrs)
+        _check_mask(is_write, n, "is_write")
+        _check_mask(internal_mask, n, "internal_mask")
+        if n:
             addrs = np.asarray(addrs, dtype=np.int64)
             if is_write is None:
-                is_write = np.zeros(addrs.size, dtype=bool)
+                is_write = np.zeros(n, dtype=bool)
             else:
                 is_write = np.asarray(is_write, dtype=bool)
             if internal_mask is None:
-                internal_mask = np.zeros(addrs.size, dtype=bool)
+                internal_mask = np.zeros(n, dtype=bool)
             else:
                 internal_mask = np.asarray(internal_mask, dtype=bool)
+            if self._bursts is None:
+                self._bursts = _EpisodeStream(model)
             bank, row = model.mapper.bank_key_many(addrs)
-            channel = model.mapper.channel_of_many(addrs)
-            cost = np.full(addrs.size, model._col_cost, dtype=np.float64)
-            self._addr_ep.feed(bank, row, cost)
+            cost = np.full(n, model._col_cost, dtype=np.float64)
+            self._bursts.feed(bank, row, cost)
             external = ~internal_mask
             stats.read_bursts += int(np.count_nonzero(~is_write & external))
             stats.write_bursts += int(np.count_nonzero(is_write & external))
             stats.internal_words += int(
                 np.count_nonzero(internal_mask)
             ) * (spec.burst_bytes // 8)
-            np.add.at(self._addr_bus, channel[external], spec.tBURST)
+            channel = model.mapper.channel_of_many(addrs)
+            np.add.at(self._bursts.bus_busy, channel[external], spec.tBURST)
         if fim_ops is not None and len(fim_ops):
             batch = (
                 fim_ops if isinstance(fim_ops, FimOpBatch)
                 else FimOpBatch.from_ops(fim_ops)
             )
+            if self._fim is None:
+                self._fim = _EpisodeStream(model)
             bank, row, cost = model._fim_charge(
-                batch, self._fim_bus, self._rank_busy, stats
+                batch, self._fim.bus_busy, self._rank_busy, stats
             )
-            self._fim_ep.feed(bank, row, cost)
-        self._loose_read += int(loose_read_bursts)
-        self._loose_write += int(loose_write_bursts)
+            self._fim.feed(bank, row, cost)
+        stats.read_bursts += int(loose_read_bursts)
+        stats.write_bursts += int(loose_write_bursts)
+        self._loose_bursts += int(loose_read_bursts) + int(loose_write_bursts)
 
     def close(
         self,
@@ -611,8 +508,9 @@ class PhaseAccumulator:
         stream_write_bytes: float = 0.0,
     ) -> PhaseStats:
         """Resolve scheduling over the accumulated stream and finish the
-        phase (stream traffic is charged analytically, as in
-        :meth:`DRAMModel.phase`)."""
+        phase.  ``stream_read_bytes`` / ``stream_write_bytes`` are the
+        sequential prefetcher traffic (topology, property streams),
+        charged analytically."""
         if self._closed:
             raise RuntimeError("PhaseAccumulator already closed")
         self._closed = True
@@ -620,24 +518,18 @@ class PhaseAccumulator:
         spec = model.spec
         config = model.config
         stats = self.stats
-        addr_busy, addr_acts = self._addr_ep.finish()
-        fim_busy, fim_acts = self._fim_ep.finish()
-        stats.acts += addr_acts + fim_acts
-        # single-stream phases keep the exact one-shot float accumulation
-        if self._fim_ep.total == 0:
-            bank_busy, bus_busy = addr_busy, self._addr_bus
-        elif self._addr_ep.total == 0:
-            bank_busy, bus_busy = fim_busy, self._fim_bus
-        else:
-            bank_busy = addr_busy + fim_busy
-            bus_busy = self._addr_bus + self._fim_bus
-        if self._loose_read or self._loose_write:
+        bank_busy = np.zeros(config.total_banks, dtype=np.float64)
+        bus_busy = np.zeros(config.channels, dtype=np.float64)
+        for stream in (self._bursts, self._fim):
+            if stream is not None:
+                busy, acts = stream.finish()
+                stats.acts += acts
+                bank_busy = bank_busy + busy
+                bus_busy = bus_busy + stream.bus_busy
+        if self._loose_bursts:
             bus_busy = bus_busy + (
-                (self._loose_read + self._loose_write)
-                * spec.tBURST / config.channels
+                self._loose_bursts * spec.tBURST / config.channels
             )
-            stats.read_bursts += self._loose_read
-            stats.write_bursts += self._loose_write
         stream_bursts_rd = ceil_div(int(stream_read_bytes), spec.burst_bytes)
         stream_bursts_wr = ceil_div(int(stream_write_bytes), spec.burst_bytes)
         if stream_bursts_rd or stream_bursts_wr:

@@ -91,19 +91,15 @@ class ExperimentScale:
     #: default (the 2^12 toy reduction)
     scale_shift: int | None = None
     #: memory-path tile chunking: each tile's address stream is
-    #: processed in bounded chunks of this many accesses so per-batch
-    #: temporaries and replay-memo records stay O(chunk) instead of
-    #: O(tile); None streams whole tiles (the toy default)
+    #: processed in bounded chunks of this many accesses, and each
+    #: chunk's requests drain straight into the tile's DRAM phase, so
+    #: per-batch temporaries, replay-memo records and the phase's
+    #: request stream stay O(chunk) instead of O(tile); None streams
+    #: whole tiles (the toy default).  Results are identical either way.
     chunk_size: int | None = None
     #: replay-memo capacity per memory path; None keeps the module
     #: default (256), 0 disables the memo entirely
     replay_capacity: int | None = None
-    #: chunk-streamed DRAM-phase evaluation: drain each processed memory-
-    #: path chunk straight into a PhaseAccumulator so per-tile request
-    #: streams (FIM-op batches, burst arrays) stay O(chunk); None = auto
-    #: (on whenever ``chunk_size`` is finite), False forces whole-tile
-    #: phase calls, True forces streaming
-    stream_phase: bool | None = None
     #: where :class:`~repro.graph.partition.TiledCSR` keeps its sorted
     #: tile arrays: ``"memory"`` (global in-RAM argsort, tiles resident
     #: for the run) or ``"disk"`` (bucketed external sort into a

@@ -237,7 +237,6 @@ def resolve_cell(spec: CellSpec) -> ResolvedCell:
         ),
         chunk_size=chunk,
         replay_capacity=scale.replay_capacity,
-        stream_phase=scale.stream_phase,
         tile_backing=(
             spec.tile_backing if spec.tile_backing is not None
             else scale.tile_backing

@@ -5,17 +5,14 @@ that inside every benchmark run would multiply their cost by the sweep
 size, so the search is performed offline by
 ``tools/generate_tuning_table.py`` (which sweeps power-of-two multiples
 of the perfect tile width with :func:`repro.accel.tuner.tune_tile_scale`)
-and the winners are baked into ``tuning_table.py``.  ``tile_scale_for``
-falls back to the per-system defaults in
-:class:`~repro.experiments.config.ExperimentScale` for unswept cells.
+and the winners are baked into the committed ``tuning_table.py``.
+``tile_scale_for`` returns None for unswept cells, which then use the
+per-system defaults in :class:`~repro.experiments.config.ExperimentScale`.
 """
 
 from __future__ import annotations
 
-try:
-    from repro.experiments.tuning_table import TUNED_TILE_SCALES
-except ImportError:  # table not generated yet
-    TUNED_TILE_SCALES: dict[tuple[str, str, str], int] = {}
+from repro.experiments.tuning_table import TUNED_TILE_SCALES
 
 
 def tile_scale_for(system: str, algorithm: str, dataset: str) -> int | None:

@@ -10,10 +10,8 @@ Layers:
 
 - :mod:`repro.service.core` -- framework-agnostic service (cache
   probes, single-flight dedup, background job pool); the wire contract.
-- :mod:`repro.service.http` -- stdlib ``ThreadingHTTPServer`` backend
+- :mod:`repro.service.http` -- stdlib ``ThreadingHTTPServer`` transport
   (no dependencies; what tier-1 and CI exercise).
-- :mod:`repro.service.fastapi_app` -- optional FastAPI backend (same
-  contract, lazily imported, clear error when not installed).
 """
 
 from repro.service.core import (

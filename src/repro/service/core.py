@@ -1,11 +1,10 @@
 """Experiment service core: content-addressed cache + single-flight runs.
 
 :class:`ExperimentService` is the framework-agnostic heart of the
-long-lived service.  Both transports -- the stdlib HTTP server
-(:mod:`repro.service.http`) and the optional FastAPI app
-(:mod:`repro.service.fastapi_app`) -- are thin serializers over the
-endpoint methods here, which all return ``(http_status, payload)``
-tuples; the wire contract therefore cannot drift between backends.
+long-lived service.  The transport -- the stdlib HTTP server
+(:mod:`repro.service.http`) -- is a thin serializer over the endpoint
+methods here, which all return ``(http_status, payload)`` tuples, so
+the wire contract lives in one place.
 
 A ``POST /experiments`` config flows:
 

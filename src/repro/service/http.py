@@ -3,14 +3,13 @@
 A :class:`~http.server.ThreadingHTTPServer` whose handler serializes
 the ``(status, payload)`` tuples returned by
 :class:`repro.service.core.ExperimentService` -- the whole wire
-contract lives in the core, so this fallback and the FastAPI app
-(:mod:`repro.service.fastapi_app`) are interchangeable.  Threading
-matters even though simulations queue on a worker pool: concurrent
-clients must be able to POST/poll while a cell runs, and the
-single-flight dedup is only observable when requests overlap.
+contract lives in the core.  Threading matters even though
+simulations queue on a worker pool: concurrent clients must be able
+to POST/poll while a cell runs, and the single-flight dedup is only
+observable when requests overlap.
 
 No dependencies beyond the standard library: tier-1 tests and the CI
-service smoke always have a servable backend.
+service smoke run exactly the transport that ships.
 """
 
 from __future__ import annotations

@@ -59,22 +59,16 @@ class TestParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8321
         assert args.store == ".repro_service"
-        assert args.backend == "auto"
         assert args.jobs == 1
 
     def test_serve_flags_parse(self):
         args = build_parser().parse_args(
             ["serve", "--port", "9000", "--store", "/tmp/svc",
-             "--jobs", "4", "--backend", "stdlib"]
+             "--jobs", "4"]
         )
         assert args.port == 9000
         assert args.store == "/tmp/svc"
         assert args.jobs == 4
-        assert args.backend == "stdlib"
-
-    def test_serve_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--backend", "gopher"])
 
 
 class TestTileBackingCommand:

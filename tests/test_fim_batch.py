@@ -1,18 +1,19 @@
-"""Array-backed FIM-op stream: FimOpBatch + vectorized/streamed phase.
+"""Array-backed FIM-op stream: FimOpBatch + the DRAM phase evaluator.
 
 Three layers of equivalence, mirroring the batched-engine discipline of
 ``test_batched_equivalence.py``:
 
 1. :class:`FimOpBatch` behaves exactly like the ``list[FimOp]`` it
    replaced (indexing, iteration, equality, slicing).
-2. ``DRAMModel.phase`` over a batch is bit-identical -- every
-   PhaseStats field, floats included -- to the pre-batch per-op scalar
-   walk (reimplemented here as the oracle) and to ``phase`` over the
-   equivalent plain list.
+2. ``DRAMModel.phase`` matches the one-shot whole-array walk it
+   replaced (:func:`reference_phase`, kept here as the oracle) and,
+   for FIM ops, the per-op scalar walk before that
+   (:func:`reference_phase_fim`): every PhaseStats field, floats
+   included, for phases carrying bursts or FIM ops; integer counters
+   for phases mixing both.
 3. ``DRAMModel.open_phase`` (chunk-streamed evaluation) reproduces the
-   one-shot ``phase`` call over the concatenated stream: bit-identical
-   counters, episode counts, and scheduler-window decisions for any
-   chunking; bit-identical floats for single-stream phases.
+   one-add ``phase`` call over the concatenated stream, every field
+   bit-identical, for any chunking.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.core.piccolo_cache import PiccoloCache
 from repro.dram.address import AddressMapper
 from repro.dram.fim_batch import FimOp, FimOpBatch
 from repro.dram.spec import DEVICES, DRAMConfig
-from repro.dram.system import DRAMModel, PhaseStats
+from repro.dram.system import DEFAULT_SCHEDULER_WINDOW, DRAMModel, PhaseStats
 from repro.utils.units import ceil_div
 
 
@@ -136,8 +137,148 @@ class TestFimOpBatch:
 
 
 # ---------------------------------------------------------------------------
-# 2. Vectorized phase vs the per-op scalar walk (the oracle)
+# 2. The phase evaluator vs the one-shot and per-op walks (the oracles)
 # ---------------------------------------------------------------------------
+def episode_count(bank: np.ndarray, row: np.ndarray) -> int:
+    """Number of (bank, row) runs a service order produces."""
+    if bank.size == 0:
+        return 0
+    return 1 + int(
+        np.count_nonzero((bank[1:] != bank[:-1]) | (row[1:] != row[:-1]))
+    )
+
+
+def window_order(
+    model: DRAMModel, bank: np.ndarray, row: np.ndarray
+) -> np.ndarray | None:
+    """Windowed row-hit-first service order, or None for arrival order.
+
+    The chunked lexsort can *split* a row run that arrival order kept
+    together (a same-row tail straddling a chunk boundary gets sorted
+    away from its head).  A real FR-FCFS scheduler reorders only
+    opportunistically, so the reordered schedule is used only when it
+    does not increase the episode count.
+    """
+    n = bank.size
+    if n <= 1 or model.scheduler_window <= 1:
+        return None
+    chunk = np.arange(n, dtype=np.int64) // model.scheduler_window
+    order = np.lexsort((row, bank, chunk))
+    if episode_count(bank[order], row[order]) >= episode_count(bank, row):
+        return None
+    return order
+
+
+def accumulate_episodes(
+    model: DRAMModel,
+    bank: np.ndarray,
+    row: np.ndarray,
+    cost: np.ndarray,
+    bank_busy: np.ndarray,
+    stats: PhaseStats,
+) -> None:
+    """Fold (bank, row, cost) sequences into per-bank episode time."""
+    if bank.size == 0:
+        return
+    spec = model.spec
+    boundary = np.empty(bank.size, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = (bank[1:] != bank[:-1]) | (row[1:] != row[:-1])
+    starts = np.flatnonzero(boundary)
+    sums = np.add.reduceat(cost, starts)
+    episode_time = np.maximum(spec.tRAS, spec.tRCD + sums) + spec.tRP
+    np.add.at(bank_busy, bank[starts], episode_time)
+    stats.acts += int(starts.size)
+
+
+def reference_phase(
+    model: DRAMModel,
+    addrs: np.ndarray | None = None,
+    is_write: np.ndarray | None = None,
+    fim_ops: FimOpBatch | None = None,
+    stream_read_bytes: float = 0.0,
+    stream_write_bytes: float = 0.0,
+    internal_mask: np.ndarray | None = None,
+    loose_read_bursts: int = 0,
+    loose_write_bursts: int = 0,
+) -> PhaseStats:
+    """The one-shot whole-array phase walk that ``DRAMModel.phase`` ran
+    before it became one ``PhaseAccumulator`` add, preserved as the
+    oracle: bursts and FIM ops share one bank and one bus busy array."""
+    spec = model.spec
+    config = model.config
+    stats = PhaseStats(_burst_bytes=spec.burst_bytes)
+    bank_busy = np.zeros(config.total_banks, dtype=np.float64)
+    bus_busy = np.zeros(config.channels, dtype=np.float64)
+    rank_busy = np.zeros(config.channels * config.ranks, dtype=np.float64)
+
+    if addrs is not None and len(addrs):
+        addrs = np.asarray(addrs, dtype=np.int64)
+        if is_write is None:
+            is_write = np.zeros(addrs.size, dtype=bool)
+        else:
+            is_write = np.asarray(is_write, dtype=bool)
+        if internal_mask is None:
+            internal_mask = np.zeros(addrs.size, dtype=bool)
+        else:
+            internal_mask = np.asarray(internal_mask, dtype=bool)
+        bank, row = model.mapper.bank_key_many(addrs)
+        channel = model.mapper.channel_of_many(addrs)
+        order = window_order(model, bank, row)
+        if order is not None:
+            bank, row = bank[order], row[order]
+        cost = np.full(addrs.size, model._col_cost, dtype=np.float64)
+        accumulate_episodes(model, bank, row, cost, bank_busy, stats)
+        external = ~internal_mask
+        stats.read_bursts += int(np.count_nonzero(~is_write & external))
+        stats.write_bursts += int(np.count_nonzero(is_write & external))
+        stats.internal_words += int(
+            np.count_nonzero(internal_mask)
+        ) * (spec.burst_bytes // 8)
+        np.add.at(bus_busy, channel[external], spec.tBURST)
+
+    if fim_ops is not None and len(fim_ops):
+        fim_bank, fim_row, cost = model._fim_charge(
+            fim_ops, bus_busy, rank_busy, stats
+        )
+        order = window_order(model, fim_bank, fim_row)
+        if order is not None:
+            fim_bank, fim_row, cost = (
+                fim_bank[order], fim_row[order], cost[order]
+            )
+        accumulate_episodes(model, fim_bank, fim_row, cost, bank_busy, stats)
+
+    if loose_read_bursts or loose_write_bursts:
+        bus_busy += (
+            (loose_read_bursts + loose_write_bursts)
+            * spec.tBURST / config.channels
+        )
+        stats.read_bursts += loose_read_bursts
+        stats.write_bursts += loose_write_bursts
+
+    stream_bursts_rd = ceil_div(int(stream_read_bytes), spec.burst_bytes)
+    stream_bursts_wr = ceil_div(int(stream_write_bytes), spec.burst_bytes)
+    if stream_bursts_rd or stream_bursts_wr:
+        total = (stream_bursts_rd + stream_bursts_wr) * spec.tBURST
+        bus_busy += total / config.channels
+        stats.read_bursts += stream_bursts_rd
+        stats.write_bursts += stream_bursts_wr
+        stats.acts += ceil_div(
+            int(stream_read_bytes + stream_write_bytes), spec.row_bytes
+        )
+
+    stats.bus_busy_ns = float(bus_busy.sum())
+    busiest = max(
+        float(bank_busy.max(initial=0.0)),
+        float(bus_busy.max(initial=0.0)),
+        float(rank_busy.max(initial=0.0)),
+    )
+    if busiest > 0.0:
+        busiest = max(busiest, model.latency_ns())
+    stats.time_ns = busiest
+    return stats
+
+
 def reference_phase_fim(model: DRAMModel, ops: list[FimOp]) -> PhaseStats:
     """The pre-FimOpBatch per-op scalar walk, preserved verbatim as the
     oracle for the vectorized FIM evaluation."""
@@ -175,12 +316,12 @@ def reference_phase_fim(model: DRAMModel, ops: list[FimOp]) -> PhaseStats:
                 stats.fim_gathers += 1
                 stats.read_bursts += data_b
             stats.internal_words += op.items
-        order = model._window_order(fim_bank, fim_row)
+        order = window_order(model, fim_bank, fim_row)
         if order is not None:
             fim_bank, fim_row, cost = (
                 fim_bank[order], fim_row[order], cost[order]
             )
-        model._accumulate_episodes(fim_bank, fim_row, cost, bank_busy, stats)
+        accumulate_episodes(model, fim_bank, fim_row, cost, bank_busy, stats)
     stats.bus_busy_ns = float(bus_busy.sum())
     busiest = max(
         float(bank_busy.max(initial=0.0)),
@@ -209,6 +350,95 @@ def test_phase_list_and_batch_agree(tuples):
     from_list = model.phase(fim_ops=to_ops(tuples))
     from_batch = model.phase(fim_ops=to_batch(tuples))
     assert vars(from_list) == vars(from_batch)
+
+
+def random_bursts(seed, n, span):
+    """``n`` burst addresses over ``span`` blocks, with write and
+    internal masks."""
+    rng = np.random.default_rng(seed)
+    addrs = (rng.integers(0, span, n) * 64).astype(np.int64)
+    return addrs, rng.random(n) < 0.4, rng.random(n) < 0.1
+
+
+windows = st.sampled_from([1, 4, DEFAULT_SCHEDULER_WINDOW])
+spans = st.sampled_from([1 << 8, 1 << 14, 1 << 20])
+stream_bytes = st.floats(0.0, 1e6, allow_nan=False)
+stream_pairs = st.tuples(stream_bytes, stream_bytes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=chunk_seed,
+    n=st.integers(0, 400),
+    span=spans,
+    window=windows,
+    loose=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    streams=stream_pairs,
+)
+def test_phase_matches_reference_on_burst_phases(
+    seed, n, span, window, loose, streams
+):
+    model = DRAMModel(make_config(), scheduler_window=window)
+    addrs, writes, internal = random_bursts(seed, n, span)
+    kwargs = dict(
+        addrs=addrs,
+        is_write=writes,
+        internal_mask=internal,
+        loose_read_bursts=loose[0],
+        loose_write_bursts=loose[1],
+        stream_read_bytes=streams[0],
+        stream_write_bytes=streams[1],
+    )
+    expected = reference_phase(model, **kwargs)
+    assert vars(model.phase(**kwargs)) == vars(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tuples=op_streams, window=windows, streams=stream_pairs)
+def test_phase_matches_reference_on_fim_phases(tuples, window, streams):
+    model = DRAMModel(make_config(), scheduler_window=window)
+    kwargs = dict(
+        fim_ops=to_batch(tuples),
+        stream_read_bytes=streams[0],
+        stream_write_bytes=streams[1],
+    )
+    expected = reference_phase(model, **kwargs)
+    assert vars(model.phase(**kwargs)) == vars(expected)
+
+
+INT_FIELDS = (
+    "acts", "read_bursts", "write_bursts", "fim_offset_bursts",
+    "fim_gathers", "fim_scatters", "internal_words",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tuples=op_streams, seed=chunk_seed, n=st.integers(1, 300), span=spans
+)
+def test_phase_matches_reference_counters_on_mixed_phases(
+    tuples, seed, n, span
+):
+    """A phase mixing bursts and FIM ops sums the two kinds' busy
+    arrays at close instead of sharing one array, so only its integer
+    counters are pinned to the one-shot walk."""
+    model = DRAMModel(make_config())
+    addrs, writes, _ = random_bursts(seed, n, span)
+    kwargs = dict(addrs=addrs, is_write=writes, fim_ops=to_batch(tuples))
+    got = model.phase(**kwargs)
+    expected = reference_phase(model, **kwargs)
+    for name in INT_FIELDS:
+        assert getattr(got, name) == getattr(expected, name), name
+
+
+@pytest.mark.parametrize("name", ["is_write", "internal_mask"])
+def test_phase_rejects_mask_length_mismatch(name):
+    model = DRAMModel(make_config())
+    addrs = np.arange(5, dtype=np.int64) * 64
+    with pytest.raises(ValueError, match=name):
+        model.phase(addrs=addrs, **{name: np.array([True])})
+    with pytest.raises(ValueError, match=name):
+        model.open_phase().add(addrs=addrs, **{name: np.zeros(6, dtype=bool)})
 
 
 class TestSchedulerWindowBehaviour:
@@ -300,18 +530,11 @@ def test_streamed_burst_phase_bitwise_identical(seed, n):
     assert vars(acc.close(stream_read_bytes=1e5)) == vars(whole)
 
 
-INT_FIELDS = (
-    "acts", "read_bursts", "write_bursts", "fim_offset_bursts",
-    "fim_gathers", "fim_scatters", "internal_words",
-)
-
-
 @settings(max_examples=30, deadline=None)
 @given(tuples=op_streams, seed=chunk_seed, n=st.integers(1, 300))
 def test_streamed_mixed_phase_counters_identical(tuples, seed, n):
-    """Phases mixing bursts and FIM ops: integer counters and episode
-    counts are bit-identical; busy-time floats may differ by ulps (the
-    two streams accumulate into separate busy arrays)."""
+    """Phases mixing bursts and FIM ops: every field, floats included,
+    is bit-identical however the two streams are chunked."""
     model = DRAMModel(make_config())
     rng = np.random.default_rng(seed)
     addrs = (rng.integers(0, 1 << 20, n) * 64).astype(np.int64)
@@ -329,11 +552,7 @@ def test_streamed_mixed_phase_counters_identical(tuples, seed, n):
             lo, hi = fim_spans[i]
             kwargs["fim_ops"] = batch[lo:hi]
         acc.add(**kwargs)
-    streamed = acc.close()
-    for name in INT_FIELDS:
-        assert getattr(streamed, name) == getattr(whole, name), name
-    assert streamed.time_ns == pytest.approx(whole.time_ns, rel=1e-12)
-    assert streamed.bus_busy_ns == pytest.approx(whole.bus_busy_ns, rel=1e-12)
+    assert vars(acc.close()) == vars(whole)
 
 
 def test_accumulator_rejects_use_after_close():
@@ -420,21 +639,21 @@ class TestProducersEmitBatches:
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("system", ["Piccolo", "NMP", "GraphDyns (Cache)"])
 def test_system_streamed_phase_matches_whole(system):
+    """A chunked memory path drains every chunk into the tile's phase;
+    an unchunked one hands the phase its whole tile in one add."""
     from repro.experiments.config import ExperimentScale
     from repro.experiments.runner import clear_result_cache, run_system
 
     results = {}
-    for stream_phase in (False, True):
+    for chunk_size in (256, None):
         clear_result_cache()
         scale = ExperimentScale(
-            name=f"stream-{stream_phase}",
-            chunk_size=256,
-            stream_phase=stream_phase,
+            name=f"chunk-{chunk_size}", chunk_size=chunk_size
         )
         r = run_system(system, "PR", "TW", scale=scale, max_iterations=2)
-        results[stream_phase] = (
+        results[chunk_size] = (
             r.total_ns, r.memory_ns, r.compute_ns,
             vars(r.dram), r.cache_hits, r.cache_misses, r.mshr_ops,
         )
     clear_result_cache()
-    assert results[True] == results[False]
+    assert results[256] == results[None]

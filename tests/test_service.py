@@ -1,5 +1,5 @@
 """Experiment-service contract tests: adapter, cache, single-flight,
-failure/retry, backend parity.
+failure/retry, the stdlib HTTP transport.
 
 The service's value claims are pinned here at toy scale:
 
@@ -10,9 +10,8 @@ The service's value claims are pinned here at toy scale:
   ``run_resolved`` call (and survives a service restart via the
   content-addressed store);
 - failed cells report ``failed`` with the error and are retryable;
-- the stdlib HTTP fallback and the FastAPI app serialize the same
-  ``(status, payload)`` core contract (FastAPI checked when installed,
-  and its absence produces a clear error, never a broken server).
+- the stdlib HTTP transport serializes the core's ``(status,
+  payload)`` contract.
 """
 
 import json
@@ -37,7 +36,6 @@ from repro.experiments.runner import (
     run_resolved,
 )
 from repro.service import ExperimentService, make_server
-from repro.service.fastapi_app import create_fastapi_app, fastapi_available
 
 #: a fast toy cell for real-simulation tests
 CONFIG = {
@@ -350,36 +348,3 @@ class TestStdlibHTTP:
         assert code == 200
         assert set(filtered["cells"]) == {"service/hit-latency/toy-pr3"}
 
-
-# ---------------------------------------------------------------------------
-# backend parity: stdlib fallback vs (optional) FastAPI
-# ---------------------------------------------------------------------------
-class TestBackends:
-    def test_missing_fastapi_raises_a_clear_error(self, tmp_path):
-        if fastapi_available():
-            pytest.skip("fastapi installed; absence path not testable")
-        with ExperimentService(tmp_path) as service:
-            with pytest.raises(RuntimeError, match="backend stdlib"):
-                create_fastapi_app(service)
-
-    def test_fastapi_serves_the_same_contract(self, tmp_path):
-        fastapi = pytest.importorskip("fastapi")  # noqa: F841
-        testclient = pytest.importorskip("fastapi.testclient")
-
-        def fast_runner(cell):
-            return _fake_outcome(cell)
-
-        with ExperimentService(tmp_path, run_cell=fast_runner) as service:
-            client = testclient.TestClient(create_fastapi_app(service))
-            response = client.post("/experiments", json=CONFIG)
-            assert response.status_code == 202
-            digest = response.json()["digest"]
-            _wait_job(service, digest)
-            # the FastAPI body equals the core payload verbatim
-            assert client.get(f"/experiments/{digest}").json() == \
-                service.status(digest)[1]
-            assert client.get("/cache/stats").json() == \
-                service.cache_stats()[1]
-            assert client.get("/healthz").json() == service.health()[1]
-            bad = client.post("/experiments", json={"seed": 1})
-            assert bad.status_code == 400

@@ -38,9 +38,6 @@ class TestBakedTable:
             assert scale >= 1, (system, algo, dataset)
             assert system in ("GraphDyns (Cache)", "NMP", "Piccolo")
 
-    @pytest.mark.skipif(
-        not TUNED_TILE_SCALES, reason="tuning table not generated"
-    )
     def test_real_world_grid_covered(self):
         for system in ("GraphDyns (Cache)", "Piccolo"):
             for algo in ("PR", "BFS", "CC", "SSSP", "SSWP"):

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.algorithms.vcm import AlgorithmSpec, REDUCE_OPS
+from repro.algorithms.vcm import AlgorithmSpec, REDUCE_OPS, range_ids
 from repro.utils.units import ceil_div
 
 
@@ -81,10 +81,23 @@ class EdgeCentricEngine:
         self.prop = spec.init_prop.copy()
         self.iteration = 0
         self._reduce_ufunc, self._identity = REDUCE_OPS[spec.reduce_name]
-        self._blocks = self._build_grid()
+        self._blocks, self._column_dst = self._build_grid()
         self._converged = False
 
-    def _build_grid(self) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    def _build_grid(
+        self,
+    ) -> tuple[
+        list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        list[np.ndarray],
+    ]:
+        """The non-empty grid blocks, each with its touched destinations,
+        and every destination column's union of them.
+
+        Every iteration streams every block, so these sets never change:
+        they are read once here off range bitmaps (the columns partition
+        one bitmap over all vertices).
+        """
+        n = self.graph.num_vertices
         src, dst, weight = self.graph.edge_array()
         p = src // self.src_tile_width
         q = dst // self.dst_tile_width
@@ -96,14 +109,30 @@ class EdgeCentricEngine:
         bounds = np.searchsorted(
             key, np.arange(self.num_src_tiles * self.num_dst_tiles + 1)
         )
+        column_hit = np.zeros(n, dtype=bool)
         blocks = []
         for b in range(self.num_src_tiles * self.num_dst_tiles):
             lo, hi = bounds[b], bounds[b + 1]
             if lo == hi:
                 continue
             q_idx, p_idx = divmod(b, self.num_src_tiles)
-            blocks.append((p_idx, q_idx, src[lo:hi], dst[lo:hi], weight[lo:hi]))
-        return blocks
+            dst_lo, dst_hi = self._dst_range(q_idx)
+            hit = np.zeros(dst_hi - dst_lo, dtype=bool)
+            hit[dst[lo:hi] - dst_lo] = True
+            touched = range_ids(hit, dst_lo)
+            column_hit[touched] = True
+            blocks.append(
+                (p_idx, q_idx, src[lo:hi], dst[lo:hi], weight[lo:hi], touched)
+            )
+        columns = []
+        for q_idx in range(self.num_dst_tiles):
+            lo, hi = self._dst_range(q_idx)
+            columns.append(range_ids(column_hit[lo:hi], lo))
+        return blocks, columns
+
+    def _dst_range(self, q_idx: int) -> tuple[int, int]:
+        lo = q_idx * self.dst_tile_width
+        return lo, min(lo + self.dst_tile_width, self.graph.num_vertices)
 
     @property
     def converged(self) -> bool:
@@ -116,22 +145,23 @@ class EdgeCentricEngine:
         prop_old = self.prop
         vtemp = np.full(n, self._identity, dtype=np.float64)
         blocks: list[BlockTrace] = []
-        for p_idx, q_idx, e_src, e_dst, e_w in self._blocks:
+        for p_idx, q_idx, e_src, e_dst, e_w, touched in self._blocks:
             contributions = spec.process(
                 e_w.astype(np.float64), prop_old[e_src], e_src
             )
             self._reduce_ufunc.at(vtemp, e_dst, contributions)
+            dst_lo, dst_hi = self._dst_range(q_idx)
             blocks.append(
                 BlockTrace(
                     src_tile=p_idx,
                     dst_tile=q_idx,
                     src_lo=p_idx * self.src_tile_width,
                     src_hi=min((p_idx + 1) * self.src_tile_width, n),
-                    dst_lo=q_idx * self.dst_tile_width,
-                    dst_hi=min((q_idx + 1) * self.dst_tile_width, n),
+                    dst_lo=dst_lo,
+                    dst_hi=dst_hi,
                     edge_src=e_src,
                     edge_dst=e_dst,
-                    touched_dst=np.unique(e_dst),
+                    touched_dst=touched,
                 )
             )
 
@@ -139,16 +169,10 @@ class EdgeCentricEngine:
         changed_total = 0
         prop_new = prop_old.copy()
         for q_idx in range(self.num_dst_tiles):
-            lo = q_idx * self.dst_tile_width
-            hi = min((q_idx + 1) * self.dst_tile_width, n)
             if spec.applies_all_vertices:
-                apply_dst = np.arange(lo, hi, dtype=np.int64)
+                apply_dst = np.arange(*self._dst_range(q_idx), dtype=np.int64)
             else:
-                touched = [b.touched_dst for b in blocks if b.dst_tile == q_idx]
-                apply_dst = (
-                    np.unique(np.concatenate(touched)) if touched
-                    else np.empty(0, dtype=np.int64)
-                )
+                apply_dst = self._column_dst[q_idx]
             if apply_dst.size:
                 old_vals = prop_old[apply_dst]
                 new_vals = spec.apply(old_vals, vtemp[apply_dst], apply_dst)

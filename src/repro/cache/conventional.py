@@ -40,6 +40,7 @@ from repro.cache.batched import (
     pack_events,
     split_free_mru,
 )
+from repro.utils.sorting import run_starts
 from repro.utils.units import log2_exact
 
 
@@ -167,7 +168,7 @@ class ConventionalCache(BatchedCacheEngine, BaseCache):
         # Compress runs of consecutive same-block accesses: after the
         # first access the line is resident and MRU, the rest only OR
         # word bits into the masks.  Run j carries stamp clock0 + j.
-        starts = _run_starts(blocks)
+        starts = run_starts(blocks)
         run_blocks = blocks[starts]
         run_bits = np.bitwise_or.reduceat(word_bits, starts)
         n_runs = int(starts.size)
@@ -177,7 +178,7 @@ class ConventionalCache(BatchedCacheEngine, BaseCache):
         # are order-free reductions).
         by_block = np.argsort(run_blocks)
         sorted_blocks = run_blocks[by_block]
-        heads = _run_starts(sorted_blocks)
+        heads = run_starts(sorted_blocks)
         first = np.minimum.reduceat(by_block, heads)
         last = np.maximum.reduceat(by_block, heads)
         block = sorted_blocks[heads]
@@ -187,7 +188,7 @@ class ConventionalCache(BatchedCacheEngine, BaseCache):
         block_set = block & self._set_mask
         walk = np.argsort(block_set * n_runs + first)
         walk_set = block_set[walk]
-        set_start = _run_starts(walk_set)
+        set_start = run_starts(walk_set)
         sets = walk_set[set_start]
         bounds = np.append(set_start, walk.size).tolist()
         first_l = (first[walk] + clock0).tolist()
@@ -416,14 +417,6 @@ class ConventionalCache(BatchedCacheEngine, BaseCache):
         lines = self.num_sets * self.ways
         # The paper's tag accounting (Sec. V-A) excludes valid/dirty state.
         return lines * tag_bits
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal consecutive ``values`` starts."""
-    change = np.empty(values.size, dtype=bool)
-    change[0] = True
-    np.not_equal(values[1:], values[:-1], out=change[1:])
-    return np.flatnonzero(change)
 
 
 def _settled_victim(ord_: list[int], first_stamp: list[int], now: int) -> int:

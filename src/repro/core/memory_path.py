@@ -60,6 +60,7 @@ import numpy as np
 from repro.cache.base import BaseCache
 from repro.core.collection_mshr import CollectionExtendedMSHR
 from repro.dram.fim_batch import FimOpBatch
+from repro.utils.sorting import run_starts
 
 #: default execution mode for newly built paths (tools/perf_report.py
 #: flips this to time the seed-identical scalar loop)
@@ -528,10 +529,7 @@ class FineGrainedMemoryPath:
             return
         flags = self.monitor.observe_many(addrs)
         # split into maximal constant-bypass segments, in order
-        change = np.empty(flags.size, dtype=bool)
-        change[0] = True
-        np.not_equal(flags[1:], flags[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
+        starts = run_starts(flags)
         ends = np.append(starts[1:], flags.size)
         for start, end in zip(starts.tolist(), ends.tolist()):
             segment = addrs[start:end]

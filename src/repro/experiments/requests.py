@@ -56,6 +56,7 @@ _POSITIVE = ("max_iterations", "chunk_size", "tile_scale")
 def _check_registries(payload: Mapping[str, Any]) -> None:
     """Eager name validation so bad requests 400 instead of 500."""
     from repro.accel.systems import SYSTEMS
+    from repro.algorithms import ALGORITHMS
     from repro.cache.variants import FIG11_DESIGNS
     from repro.experiments.config import PROFILES
     from repro.graph.datasets import DATASETS
@@ -64,6 +65,12 @@ def _check_registries(payload: Mapping[str, Any]) -> None:
     if system not in SYSTEMS:
         raise RequestError(
             f"unknown system {system!r}; available: {sorted(SYSTEMS)}"
+        )
+    algorithm = payload["algorithm"]
+    if algorithm not in ALGORITHMS:
+        raise RequestError(
+            f"unknown algorithm {algorithm!r}; "
+            f"available: {sorted(ALGORITHMS)}"
         )
     dataset = payload["dataset"]
     if dataset not in DATASETS:

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.utils.sorting import packed_key_fits, run_starts
 from repro.utils.units import ceil_div
 
 if TYPE_CHECKING:
@@ -29,6 +30,20 @@ def tile_count(num_vertices: int, tile_width: int) -> int:
     if tile_width <= 0:
         raise ValueError("tile_width must be positive")
     return ceil_div(num_vertices, tile_width)
+
+
+def tile_row_index(t_src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A tile's ``(src_unique, src_edge_start)`` from its ascending sources.
+
+    Both are read off the run starts of ``t_src``: the same arrays as
+    ``np.unique(t_src, return_index=True)`` with ``t_src.size`` appended
+    to the starts, without the sort.
+    """
+    starts = run_starts(t_src)
+    edge_start = np.empty(starts.size + 1, dtype=np.int64)
+    edge_start[:-1] = starts
+    edge_start[-1] = t_src.size
+    return t_src[starts], edge_start
 
 
 @dataclass(frozen=True)
@@ -140,7 +155,7 @@ class TiledCSR:
         boundaries = np.zeros(self.num_tiles + 1, dtype=np.int64)
         np.cumsum(counts, out=boundaries[1:])
         del counts
-        if self.num_tiles * n_v * n_v < 2**62:
+        if packed_key_fits(self.num_tiles, n_v, n_v):
             # pack (tile, src, dst) into one int64 key, built in place --
             # a stable argsort of the packed key is exactly the stable
             # lexsort by (tile, src, dst), without its per-key buffers
@@ -160,10 +175,7 @@ class TiledCSR:
         for t in range(self.num_tiles):
             lo, hi = boundaries[t], boundaries[t + 1]
             t_src = src[lo:hi]
-            uniq, start = np.unique(t_src, return_index=True)
-            edge_start = np.empty(uniq.size + 1, dtype=np.int64)
-            edge_start[:-1] = start
-            edge_start[-1] = t_src.size
+            uniq, edge_start = tile_row_index(t_src)
             tiles.append(
                 Tile(
                     index=t,

@@ -8,17 +8,23 @@ paper-profile sweeps.  This module replaces that with an *external*
 two-pass build whose transient memory is O(bucket), not O(edges):
 
 1. **Scatter pass.**  One sequential walk over the CSR edge arrays in
-   bounded chunks; each chunk is grouped by destination-tile id and
-   appended to a per-tile-row *spill bucket* (a raw int64 row file in a
-   temporary directory).  Because the walk is in CSR order and appends
-   preserve it, every bucket holds its tile's edges in original CSR
-   (src, dst)-sorted order.
+   bounded chunks; each chunk is grouped by destination-tile id (a
+   stable argsort of the id narrowed to the smallest type that holds
+   it, radix-sorted up to 65,536 tiles) and appended to a per-tile-row
+   *spill bucket* (a raw int64 row file in a temporary directory).
+   Because the walk is in CSR order and appends preserve it, every
+   bucket holds its tile's edges in original CSR (src, dst)-sorted
+   order.
 2. **Per-bucket sort pass.**  Each bucket is loaded alone, stably
-   sorted by (src, dst) -- which, composed with the grouping, equals
-   the global stable (tile, src, dst) sort bit-for-bit -- and written
-   into memmapped ``.npy`` output arrays, together with the per-tile
-   ``src_unique`` / ``src_edge_start`` CSR row index.  The bucket file
-   is deleted as soon as it is consumed.
+   sorted by (src, dst) -- one stable argsort of the packed key
+   ``src * |V| + dst``, a single run on a bucket already in CSR order,
+   with ``np.lexsort`` beyond the int64 guard.  Composed with the
+   grouping this equals the global stable (tile, src, dst) sort
+   bit-for-bit.  The tile is written into memmapped ``.npy`` output
+   arrays, together with the per-tile ``src_unique`` /
+   ``src_edge_start`` CSR row index read off the run starts of the
+   sorted sources.  The bucket file is deleted as soon as it is
+   consumed.
 
 The finished store is a directory of plain ``.npy`` arrays plus a
 ``meta.json`` manifest, committed with the same tmp-dir + ``os.replace``
@@ -51,6 +57,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 from numpy.lib.format import open_memmap
+
+from repro.utils.sorting import pair_order, run_starts
 
 if TYPE_CHECKING:
     from repro.graph.csr import CSRGraph
@@ -205,11 +213,16 @@ def store_valid(directory: str | os.PathLike) -> bool:
 
 # -- build ------------------------------------------------------------------
 def _edge_sources(indptr: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Source vertex of edges [lo, hi) in CSR order (== np.repeat of the
-    degree sequence, computed per chunk instead of per graph)."""
-    positions = np.arange(lo, hi, dtype=np.int64)
-    return (
-        np.searchsorted(indptr, positions, side="right").astype(np.int64) - 1
+    """Source vertex of edges [lo, hi), ``lo < hi``, in CSR order (==
+    np.repeat of the degree sequence, computed per chunk instead of per
+    graph): each row the chunk spans repeats by its edge count clipped
+    to the chunk, so zero-degree rows repeat zero times."""
+    first = int(np.searchsorted(indptr, lo, side="right")) - 1
+    last = int(np.searchsorted(indptr, hi - 1, side="right")) - 1
+    row_lo = np.maximum(indptr[first:last + 1], lo)
+    row_hi = np.minimum(indptr[first + 1:last + 2], hi)
+    return np.repeat(
+        np.arange(first, last + 1, dtype=np.int64), row_hi - row_lo
     )
 
 
@@ -244,12 +257,18 @@ def _external_sort_build(
     bucket_edges: int,
 ) -> None:
     """Build a complete store at ``target`` (which must not exist)."""
+    from repro.graph.partition import tile_row_index
     from repro.utils.units import ceil_div
 
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
     num_edges = int(graph.num_edges)
     num_tiles = ceil_div(graph.num_vertices, tile_width)
+    n_v = max(1, graph.num_vertices)
     ncols = 3 if with_weights else 2
+    # the narrowest type that holds every tile id: NumPy sorts keys of
+    # 16 bits or fewer stably by radix, and a stable sort's permutation
+    # depends only on the key values
+    tile_key_type = np.min_scalar_type(max(num_tiles - 1, 0))
 
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.parent / f".{target.name}.tmp.{os.getpid()}"
@@ -267,7 +286,7 @@ def _external_sort_build(
                 hi = min(lo + bucket_edges, num_edges)
                 dst = np.asarray(indices[lo:hi])
                 src = _edge_sources(indptr, lo, hi)
-                key = dst // tile_width
+                key = (dst // tile_width).astype(tile_key_type)
                 order = np.argsort(key, kind="stable")
                 key = key[order]
                 columns = [src[order], dst[order]]
@@ -275,8 +294,8 @@ def _external_sort_build(
                     columns.append(np.asarray(weights[lo:hi])[order])
                 rows = np.stack(columns, axis=1)  # (n, ncols) C-order
                 del src, dst, order, columns
-                tiles_here = np.unique(key)
-                cuts = np.searchsorted(key, tiles_here)
+                cuts = run_starts(key)
+                tiles_here = key[cuts]
                 cuts = np.append(cuts, key.size)
                 counts += np.bincount(key, minlength=counts.size)
                 for i, tile in enumerate(tiles_here.tolist()):
@@ -318,7 +337,7 @@ def _external_sort_build(
                                 f"{data.shape[0]} of {hi - lo} edges"
                             )
                         t_src = data[:, 0]
-                        order = np.lexsort((data[:, 1], t_src))
+                        order = pair_order(t_src, data[:, 1], n_v)
                         t_src = t_src[order]
                         out_src[lo:hi] = t_src
                         out_dst[lo:hi] = data[:, 1][order]
@@ -327,16 +346,12 @@ def _external_sort_build(
                         del data, order
                     else:
                         t_src = np.empty(0, dtype=np.int64)
-                    # identical unique/prefix construction to the
-                    # in-memory build (bit-for-bit per-tile row index)
-                    uniq, start = np.unique(t_src, return_index=True)
-                    edge_start = np.empty(uniq.size + 1, dtype=np.int64)
-                    edge_start[:-1] = start
-                    edge_start[-1] = t_src.size
+                    # the in-memory build's row index, bit for bit
+                    uniq, edge_start = tile_row_index(t_src)
                     uniq_counts[t] = uniq.size
-                    uniq.astype(np.int64, copy=False).tofile(uniq_f)
+                    uniq.tofile(uniq_f)
                     edge_start.tofile(start_f)
-                    del t_src, uniq, start, edge_start
+                    del t_src, uniq, edge_start
             for mapped in (out_src, out_dst, out_w):
                 if mapped is not None:
                     mapped.flush()

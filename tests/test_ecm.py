@@ -7,6 +7,7 @@ from repro.algorithms import make_algorithm
 from repro.algorithms.ecm import EdgeCentricEngine
 from repro.algorithms.pagerank import reference_pagerank
 from repro.algorithms.vcm import VertexCentricEngine
+from repro.graph.generators import erdos_renyi
 
 
 class TestEquivalence:
@@ -68,3 +69,36 @@ class TestEquivalence:
         trace = ec.step()
         dst_tiles = [b.dst_tile for b in trace.blocks]
         assert dst_tiles == sorted(dst_tiles)
+
+
+class TestTouchedSets:
+    """Block ``touched_dst`` and per-column ``apply_dst`` are read off
+    range bitmaps; they must equal the ``np.unique`` of the destinations
+    the blocks traversed, dtype included."""
+
+    @pytest.mark.parametrize("widths", [(1, 1), (7, 3), (5, 40), (50, 50)])
+    @pytest.mark.parametrize("algorithm", ["PR", "BFS", "SSSP"])
+    def test_match_unique_of_block_destinations(self, algorithm, widths):
+        graph = erdos_renyi(40, avg_degree=4.0, seed=5)
+        spec = make_algorithm(algorithm, graph)
+        ec = EdgeCentricEngine(spec, *widths)
+        traces = list(ec.run_iter(6))
+        assert traces
+        for trace in traces:
+            for block in trace.blocks:
+                assert block.touched_dst.dtype == np.int64
+                assert np.array_equal(
+                    block.touched_dst, np.unique(block.edge_dst)
+                )
+            for q, apply_dst in enumerate(trace.apply_dst):
+                lo = q * ec.dst_tile_width
+                hi = min(lo + ec.dst_tile_width, graph.num_vertices)
+                if spec.applies_all_vertices:
+                    expected = np.arange(lo, hi)
+                else:
+                    expected = np.unique(np.concatenate(
+                        [b.edge_dst for b in trace.blocks if b.dst_tile == q]
+                        + [np.empty(0, dtype=np.int64)]
+                    ))
+                assert apply_dst.dtype == np.int64
+                assert np.array_equal(apply_dst, expected)

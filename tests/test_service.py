@@ -106,6 +106,7 @@ class TestResolveRequest:
         ({**CONFIG, "max_iterations": 0}, ">= 1"),
         ({**CONFIG, "scale_shift": -1}, ">= 0"),
         ({**CONFIG, "system": 7}, "must be str"),
+        ({**CONFIG, "algorithm": "FOO"}, "unknown algorithm"),
     ])
     def test_bad_configs_raise_self_describing_errors(
         self, payload, fragment

@@ -117,6 +117,97 @@ class TestDifferentialBitIdentity:
             TiledCSR(tiny_graph, 2, backing="tape")
 
 
+def assert_row_index_oracle(tiling: TiledCSR) -> None:
+    """Every tile's run-start row index equals ``np.unique``'s."""
+    for tile in tiling:
+        t_src = np.asarray(tile.src)
+        uniq, start = np.unique(t_src, return_index=True)
+        assert tile.src_unique.dtype == tile.src_edge_start.dtype == np.int64
+        assert np.array_equal(tile.src_unique, uniq)
+        assert np.array_equal(
+            tile.src_edge_start, np.append(start, t_src.size)
+        )
+
+
+class TestRowIndexOracle:
+    @pytest.mark.parametrize("width", [1, 7, 40, 45])
+    def test_both_builders_match_unique(self, width, tmp_path):
+        graph = erdos_renyi(40, avg_degree=3.0, seed=11, name="oracle")
+        mem = TiledCSR(graph, width)
+        dsk = TiledCSR(graph, width, backing="disk", store_root=tmp_path,
+                       bucket_edges=11)
+        assert_row_index_oracle(mem)
+        assert_row_index_oracle(dsk)
+        assert_tilings_identical(mem, dsk)
+
+    def test_empty_tiles(self, tmp_path):
+        # every edge lands in tile 0 of 8; tiles 1..7 are empty
+        graph = CSRGraph.from_edges(
+            16, np.array([4, 9, 15]), np.array([0, 1, 0]), name="sparse"
+        )
+        mem = TiledCSR(graph, 2)
+        dsk = TiledCSR(graph, 2, backing="disk", store_root=tmp_path)
+        assert [t.num_edges for t in dsk][1:] == [0] * 7
+        assert_row_index_oracle(mem)
+        assert_row_index_oracle(dsk)
+
+    @pytest.mark.parametrize("bucket_edges", [1, 2, 3, 4, 5])
+    def test_zero_degree_rows_across_chunk_boundaries(
+        self, bucket_edges, tmp_path
+    ):
+        # out-degrees 3 0 0 2 0 5 0 0 1 0: small buckets cut the edge
+        # range inside and right next to the zero-degree rows
+        degrees = np.array([3, 0, 0, 2, 0, 5, 0, 0, 1, 0])
+        src = np.repeat(np.arange(degrees.size), degrees)
+        dst = (src * 7 + np.arange(src.size)) % degrees.size
+        graph = CSRGraph.from_edges(degrees.size, src, dst, dedupe=False)
+        chunks = [
+            tilestore._edge_sources(
+                graph.indptr, lo, min(lo + bucket_edges, graph.num_edges)
+            )
+            for lo in range(0, graph.num_edges, bucket_edges)
+        ]
+        assert all(c.dtype == np.int64 for c in chunks)
+        assert np.array_equal(np.concatenate(chunks), src)
+        dsk = TiledCSR(graph, 3, backing="disk", store_root=tmp_path,
+                       bucket_edges=bucket_edges)
+        assert_row_index_oracle(dsk)
+        assert_tilings_identical(TiledCSR(graph, 3), dsk)
+
+    @pytest.mark.parametrize("num_tiles", [256, 257, 65_536, 65_537])
+    def test_narrowed_tile_key_boundaries(self, num_tiles, tmp_path):
+        # width-1 tiles: the scatter pass narrows the tile id to uint8
+        # up to 256 tiles, uint16 up to 65,536 and uint32 beyond
+        itemsize = {256: 1, 257: 2, 65_536: 2, 65_537: 4}[num_tiles]
+        assert np.min_scalar_type(num_tiles - 1).itemsize == itemsize
+        rng = np.random.default_rng(num_tiles)
+        top = num_tiles - 1
+        dst = np.concatenate([
+            [0, 255, 256 % num_tiles, top - 1, top, top, top],
+            rng.integers(0, num_tiles, 200),
+        ])
+        src = rng.integers(0, num_tiles, dst.size)
+        graph = CSRGraph.from_edges(num_tiles, src, dst, name="wide")
+        mem = TiledCSR(graph, 1)
+        dsk = TiledCSR(graph, 1, backing="disk", store_root=tmp_path,
+                       bucket_edges=64)
+        assert len(dsk) == num_tiles
+        assert_row_index_oracle(mem)
+        # the store's flat arrays are the memory build's tiles end to end
+        # (compared flat: assembling 65k memmap tile views is slow)
+        store = dsk.store.directory
+        for name in TILE_FIELDS:
+            flat = np.concatenate([getattr(t, name) for t in mem])
+            assert np.array_equal(np.load(store / f"{name}.npy"), flat)
+        for name, sizes in (
+            ("boundaries", [t.num_edges for t in mem]),
+            ("uniq_boundaries", [t.src_unique.size for t in mem]),
+        ):
+            assert np.array_equal(
+                np.diff(np.load(store / f"{name}.npy")), sizes
+            )
+
+
 class TestStoreAttachAndValidation:
     def test_second_build_attaches_without_rebuilding(
         self, tmp_path, monkeypatch, medium_power_law_graph
@@ -210,7 +301,8 @@ class TestSpillHygiene:
         def boom(*args, **kwargs):
             raise RuntimeError("injected sort failure")
 
-        monkeypatch.setattr(np, "lexsort", boom)
+        # fail inside a bucket: pass 2 orders each bucket with pair_order
+        monkeypatch.setattr(tilestore, "pair_order", boom)
         with pytest.raises(RuntimeError, match="injected"):
             TiledCSR(
                 medium_power_law_graph, 128, backing="disk",

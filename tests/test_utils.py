@@ -2,8 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.utils import sorting
+from repro.utils.sorting import packed_key_fits, pair_order, run_starts
 from repro.utils.stats import Counter, geometric_mean
 from repro.utils.units import ceil_div, is_power_of_two, log2_exact
 
@@ -78,3 +81,43 @@ class TestUnits:
         assert ceil_div(9, 8) == 2
         with pytest.raises(ValueError):
             ceil_div(1, 0)
+
+
+class TestSorting:
+    def test_run_starts(self):
+        assert run_starts(np.empty(0, dtype=np.int64)).size == 0
+        assert run_starts(np.array([5])).tolist() == [0]
+        values = np.array([1, 1, 2, 2, 2, 7, 1, 1])
+        assert run_starts(values).tolist() == [0, 2, 5, 6]
+
+    def test_pair_order_branches_agree_with_lexsort(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        major = rng.integers(0, 50, 2_000)
+        minor = rng.integers(0, 50, 2_000)
+        expected = np.lexsort((minor, major))
+        lexsort_calls = []
+        real_lexsort = np.lexsort
+
+        def spy(keys):
+            lexsort_calls.append(len(keys))
+            return real_lexsort(keys)
+
+        monkeypatch.setattr(sorting.np, "lexsort", spy)
+        packed = pair_order(major, minor, 50)
+        assert lexsort_calls == []
+        # a radix whose square reaches 2**62 takes the lexsort branch
+        assert packed_key_fits(2**31 - 1, 2**31 - 1)
+        assert not packed_key_fits(2**31, 2**31)
+        fallback = pair_order(major, minor, 2**31)
+        assert lexsort_calls == [2]
+        assert np.array_equal(packed, expected)
+        assert np.array_equal(fallback, expected)
+
+    def test_packed_branch_at_the_top_of_the_guard(self):
+        radix = 2**31 - 1  # the largest radix whose pair still packs
+        rng = np.random.default_rng(8)
+        major = radix - 1 - rng.integers(0, 3, 500)
+        minor = radix - 1 - rng.integers(0, 3, 500)
+        assert np.array_equal(
+            pair_order(major, minor, radix), np.lexsort((minor, major))
+        )

@@ -11,6 +11,8 @@ from repro.algorithms.pagerank import reference_pagerank
 from repro.algorithms.sssp import reference_sssp
 from repro.algorithms.sswp import reference_sswp
 from repro.algorithms.vcm import VertexCentricEngine
+from repro.graph.csr import CSRGraph
+from repro.graph.generators import erdos_renyi
 
 
 def run_engine(graph, algorithm, tile_width=None, iterations=64, **kwargs):
@@ -164,3 +166,60 @@ class TestTraces:
         engine = VertexCentricEngine(spec)
         with pytest.raises(ValueError):
             list(engine.run_iter(0))
+
+
+class TestTouchedDst:
+    """``touched_dst`` is read off a range bitmap; it must equal
+    ``np.unique`` of the tile's traversed destinations, dtype included."""
+
+    @pytest.mark.parametrize("backing", ["memory", "disk"])
+    @pytest.mark.parametrize("width", [1, 7, "V", "V+5"])
+    @pytest.mark.parametrize("algorithm", ["PR", "BFS", "SSSP"])
+    def test_matches_unique_edge_dst(self, algorithm, width, backing, tmp_path):
+        one = np.zeros(1, dtype=np.int64)
+        graphs = (
+            erdos_renyi(40, avg_degree=4.0, seed=3),
+            erdos_renyi(37, avg_degree=0.7, seed=4),  # isolated vertices
+            CSRGraph.from_edges(1, one, one, one + 5),
+        )
+        for graph in graphs:
+            n = graph.num_vertices
+            tile_width = {"V": n, "V+5": n + 5}.get(width, width)
+            for edge_chunk in (None, 3):
+                engine = VertexCentricEngine(
+                    make_algorithm(algorithm, graph),
+                    tile_width,
+                    edge_chunk=edge_chunk,
+                    tile_backing=backing,
+                    tile_store_root=tmp_path,
+                )
+                traces = engine.run(6)
+                assert traces
+                for tile in (t for trace in traces for t in trace.tiles):
+                    assert tile.touched_dst.dtype == np.int64
+                    assert np.array_equal(
+                        tile.touched_dst, np.unique(tile.edge_dst)
+                    )
+
+
+class TestTileWidth:
+    def test_negative_width_rejected(self, small_random_graph):
+        spec = make_algorithm("PR", small_random_graph)
+        with pytest.raises(ValueError, match="tile_width"):
+            VertexCentricEngine(spec, tile_width=-5)
+
+    @pytest.mark.parametrize("width", [None, 0])
+    def test_none_and_zero_mean_one_whole_graph_tile(
+        self, width, small_random_graph
+    ):
+        spec = make_algorithm("PR", small_random_graph)
+        engine = VertexCentricEngine(spec, tile_width=width)
+        assert len(engine.tiled) == 1
+        assert engine.tiled[0].width == small_random_graph.num_vertices
+
+    def test_empty_graph_at_width_zero_runs_no_iterations(self):
+        empty = np.empty(0, dtype=np.int64)
+        graph = CSRGraph.from_edges(0, empty, empty)
+        engine = VertexCentricEngine(make_algorithm("PR", graph), 0)
+        assert len(engine.tiled) == 0
+        assert engine.run(5) == []

@@ -1,24 +1,34 @@
-"""Hot-path perf smoke: the batched memory path must beat the scalar loop.
+"""Hot-path perf smoke: the batched memory path must beat the reference.
 
 A CI-sized companion to ``tools/perf_report.py`` (which records the full
-trajectory in ``BENCH_hotpath.json``): runs the quick PR cells once in
-both execution modes and asserts the batched engine delivers a real
-speedup over the seed-identical scalar fallback.  The threshold is
-deliberately conservative (CI machines are noisy); the recorded
-trajectory is where the honest numbers live.
+trajectory in ``BENCH_hotpath.json``): runs the quick PR cells once on
+the production memory paths and once on the per-address reference
+paths (``tests/reference_paths.py``), checks both produce the same
+simulation, and asserts the batched engine delivers a real speedup.
+The threshold is deliberately conservative (CI machines are noisy); the
+recorded trajectory is where the honest numbers live.
 
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_perf_hotpath.py -q
 """
 
+import contextlib
+import pathlib
+import sys
 import time
 
 import pytest
 
+from repro.accel import edge_centric, systems
 from repro.cache.variants import FIG11_VARIANTS
-from repro.core import memory_path
 from repro.experiments.runner import clear_result_cache, run_system
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from reference_paths import (  # noqa: E402
+    ReferenceConventionalPath,
+    ReferenceFineGrainedPath,
+)
 
 CELLS = [
     ("Piccolo", "PR", "TW", 3),
@@ -26,48 +36,56 @@ CELLS = [
 ]
 
 
-def _time_cells(batched: bool) -> float:
-    previous = memory_path.BATCHED_DEFAULT
-    memory_path.BATCHED_DEFAULT = batched
-    try:
-        total = 0.0
+@contextlib.contextmanager
+def paths(reference: bool):
+    """Systems built inside run on the reference paths when asked."""
+    with pytest.MonkeyPatch.context() as patch:
+        if reference:
+            patch.setattr(
+                systems, "ConventionalMemoryPath", ReferenceConventionalPath
+            )
+            patch.setattr(
+                systems, "FineGrainedMemoryPath", ReferenceFineGrainedPath
+            )
+            patch.setattr(
+                edge_centric, "FineGrainedMemoryPath", ReferenceFineGrainedPath
+            )
+        yield
+
+
+def _time_cells(reference: bool) -> float:
+    total = 0.0
+    with paths(reference):
         for system, algorithm, dataset, iters in CELLS:
             clear_result_cache()
             start = time.perf_counter()
             run_system(system, algorithm, dataset, max_iterations=iters)
             total += time.perf_counter() - start
-        return total
-    finally:
-        memory_path.BATCHED_DEFAULT = previous
+    return total
 
 
-def test_batched_path_beats_scalar_fallback(capsys):
+def test_batched_path_beats_reference(capsys):
     run_system("Piccolo", "PR", "TW", max_iterations=1)  # warm dataset cache
-    scalar = _time_cells(batched=False)
-    batched = _time_cells(batched=True)
+    reference = _time_cells(reference=True)
+    batched = _time_cells(reference=False)
     with capsys.disabled():
         print(
-            f"\nhotpath smoke: scalar {scalar:.2f}s, batched {batched:.2f}s, "
-            f"speedup {scalar / batched:.2f}x"
+            f"\nhotpath smoke: reference {reference:.2f}s, batched "
+            f"{batched:.2f}s, speedup {reference / batched:.2f}x"
         )
     # full-grid trajectory shows ~8-17x; require a safe margin in CI
-    assert batched < scalar / 2.0, (
-        f"batched path regressed: {batched:.2f}s vs scalar {scalar:.2f}s"
+    assert batched < reference / 2.0, (
+        f"batched path regressed: {batched:.2f}s vs reference {reference:.2f}s"
     )
 
 
-def test_results_identical_across_modes():
-    """Both modes must produce the same simulation, not just similar."""
+def test_results_match_reference():
+    """Both paths must produce the same simulation, not just similar."""
     clear_result_cache()
-    previous = memory_path.BATCHED_DEFAULT
-    try:
-        memory_path.BATCHED_DEFAULT = True
-        fast = run_system("Piccolo", "PR", "TW", max_iterations=2)
-        clear_result_cache()
-        memory_path.BATCHED_DEFAULT = False
+    fast = run_system("Piccolo", "PR", "TW", max_iterations=2)
+    clear_result_cache()
+    with paths(reference=True):
         slow = run_system("Piccolo", "PR", "TW", max_iterations=2)
-    finally:
-        memory_path.BATCHED_DEFAULT = previous
     clear_result_cache()
     assert fast.total_ns == slow.total_ns
     assert fast.cache_hits == slow.cache_hits
@@ -79,35 +97,34 @@ def test_results_identical_across_modes():
 
 # ---------------------------------------------------------------------------
 # Fig. 11 design-sweep smoke: every variant engine must stay equivalent
-# to its scalar loop *and* faster than it (same substitution
+# to the reference walk *and* faster than it (same substitution
 # ``figures.figure_11`` makes: the Piccolo system with the design's
 # cache swapped in).
 # ---------------------------------------------------------------------------
-def _run_variant(design, batched, iterations):
-    previous = memory_path.BATCHED_DEFAULT
-    memory_path.BATCHED_DEFAULT = batched
-    factory = FIG11_VARIANTS[design]
+def _run_variant(design, reference, iterations):
+    # a named design has a cell digest: clear the result memo so each
+    # run simulates instead of returning the other path's result
+    clear_result_cache()
     try:
-        clear_result_cache()
-        start = time.perf_counter()
-        result = run_system(
-            "Piccolo",
-            "PR",
-            "TW",
-            max_iterations=iterations,
-            cache_factory=lambda size: factory(size),
-        )
-        return result, time.perf_counter() - start
+        with paths(reference):
+            start = time.perf_counter()
+            result = run_system(
+                "Piccolo",
+                "PR",
+                "TW",
+                max_iterations=iterations,
+                cache_design=design,
+            )
+            return result, time.perf_counter() - start
     finally:
-        memory_path.BATCHED_DEFAULT = previous
         clear_result_cache()
 
 
 @pytest.mark.parametrize("design", sorted(FIG11_VARIANTS))
-def test_fig11_variant_identical_across_modes(design):
+def test_fig11_variant_matches_reference(design):
     """Per-variant equivalence guard at the whole-system level."""
-    fast, _ = _run_variant(design, batched=True, iterations=2)
-    slow, _ = _run_variant(design, batched=False, iterations=2)
+    fast, _ = _run_variant(design, reference=False, iterations=2)
+    slow, _ = _run_variant(design, reference=True, iterations=2)
     assert fast.total_ns == slow.total_ns
     assert fast.cache_hits == slow.cache_hits
     assert fast.cache_misses == slow.cache_misses
@@ -116,21 +133,21 @@ def test_fig11_variant_identical_across_modes(design):
     assert fast.mshr_ops == slow.mshr_ops
 
 
-def test_fig11_variants_batched_beats_scalar(capsys):
+def test_fig11_variants_batched_beats_reference(capsys):
     """Summed over the design sweep, the batched engines must win."""
     run_system("Piccolo", "PR", "TW", max_iterations=1)  # warm dataset cache
-    scalar = batched = 0.0
+    reference = batched = 0.0
     for design in FIG11_VARIANTS:
-        _, dt = _run_variant(design, batched=False, iterations=3)
-        scalar += dt
-        _, dt = _run_variant(design, batched=True, iterations=3)
+        _, dt = _run_variant(design, reference=True, iterations=3)
+        reference += dt
+        _, dt = _run_variant(design, reference=False, iterations=3)
         batched += dt
     with capsys.disabled():
         print(
-            f"\nfig11 variant smoke: scalar {scalar:.2f}s, batched "
-            f"{batched:.2f}s, speedup {scalar / batched:.2f}x"
+            f"\nfig11 variant smoke: reference {reference:.2f}s, batched "
+            f"{batched:.2f}s, speedup {reference / batched:.2f}x"
         )
     # full-grid trajectory shows much more; require a safe margin in CI
-    assert batched < scalar / 2.0, (
-        f"variant batched path regressed: {batched:.2f}s vs {scalar:.2f}s"
+    assert batched < reference / 2.0, (
+        f"variant batched path regressed: {batched:.2f}s vs {reference:.2f}s"
     )

@@ -493,6 +493,12 @@ SYSTEMS: dict[str, type[_VCMSystem]] = {
     "Piccolo": PiccoloSystem,
 }
 
+#: the systems built on the collection-extended MSHR, the only ones
+#: whose fine-grained cache a Fig. 11 ``cache_design`` can replace
+FINE_GRAINED_SYSTEMS = tuple(
+    name for name, cls in SYSTEMS.items() if issubclass(cls, _FineGrainedSystem)
+)
+
 #: paper ordering of the Fig. 10 bars
 SYSTEM_ORDER = (
     "Graphicionado",

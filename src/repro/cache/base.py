@@ -5,6 +5,15 @@ immediately and the returned :class:`AccessResult` describes the physical
 traffic (fill reads, dirty write-backs) that the memory system must be
 charged for.  Subsequent accesses to the same line therefore hit, which
 models ideal MSHR merging of misses to in-flight lines.
+
+Every design implements two entry points: :meth:`BaseCache.access`, one
+access at a time, and :meth:`BaseCache.access_many`, the array engine
+the memory paths run.  ``access`` is the oracle: the batched-equivalence
+suite checks every ``access_many`` against a per-address walk of it
+(``tests/reference_paths.py``).  The replay-memo hooks (``state_digest``,
+snapshots, counter vectors) come from
+:class:`repro.cache.batched.BatchedCacheEngine`, which every design
+mixes in.
 """
 
 from __future__ import annotations
@@ -67,11 +76,12 @@ class CacheStats:
 class BatchResult:
     """Physical consequence of a whole batch of accesses.
 
-    The event stream is the exact concatenation the scalar loop would
-    have produced: for every access, in order, its fill request (when it
-    missed) followed by its dirty write-backs.  Consumers that only need
-    the DRAM request stream can therefore use the arrays directly
-    without replaying per-access results.
+    The event stream is the exact concatenation per-address
+    :meth:`BaseCache.access` calls would have produced: for every
+    access, in order, its fill request (when it missed) followed by its
+    dirty write-backs.  Consumers that only need the DRAM request
+    stream can therefore use the arrays directly without replaying
+    per-access results.
 
     Attributes:
         accesses: number of accesses in the batch.
@@ -102,50 +112,17 @@ class BaseCache(ABC):
     def access(self, addr: int, is_write: bool) -> AccessResult:
         """Perform one 8-byte-granularity access."""
 
+    @abstractmethod
     def access_many(self, addrs: np.ndarray, is_write: bool) -> BatchResult:
         """Perform a batch of 8-byte accesses.
 
-        The default implementation is an exact scalar fallback: it loops
-        :meth:`access` and packs the resulting fills/write-backs into a
-        :class:`BatchResult`.  Array-backed designs override this with a
-        vectorized engine; every override must stay event-for-event
-        identical to this loop (the batched-equivalence suite enforces
-        it).  The engine recipe and the shared machinery live in
-        :mod:`repro.cache.batched` / docs/CACHE_ENGINES.md.
+        Equivalent, event for event, to calling :meth:`access` on each
+        address in order and packing the fills/write-backs into a
+        :class:`BatchResult` (the batched-equivalence suite checks every
+        design against that per-address reference).  The engine recipe
+        and the shared machinery live in :mod:`repro.cache.batched` /
+        docs/CACHE_ENGINES.md.
         """
-        ev_addr: list[int] = []
-        ev_is_wb: list[bool] = []
-        ev_bytes: list[int] = []
-        hits = 0
-        access = self.access
-        addr_list = np.asarray(addrs, dtype=np.int64).tolist()
-        for addr in addr_list:
-            hit, fill_addr, fill_bytes, writebacks = access(addr, is_write)
-            if hit:
-                hits += 1
-            else:
-                ev_addr.append(fill_addr)
-                ev_is_wb.append(False)
-                ev_bytes.append(fill_bytes)
-            if writebacks:
-                for wb_addr, wb_bytes in writebacks:
-                    ev_addr.append(wb_addr)
-                    ev_is_wb.append(True)
-                    ev_bytes.append(wb_bytes)
-        return BatchResult(
-            accesses=len(addr_list),
-            hits=hits,
-            ev_addr=np.asarray(ev_addr, dtype=np.int64),
-            ev_is_wb=np.asarray(ev_is_wb, dtype=bool),
-            ev_bytes=np.asarray(ev_bytes, dtype=np.int64),
-        )
-
-    def state_digest(self) -> bytes | None:
-        """Canonical digest of the replacement state, or None when the
-        design does not support exact batch replay (scalar-only
-        variants).  Two caches with equal digests must behave
-        identically on any future access stream."""
-        return None
 
     @abstractmethod
     def flush(self) -> list[tuple[int, int]]:

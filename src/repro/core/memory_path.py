@@ -16,29 +16,27 @@ A :class:`LocalityMonitor` (Sec. VIII-A) can redirect detected-sequential
 traffic to conventional bursts, the fallback the paper suggests for
 regular workloads.
 
-Execution modes (PERFORMANCE.md):
+Execution (PERFORMANCE.md):
 
-Both paths default to the *batched* engine: the whole tile's address
-array goes through ``cache.access_many`` and the resulting fill/
-write-back event arrays feed ``mshr.add_batch`` (or the burst
-accumulator) without any per-address Python calls.  Setting
-``path.batched = False`` (or the module default
-:data:`BATCHED_DEFAULT`) selects the seed-identical scalar loop, kept
-both as the fallback contract for cache designs without an array-backed
-engine and as the baseline `tools/perf_report.py` measures speedups
-against.  On top of the batched engine, an exact replay memo
-(:class:`BatchReplayMemo`) recognises a batch whose (cache state, MSHR
-state, address stream) triple was simulated before -- e.g. PageRank
-re-running identical iterations -- and replays the recorded events,
-counter deltas, and end state instead of re-simulating.
+Both paths run one engine: the whole tile's address array goes through
+``cache.access_many`` and the resulting fill/write-back event arrays
+feed ``mshr.add_batch`` (or the burst accumulator) without any
+per-address Python calls.  The seed's per-address walk over the
+per-event oracles (``cache.access``, ``mshr.add_read``/``add_write``,
+:meth:`LocalityMonitor.observe`) lives on only as the test reference in
+``tests/reference_paths.py``.  On top of the engine, an exact replay
+memo (:class:`BatchReplayMemo`) recognises a batch whose (cache state,
+MSHR state, address stream) triple was simulated before -- e.g.
+PageRank re-running identical iterations -- and replays the recorded
+events, counter deltas, and end state instead of re-simulating.
 
 Chunked tile streaming (mid/paper profiles): a finite ``chunk_size``
 streams each ``run`` batch through the engine in bounded chunks, so
 per-batch temporaries -- event arrays, memo records -- stay O(chunk)
 instead of O(tile) while the produced counters and event streams remain
 bit-identical to whole-tile execution (the engine is exactly equivalent
-to the scalar loop, which has no batch boundaries, and all cross-chunk
-state carries over).
+to the per-address reference, which has no batch boundaries, and all
+cross-chunk state carries over).
 
 Issued FIM operations accumulate in an array-backed
 :class:`repro.dram.fim_batch.FimOpBatch` (structure-of-arrays), not a
@@ -62,17 +60,9 @@ from repro.core.collection_mshr import CollectionExtendedMSHR
 from repro.dram.fim_batch import FimOpBatch
 from repro.utils.sorting import run_starts
 
-#: default execution mode for newly built paths (tools/perf_report.py
-#: flips this to time the seed-identical scalar loop)
-BATCHED_DEFAULT = True
 #: default replay-memo capacity (distinct batches remembered per path);
-#: 0 disables replay
+#: a path built with ``replay_capacity=0`` has no memo
 REPLAY_CAPACITY_DEFAULT = 256
-#: default tile chunk size: each ``run`` batch is streamed in bounded
-#: chunks of this many accesses (None = whole-tile batches).  Paper-scale
-#: profiles set a finite chunk so per-batch temporaries and replay-memo
-#: records stay O(chunk) instead of O(tile).
-CHUNK_SIZE_DEFAULT: int | None = None
 
 
 class BatchReplayMemo:
@@ -86,14 +76,14 @@ class BatchReplayMemo:
     identical iterations of stationary algorithms hit even though the
     absolute LRU clock advanced.
 
-    ``capacity=0`` disables the memo entirely: no digests are hashed, no
-    sightings are tracked, and no snapshots are recorded (``enabled`` is
-    False and every method short-circuits).
+    A memo holds at least one batch; a path without replay has no memo
+    (``replay_capacity=0``), so it never hashes a digest.
     """
 
     def __init__(self, capacity: int = REPLAY_CAPACITY_DEFAULT) -> None:
+        if capacity < 1:
+            raise ValueError(f"memo capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.enabled = capacity > 0
         self._memo: OrderedDict[bytes, tuple] = OrderedDict()
         #: keys seen once -- snapshots are only recorded on the second
         #: sighting, so one-shot batches (BFS frontiers) never pay the
@@ -103,16 +93,12 @@ class BatchReplayMemo:
         self.misses = 0
 
     def key(self, parts: list[bytes]) -> bytes:
-        if not self.enabled:
-            return b""
         h = hashlib.blake2b(digest_size=16)
         for part in parts:
             h.update(part)
         return h.digest()
 
     def get(self, key: bytes):
-        if not self.enabled:
-            return None
         rec = self._memo.get(key)
         if rec is None:
             self.misses += 1
@@ -123,8 +109,6 @@ class BatchReplayMemo:
 
     def should_record(self, key: bytes) -> bool:
         """True on a key's second (or later) miss."""
-        if not self.enabled:
-            return False
         if key in self._seen:
             return True
         self._seen[key] = None
@@ -133,43 +117,23 @@ class BatchReplayMemo:
         return False
 
     def put(self, key: bytes, record: tuple) -> None:
-        if not self.enabled:
-            return
         self._memo[key] = record
         if len(self._memo) > self.capacity:
             self._memo.popitem(last=False)
 
 
 class _RequestAccumulator:
-    """Ordered DRAM request stream built from array chunks and/or scalar
-    appends (both paths use it for bursts)."""
+    """Ordered DRAM request stream built from array chunks (both paths
+    use it for bursts)."""
 
     def __init__(self) -> None:
         self._chunks: list[tuple[np.ndarray, np.ndarray]] = []
-        self._addrs: list[int] = []
-        self._write: list[bool] = []
-
-    def append_scalar(self, addr: int, is_write: bool) -> None:
-        self._addrs.append(addr)
-        self._write.append(is_write)
 
     def append_arrays(self, addrs: np.ndarray, writes: np.ndarray) -> None:
         if addrs.size:
-            self._seal_scalar()
             self._chunks.append((addrs, writes))
 
-    def _seal_scalar(self) -> None:
-        if self._addrs:
-            self._chunks.append(
-                (
-                    np.asarray(self._addrs, dtype=np.int64),
-                    np.asarray(self._write, dtype=bool),
-                )
-            )
-            self._addrs, self._write = [], []
-
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
-        self._seal_scalar()
         if not self._chunks:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
         addrs = np.concatenate([c[0] for c in self._chunks])
@@ -178,11 +142,26 @@ class _RequestAccumulator:
         return addrs, writes
 
 
-def _resolve_chunk_size(chunk_size: int | None) -> int | None:
-    chunk = CHUNK_SIZE_DEFAULT if chunk_size is None else chunk_size
-    if chunk is not None and chunk < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk}")
-    return chunk
+def _check_chunk_size(chunk_size: int | None) -> int | None:
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    return chunk_size
+
+
+def _make_memo(replay_capacity: int | None) -> BatchReplayMemo | None:
+    """The path's replay memo: None (the default capacity) or a positive
+    capacity builds one, 0 means no memo, and a negative one raises."""
+    capacity = (
+        REPLAY_CAPACITY_DEFAULT if replay_capacity is None else replay_capacity
+    )
+    if capacity < 0:
+        raise ValueError(f"replay_capacity must be >= 0, got {capacity}")
+    return BatchReplayMemo(capacity) if capacity else None
+
+
+def _flushed_addrs(cache: BaseCache) -> np.ndarray:
+    """Flush ``cache`` and return its dirty write-back addresses, in order."""
+    return np.asarray([addr for addr, _ in cache.flush()], dtype=np.int64)
 
 
 class ConventionalMemoryPath:
@@ -191,17 +170,12 @@ class ConventionalMemoryPath:
     def __init__(
         self,
         cache: BaseCache,
-        batched: bool | None = None,
         replay_capacity: int | None = None,
         chunk_size: int | None = None,
     ) -> None:
         self.cache = cache
-        self.batched = BATCHED_DEFAULT if batched is None else batched
-        self.chunk_size = _resolve_chunk_size(chunk_size)
-        capacity = (
-            REPLAY_CAPACITY_DEFAULT if replay_capacity is None else replay_capacity
-        )
-        self.memo = BatchReplayMemo(capacity) if capacity > 0 else None
+        self.chunk_size = _check_chunk_size(chunk_size)
+        self.memo = _make_memo(replay_capacity)
         self._requests = _RequestAccumulator()
         #: optional PhaseAccumulator: when set, a chunked path drains each
         #: processed chunk's request stream into it (O(chunk) RSS)
@@ -215,9 +189,9 @@ class ConventionalMemoryPath:
         attached: per-chunk temporaries (event arrays, memo records,
         the phase's request stream) stay O(chunk), and the produced
         request stream and counters are identical to whole-batch
-        execution (the engine is exactly equivalent to the scalar loop,
-        which has no batch boundaries).  Without a ``chunk_size`` the
-        requests wait for :meth:`drain`.
+        execution (the engine is exactly equivalent to the per-address
+        reference, which has no batch boundaries).  Without a
+        ``chunk_size`` the requests wait for :meth:`drain`.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
         chunk = self.chunk_size
@@ -237,26 +211,25 @@ class ConventionalMemoryPath:
             self.phase_sink.add(addrs=addrs, is_write=writes)
 
     def _run_batch(self, addrs: np.ndarray, rmw: bool) -> None:
-        if not self.batched:
-            self._run_scalar(addrs, rmw)
-            return
         memo = self.memo
         key = None
         if memo is not None:
-            cache_digest = self.cache.state_digest()
-            if cache_digest is not None:
-                key = memo.key(
-                    [cache_digest, addrs.tobytes(), b"w" if rmw else b"r"]
-                )
-                rec = memo.get(key)
-                if rec is not None:
-                    ev_addr, ev_is_wb, counters, snap = rec
-                    self.cache.state_restore(snap)
-                    self.cache.counter_apply(counters)
-                    self._requests.append_arrays(ev_addr, ev_is_wb)
-                    return
-                if not memo.should_record(key):
-                    key = None
+            key = memo.key(
+                [
+                    self.cache.state_digest(),
+                    addrs.tobytes(),
+                    b"w" if rmw else b"r",
+                ]
+            )
+            rec = memo.get(key)
+            if rec is not None:
+                ev_addr, ev_is_wb, counters, snap = rec
+                self.cache.state_restore(snap)
+                self.cache.counter_apply(counters)
+                self._requests.append_arrays(ev_addr, ev_is_wb)
+                return
+            if not memo.should_record(key):
+                key = None
         before = self.cache.counter_vector() if key is not None else None
         res = self.cache.access_many(addrs, rmw)
         self._requests.append_arrays(res.ev_addr, res.ev_is_wb)
@@ -268,26 +241,16 @@ class ConventionalMemoryPath:
                 (res.ev_addr, res.ev_is_wb, delta, self.cache.state_snapshot()),
             )
 
-    def _run_scalar(self, addrs: np.ndarray, rmw: bool) -> None:
-        """Seed-identical per-address loop (fallback / perf baseline)."""
-        access = self.cache.access
-        append = self._requests.append_scalar
-        for a in addrs.tolist():
-            hit, fill_addr, _, wbs = access(a, rmw)
-            if not hit:
-                append(fill_addr, False)
-            if wbs:
-                for wb_addr, _ in wbs:
-                    append(wb_addr, True)
-
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
         """Take the accumulated DRAM requests (and reset)."""
         return self._requests.drain()
 
     def flush(self) -> None:
         """Write back all dirty state (end of run)."""
-        for wb_addr, _ in self.cache.flush():
-            self._requests.append_scalar(wb_addr, True)
+        wb_addrs = _flushed_addrs(self.cache)
+        self._requests.append_arrays(
+            wb_addrs, np.ones(wb_addrs.size, dtype=bool)
+        )
 
 
 class LocalityMonitor:
@@ -328,8 +291,9 @@ class LocalityMonitor:
 
     def observe_many(self, addrs: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`observe`: returns the bypass state in
-        effect *after* each observation (what the scalar loop would have
-        read), updating the monitor to the same end state."""
+        effect *after* each observation (what per-address :meth:`observe`
+        calls would have left), updating the monitor to the same end
+        state."""
         addrs = np.asarray(addrs, dtype=np.int64)
         n = int(addrs.size)
         if n == 0:
@@ -385,19 +349,14 @@ class FineGrainedMemoryPath:
         cache: BaseCache,
         mshr: CollectionExtendedMSHR,
         locality_monitor: LocalityMonitor | None = None,
-        batched: bool | None = None,
         replay_capacity: int | None = None,
         chunk_size: int | None = None,
     ) -> None:
         self.cache = cache
         self.mshr = mshr
         self.monitor = locality_monitor
-        self.batched = BATCHED_DEFAULT if batched is None else batched
-        self.chunk_size = _resolve_chunk_size(chunk_size)
-        capacity = (
-            REPLAY_CAPACITY_DEFAULT if replay_capacity is None else replay_capacity
-        )
-        self.memo = BatchReplayMemo(capacity) if capacity > 0 else None
+        self.chunk_size = _check_chunk_size(chunk_size)
+        self.memo = _make_memo(replay_capacity)
         self.fim_ops = FimOpBatch()
         #: conventional bursts issued while the locality monitor bypasses
         self._bypass = _RequestAccumulator()
@@ -415,10 +374,10 @@ class FineGrainedMemoryPath:
         chunks, each drained into the ``phase_sink`` when one is
         attached (see :meth:`ConventionalMemoryPath.run`); counters,
         FIM-op streams, and bypass bursts are identical to whole-batch
-        execution because the engine is exactly equivalent to the scalar
-        loop and all cross-chunk state (cache, MSHR, monitor, burst
-        coalescing watermarks) carries over.  Without a ``chunk_size``
-        the FIM ops and bursts wait for :meth:`drain`.
+        execution because the engine is exactly equivalent to the
+        per-address reference and all cross-chunk state (cache, MSHR,
+        monitor, burst coalescing watermarks) carries over.  Without a
+        ``chunk_size`` the FIM ops and bursts wait for :meth:`drain`.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
         chunk = self.chunk_size
@@ -438,34 +397,29 @@ class FineGrainedMemoryPath:
             self.phase_sink.add(addrs=addrs, is_write=writes, fim_ops=ops)
 
     def _run_batch(self, addrs: np.ndarray, rmw: bool) -> None:
-        if not self.batched:
-            self._run_scalar(addrs, rmw)
-            return
         memo = self.memo
         key = None
         if memo is not None:
-            cache_digest = self.cache.state_digest()
-            if cache_digest is not None:
-                parts = [
-                    cache_digest,
-                    self.mshr.state_digest(),
-                    addrs.tobytes(),
-                    b"w" if rmw else b"r",
-                ]
-                if self.monitor is not None:
-                    # repro-lint: disable=RL001 -- state_tuple() is ints only
-                    parts.append(repr(self.monitor.state_tuple()).encode())
-                    parts.append(
-                        # repro-lint: disable=RL001 -- a bool 2-tuple
-                        repr((self._last_bypass_fill, self._last_bypass_wb)).encode()
-                    )
-                key = memo.key(parts)
-                rec = memo.get(key)
-                if rec is not None:
-                    self._replay(rec)
-                    return
-                if not memo.should_record(key):
-                    key = None
+            parts = [
+                self.cache.state_digest(),
+                self.mshr.state_digest(),
+                addrs.tobytes(),
+                b"w" if rmw else b"r",
+            ]
+            if self.monitor is not None:
+                # repro-lint: disable=RL001 -- state_tuple() is ints only
+                parts.append(repr(self.monitor.state_tuple()).encode())
+                parts.append(
+                    # repro-lint: disable=RL001 -- a bool 2-tuple
+                    repr((self._last_bypass_fill, self._last_bypass_wb)).encode()
+                )
+            key = memo.key(parts)
+            rec = memo.get(key)
+            if rec is not None:
+                self._replay(rec)
+                return
+            if not memo.should_record(key):
+                key = None
         before = None
         ops_before = len(self.fim_ops)
         if key is not None:
@@ -473,11 +427,8 @@ class FineGrainedMemoryPath:
                 self.cache.counter_vector(),
                 self.mshr.counter_vector(),
             )
-            # seal pending scalar appends so the chunk watermark below
-            # cannot fold pre-batch bursts into this batch's record
-            self._bypass._seal_scalar()
             bypass_chunks_before = len(self._bypass._chunks)
-        self._run_batched(addrs, rmw)
+        self._simulate(addrs, rmw)
         if key is not None:
             cache_delta = tuple(
                 a - b
@@ -486,7 +437,6 @@ class FineGrainedMemoryPath:
             mshr_delta = tuple(
                 a - b for a, b in zip(self.mshr.counter_vector(), before[1])
             )
-            self._bypass._seal_scalar()
             record = (
                 self.fim_ops.tail_columns(ops_before),
                 tuple(self._bypass._chunks[bypass_chunks_before:]),
@@ -522,7 +472,8 @@ class FineGrainedMemoryPath:
         self._last_bypass_fill, self._last_bypass_wb = bypass_state
 
     # ------------------------------------------------------------------
-    def _run_batched(self, addrs: np.ndarray, rmw: bool) -> None:
+    def _simulate(self, addrs: np.ndarray, rmw: bool) -> None:
+        """Run one batch through the cache and MSHR engines (no memo)."""
         if self.monitor is None:
             res = self.cache.access_many(addrs, rmw)
             self.fim_ops.extend(self.mshr.add_batch(res.ev_addr, res.ev_is_wb))
@@ -558,44 +509,6 @@ class FineGrainedMemoryPath:
             self._bypass.append_arrays(blocks[sel], is_wb[sel])
 
     # ------------------------------------------------------------------
-    def _run_scalar(self, addrs: np.ndarray, rmw: bool) -> None:
-        """Seed-identical per-address loop (fallback / perf baseline)."""
-        access = self.cache.access
-        add_read = self.mshr.add_read
-        add_write = self.mshr.add_write
-        ops = self.fim_ops
-        monitor = self.monitor
-        for a in addrs.tolist():
-            if monitor is not None:
-                monitor.observe(a)
-                if monitor.bypass:
-                    # Conventional burst fills; consecutive words of the
-                    # same 64 B block share one burst.
-                    hit, fill_addr, _, wbs = access(a, rmw)
-                    if not hit:
-                        block = fill_addr & ~63
-                        if block != self._last_bypass_fill:
-                            self._bypass.append_scalar(block, False)
-                            self._last_bypass_fill = block
-                    if wbs:
-                        for wb_addr, _ in wbs:
-                            block = wb_addr & ~63
-                            if block != self._last_bypass_wb:
-                                self._bypass.append_scalar(block, True)
-                                self._last_bypass_wb = block
-                    continue
-            hit, fill_addr, _, wbs = access(a, rmw)
-            if not hit:
-                issued = add_read(fill_addr)
-                if issued:
-                    ops.extend(issued)
-            if wbs:
-                for wb_addr, _ in wbs:
-                    issued = add_write(wb_addr)
-                    if issued:
-                        ops.extend(issued)
-
-    # ------------------------------------------------------------------
     def drain(self) -> tuple[FimOpBatch, np.ndarray, np.ndarray]:
         """Take accumulated FIM ops and bypass bursts (and reset)."""
         ops = self.fim_ops
@@ -605,20 +518,9 @@ class FineGrainedMemoryPath:
 
     def flush(self) -> None:
         """Drain cache dirty state and pending MSHR entries (end of run)."""
-        writebacks = self.cache.flush()
-        if writebacks:
-            if self.batched:
-                wb_addrs = np.asarray(
-                    [wb_addr for wb_addr, _ in writebacks], dtype=np.int64
-                )
-                self.fim_ops.extend(
-                    self.mshr.add_batch(
-                        wb_addrs, np.ones(wb_addrs.size, dtype=bool)
-                    )
-                )
-            else:
-                for wb_addr, _ in writebacks:
-                    issued = self.mshr.add_write(wb_addr)
-                    if issued:
-                        self.fim_ops.extend(issued)
+        wb_addrs = _flushed_addrs(self.cache)
+        if wb_addrs.size:
+            self.fim_ops.extend(
+                self.mshr.add_batch(wb_addrs, np.ones(wb_addrs.size, dtype=bool))
+            )
         self.fim_ops.extend(self.mshr.flush())

@@ -55,7 +55,7 @@ _POSITIVE = ("max_iterations", "chunk_size", "tile_scale")
 
 def _check_registries(payload: Mapping[str, Any]) -> None:
     """Eager name validation so bad requests 400 instead of 500."""
-    from repro.accel.systems import SYSTEMS
+    from repro.accel.systems import FINE_GRAINED_SYSTEMS, SYSTEMS
     from repro.algorithms import ALGORITHMS
     from repro.cache.variants import FIG11_DESIGNS
     from repro.experiments.config import PROFILES
@@ -87,6 +87,11 @@ def _check_registries(payload: Mapping[str, Any]) -> None:
         raise RequestError(
             f"unknown cache_design {design!r}; "
             f"available: {list(FIG11_DESIGNS)}"
+        )
+    if design is not None and system not in FINE_GRAINED_SYSTEMS:
+        raise RequestError(
+            f"cache_design needs a fine-grained cache system, one of "
+            f"{list(FINE_GRAINED_SYSTEMS)}; {system!r} has none"
         )
     backing = payload.get("tile_backing")
     if backing is not None and backing not in ("memory", "disk"):

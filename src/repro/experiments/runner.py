@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 from repro.accel.base import SystemResult
 from repro.accel.pipeline import PipelineConfig
-from repro.accel.systems import SYSTEMS, SYSTEM_ORDER, make_system
+from repro.accel.systems import (
+    FINE_GRAINED_SYSTEMS,
+    SYSTEMS,
+    SYSTEM_ORDER,
+    make_system,
+)
 from repro.dram.spec import DRAMConfig
 from repro.experiments.config import DEFAULT_SCALE, ExperimentScale, get_profile
 from repro.experiments.tuning import tile_scale_for
@@ -244,7 +249,7 @@ def resolve_cell(spec: CellSpec) -> ResolvedCell:
         tile_store_root=scale.tile_store_root,
         tile_bucket_edges=scale.tile_bucket_edges,
     )
-    if spec.system in ("Piccolo", "NMP"):
+    if spec.system in FINE_GRAINED_SYSTEMS:
         kwargs["mshr_entries"] = scale.mshr_entries
         kwargs["fg_tag_bits"] = scale.fg_tag_bits
         kwargs["cache_ways"] = scale.cache_ways

@@ -1,11 +1,11 @@
-"""Property-based equivalence: batched engines vs the scalar loop.
+"""Property-based equivalence: batched engines vs the per-address walk.
 
-The batched memory path (``access_many`` / ``add_batch`` / batched
-``run``) must be *event-for-event* identical to the per-address scalar
-path on any access stream: same CacheStats, same fill/write-back
-sequences, same FIM-operation streams, same post-flush state.  These
-tests drive randomized address streams (split into random batch
-boundaries to exercise cross-batch state) through both paths and
+The batched memory path (``access_many`` / ``add_batch`` / ``run``)
+must be *event-for-event* identical to the per-address reference in
+``reference_paths`` on any access stream: same CacheStats, same
+fill/write-back sequences, same FIM-operation streams, same post-flush
+state.  These tests drive randomized address streams (split into random
+batch boundaries to exercise cross-batch state) through both and
 compare everything observable.
 """
 
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.base import BaseCache
 from repro.cache.conventional import ConventionalCache
 from repro.cache.fine8b import EightByteLineCache
 from repro.cache.variants import FIG11_VARIANTS
@@ -29,6 +28,12 @@ from repro.core.memory_path import (
 from repro.core.piccolo_cache import PiccoloCache
 from repro.dram.address import AddressMapper
 from repro.dram.spec import DEVICES, DRAMConfig
+
+from reference_paths import (
+    ReferenceConventionalPath,
+    ReferenceFineGrainedPath,
+    scalar_batch,
+)
 
 
 def make_mapper():
@@ -81,11 +86,6 @@ def split_chunks(addrs, seed):
     n_cuts = int(rng.integers(0, min(6, arr.size - 1) + 1))
     cuts = sorted(rng.choice(np.arange(1, arr.size), size=n_cuts, replace=False))
     return np.split(arr, cuts)
-
-
-def scalar_batch(cache, addrs, rmw):
-    """Run the batch through the scalar loop via the base-class fallback."""
-    return BaseCache.access_many(cache, addrs, rmw)
 
 
 def cache_signature(cache):
@@ -263,8 +263,10 @@ def test_mshr_add_batch_matches_scalar(addrs, seed, wb_seed):
 
 
 def drain_all(path):
-    ops, addrs, writes = path.drain()
-    return ops, addrs.tolist(), writes.tolist()
+    """Drain a path: its FIM ops (fine-grained paths only), then its
+    bursts."""
+    *ops, addrs, writes = path.drain()
+    return (*ops, addrs.tolist(), writes.tolist())
 
 
 @pytest.mark.parametrize(
@@ -279,16 +281,14 @@ def test_fine_grained_path_batched_matches_scalar(kind, monitor, addrs, seed, rm
     """Whole-path equivalence: cache + MSHR (+ locality monitor)."""
     mapper = make_mapper()
 
-    def build(batched):
+    def build(path_cls):
         cache = CACHE_FACTORIES[kind]()
         mshr = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=4)
         mon = LocalityMonitor(window=8, threshold=0.5) if monitor else None
-        return FineGrainedMemoryPath(
-            cache, mshr, locality_monitor=mon, batched=batched
-        )
+        return path_cls(cache, mshr, locality_monitor=mon)
 
-    path_b = build(True)
-    path_s = build(False)
+    path_b = build(FineGrainedMemoryPath)
+    path_s = build(ReferenceFineGrainedPath)
     chunks = split_chunks(addrs, seed)
     for chunk in chunks:
         path_b.run(chunk, rmw)
@@ -307,8 +307,8 @@ def test_fine_grained_path_batched_matches_scalar(kind, monitor, addrs, seed, rm
 @settings(max_examples=25, deadline=None)
 @given(addrs=addr_streams, seed=chunk_seed, rmw=rmw_flags)
 def test_conventional_path_batched_matches_scalar(addrs, seed, rmw):
-    path_b = ConventionalMemoryPath(ConventionalCache(1024, ways=2), batched=True)
-    path_s = ConventionalMemoryPath(ConventionalCache(1024, ways=2), batched=False)
+    path_b = ConventionalMemoryPath(ConventionalCache(1024, ways=2))
+    path_s = ReferenceConventionalPath(ConventionalCache(1024, ways=2))
     for chunk in split_chunks(addrs, seed):
         path_b.run(chunk, rmw)
         path_s.run(chunk, rmw)
@@ -321,37 +321,102 @@ def test_conventional_path_batched_matches_scalar(addrs, seed, rmw):
     assert cache_signature(path_b.cache) == cache_signature(path_s.cache)
 
 
-@pytest.mark.parametrize(
-    "kind",
-    ["piccolo-lru"] + [f"fig11-{name.lower()}" for name in FIG11_VARIANTS],
-)
-@settings(max_examples=25, deadline=None)
-@given(addrs=addr_streams, seed=chunk_seed)
-def test_replay_memo_is_transparent(kind, addrs, seed):
-    """Feeding the same batch sequence twice (second pass replayed from
-    the memo) must match a memo-less path exactly."""
-    mapper = make_mapper()
+# ---------------------------------------------------------------------------
+# Replay memo: a path with a memo must match the same path without one.
+# Each path kind keys the memo on different state: the cache alone
+# (conventional), cache + MSHR (fine-grained), and cache + MSHR + the
+# locality monitor + the bypass burst watermarks (monitor).
+# ---------------------------------------------------------------------------
+MEMO_PATH_KINDS = ("fine-grained", "conventional", "monitor")
+MEMO_CACHE_KINDS = ["piccolo-lru"] + [
+    f"fig11-{name.lower()}" for name in FIG11_VARIANTS
+]
 
-    def build(capacity):
-        cache = CACHE_FACTORIES[kind]()
-        mshr = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=4)
-        return FineGrainedMemoryPath(cache, mshr, replay_capacity=capacity)
 
-    with_memo = build(64)
-    without = build(0)
-    chunks = split_chunks(addrs, seed)
-    for _ in range(3):  # repeat rounds: later rounds can hit the memo
+def build_memo_path(path_kind, cache, capacity):
+    if path_kind == "conventional":
+        return ConventionalMemoryPath(cache, replay_capacity=capacity)
+    mshr = CollectionExtendedMSHR(make_mapper(), num_entries=16, items_per_op=4)
+    mon = LocalityMonitor(window=8, threshold=0.5) if path_kind == "monitor" else None
+    return FineGrainedMemoryPath(
+        cache, mshr, locality_monitor=mon, replay_capacity=capacity
+    )
+
+
+def bypass_state(path):
+    """The monitor state and burst watermarks a monitor path keys on."""
+    return (
+        path.monitor.state_tuple(),
+        path._last_bypass_fill,
+        path._last_bypass_wb,
+    )
+
+
+def assert_memo_transparent(path_kind, make_cache, chunks, rounds):
+    """Run ``rounds`` rmw passes over ``chunks`` through a path with a
+    memo and one without: events, counters and the flush must agree.
+    Returns the memo."""
+    with_memo = build_memo_path(path_kind, make_cache(), 64)
+    without = build_memo_path(path_kind, make_cache(), 0)
+    for _ in range(rounds):
         for chunk in chunks:
             with_memo.run(chunk, True)
             without.run(chunk, True)
+    assert drain_all(with_memo) == drain_all(without)
+    assert cache_signature(with_memo.cache) == cache_signature(without.cache)
+    if path_kind == "monitor":
+        # a replay must restore the state the next batch is keyed on
+        assert bypass_state(with_memo) == bypass_state(without)
     with_memo.flush()
     without.flush()
     assert drain_all(with_memo) == drain_all(without)
-    assert cache_signature(with_memo.cache) == cache_signature(without.cache)
-    assert vars(with_memo.mshr.stats) == vars(without.mshr.stats)
-    # the second/third rounds may or may not converge to identical
-    # states, but any replay must have been exact (asserted above)
-    assert with_memo.memo.hits + with_memo.memo.misses == 3 * len(chunks)
+    if path_kind != "conventional":
+        assert vars(with_memo.mshr.stats) == vars(without.mshr.stats)
+    return with_memo.memo
+
+
+@pytest.mark.parametrize(
+    "path_kind, kind",
+    [
+        # the fine-grained cases keep their bare cache-kind ids
+        pytest.param(
+            path_kind,
+            kind,
+            id=kind if path_kind == "fine-grained" else f"{path_kind}-path-{kind}",
+        )
+        for path_kind in MEMO_PATH_KINDS
+        for kind in MEMO_CACHE_KINDS
+    ],
+)
+@settings(max_examples=25, deadline=None)
+@given(addrs=addr_streams, seed=chunk_seed)
+def test_replay_memo_is_transparent(path_kind, kind, addrs, seed):
+    """Feeding the same batch sequence three times (later rounds may
+    replay from the memo) must match a memo-less path exactly."""
+    chunks = split_chunks(addrs, seed)
+    memo = assert_memo_transparent(
+        path_kind, CACHE_FACTORIES[kind], chunks, rounds=3
+    )
+    assert memo.hits + memo.misses == 3 * len(chunks)
+
+
+@pytest.mark.parametrize(
+    "path_kind, kind",
+    [
+        ("conventional", "conventional"),
+        ("fine-grained", "piccolo-lru"),
+        ("monitor", "piccolo-lru"),
+    ],
+)
+def test_replay_memo_replays_repeated_rounds(path_kind, kind):
+    """56 sequential words in three batches, five rounds: the state
+    settles after two rounds, so the memo must replay later batches
+    (the random streams above rarely repeat a state)."""
+    chunks = np.split(np.arange(56, dtype=np.int64) * 8, [20, 41])
+    memo = assert_memo_transparent(
+        path_kind, CACHE_FACTORIES[kind], chunks, rounds=5
+    )
+    assert memo.hits > 0
 
 
 # ---------------------------------------------------------------------------
@@ -419,21 +484,20 @@ def test_chunked_conventional_path_matches_whole_tile(chunk_size, addrs, rmw):
 
 @pytest.mark.parametrize("chunk_size", [3, 50])
 def test_chunked_matches_scalar_loop_directly(chunk_size):
-    """Chunked *batched* execution against the *scalar* fallback: the
-    two orthogonal modes must still agree."""
+    """Chunked batched execution against the unchunked per-address
+    reference: chunk boundaries and the engine must both stay
+    invisible."""
     mapper = make_mapper()
     rng = np.random.default_rng(13)
     stream = rng.integers(0, 1 << 12, 500).astype(np.int64) * 8
 
-    def build(batched, chunk):
+    def build(path_cls, chunk):
         cache = PiccoloCache(1024, ways=4, fg_tag_bits=4)
         mshr = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=4)
-        return FineGrainedMemoryPath(
-            cache, mshr, batched=batched, chunk_size=chunk
-        )
+        return path_cls(cache, mshr, chunk_size=chunk)
 
-    chunked = build(True, chunk_size)
-    scalar = build(False, None)
+    chunked = build(FineGrainedMemoryPath, chunk_size)
+    scalar = build(ReferenceFineGrainedPath, None)
     chunked.run(stream, True)
     scalar.run(stream, True)
     chunked.flush()
@@ -461,22 +525,22 @@ def test_locality_monitor_observe_many_matches_scalar(addrs, seed):
 @pytest.mark.parametrize("kind", ["piccolo-lru", "conventional"])
 def test_bypass_segments_batched_matches_scalar(kind):
     """Deterministic sequential stream: the monitor flips to bypass and
-    back, exercising the burst-coalescing path in both modes."""
+    back, exercising the burst-coalescing path in the engine and the
+    reference."""
     mapper = make_mapper()
 
-    def build(batched):
+    def build(path_cls):
         cache = CACHE_FACTORIES[kind]()
         mshr = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=4)
         mon = LocalityMonitor(window=8, threshold=0.75)
-        return FineGrainedMemoryPath(
-            cache, mshr, locality_monitor=mon, batched=batched
-        )
+        return path_cls(cache, mshr, locality_monitor=mon)
 
     rng = np.random.default_rng(7)
     seq = np.arange(256, dtype=np.int64) * 8
     rand = rng.integers(0, 1 << 12, 96) * 8
     stream = np.concatenate([seq, rand, seq + (1 << 16), rand])
-    path_b, path_s = build(True), build(False)
+    path_b = build(FineGrainedMemoryPath)
+    path_s = build(ReferenceFineGrainedPath)
     for chunk in np.split(stream, [100, 300, 420, 600]):
         path_b.run(chunk, True)
         path_s.run(chunk, True)

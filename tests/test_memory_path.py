@@ -89,25 +89,19 @@ class TestFineGrainedPath:
 
 
 class TestReplayMemoDisabled:
-    """``replay_capacity=0`` must disable the memo *entirely*: no
-    digests, no sighting tracking, no record-then-evict churn."""
+    """``replay_capacity=0`` must disable the memo *entirely*: no memo
+    object, so no digests, no sighting tracking, no record-then-evict
+    churn."""
 
-    def test_capacity_zero_short_circuits_every_method(self):
-        memo = BatchReplayMemo(0)
-        assert not memo.enabled
-        key = memo.key([b"cache-state", b"addrs"])
-        assert key == b""  # no blake2b work
-        assert memo.get(key) is None
-        assert memo.hits == 0 and memo.misses == 0  # get() didn't count
-        assert memo.should_record(key) is False
-        assert memo.should_record(key) is False  # still False on resight
-        memo.put(key, ("record",))
-        assert len(memo._memo) == 0
-        assert len(memo._seen) == 0
+    def test_capacity_below_one_raises(self):
+        """A memo holds at least one batch; "no memo" is a path built
+        with ``replay_capacity=0``, which builds none."""
+        for capacity in (0, -1):
+            with pytest.raises(ValueError, match="capacity must be >= 1"):
+                BatchReplayMemo(capacity)
 
     def test_enabled_memo_still_tracks(self):
         memo = BatchReplayMemo(4)
-        assert memo.enabled
         key = memo.key([b"x"])
         assert memo.get(key) is None and memo.misses == 1
         assert memo.should_record(key) is False  # first sighting
@@ -146,6 +140,19 @@ class TestReplayMemoDisabled:
         )
         path.run(np.arange(32, dtype=np.int64) * 8, rmw=True)
         assert CountingCache.digest_calls == 0
+
+    def test_paths_reject_negative_capacity(self, mapper):
+        """A negative capacity is an error, not a silent "no memo"."""
+        with pytest.raises(ValueError, match="replay_capacity must be >= 0"):
+            ConventionalMemoryPath(
+                ConventionalCache(1024, ways=2), replay_capacity=-1
+            )
+        with pytest.raises(ValueError, match="replay_capacity must be >= 0"):
+            FineGrainedMemoryPath(
+                PiccoloCache(1024, ways=2, fg_tag_bits=4),
+                CollectionExtendedMSHR(mapper, num_entries=16),
+                replay_capacity=-1,
+            )
 
 
 class TestChunkedStreaming:

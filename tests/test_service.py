@@ -107,6 +107,10 @@ class TestResolveRequest:
         ({**CONFIG, "scale_shift": -1}, ">= 0"),
         ({**CONFIG, "system": 7}, "must be str"),
         ({**CONFIG, "algorithm": "FOO"}, "unknown algorithm"),
+        (
+            {**CONFIG, "system": "GraphDyns (Cache)", "cache_design": "Amoeba"},
+            "fine-grained cache system",
+        ),
     ])
     def test_bad_configs_raise_self_describing_errors(
         self, payload, fragment

@@ -152,7 +152,7 @@ class TestPerfRegressionGate:
 
     def test_ooc_is_its_own_suite(self):
         for conflict in (["--quick"], ["--profile", "mid"],
-                         ["--scalar-baseline"], ["--workers", "2"]):
+                         ["--workers", "2"]):
             with pytest.raises(SystemExit):
                 perf_report_main(["--ooc", "mid", *conflict])
 

@@ -13,22 +13,18 @@ Usage::
 
     PYTHONPATH=src python tools/perf_report.py                # full grid
     PYTHONPATH=src python tools/perf_report.py --quick        # CI smoke
-    PYTHONPATH=src python tools/perf_report.py --scalar-baseline
     PYTHONPATH=src python tools/perf_report.py --no-write
 
-``--scalar-baseline`` times the seed-identical scalar fallback loop
-(``repro.core.memory_path.BATCHED_DEFAULT = False``) instead of the
-batched engine.  Per-cell baselines come from the *earliest*
-scalar-mode trajectory point that timed the cell, so cells added after
-the seed point (the Fig. 11 variant rows) get their own recorded
-scalar baseline: record one with
-``--scalar-baseline --only fig11/ --label scalar-fig11-variants``
-before the first batched point that includes them.  A later scalar run
-over already-baselined cells is recorded but does *not* replace their
-baseline (the tool warns); to re-derive baselines on new hardware
-without checking out the seed commit, record a full
-``--scalar-baseline`` run into a fresh trajectory file
-(``--json BENCH_hotpath.<host>.json``).
+Every run times the production (batched) memory path and records a
+``"mode": "batched"`` point.  Speedups are reported against each cell's
+*earliest* baseline point: the pristine seed checkout (``seed``), or a
+scalar point recorded while the seed's per-address loop was still a
+runtime mode (``scalar-fig11-variants-a/b`` for the Fig. 11 variant
+rows, ``scalar-engine-xval-mid/paper`` for the engine cells).  That
+loop now lives only in ``tests/reference_paths.py``, where the
+batched-equivalence suite and ``benchmarks/bench_perf_hotpath.py`` use
+it as the reference, so no new baseline can be recorded here; a cell
+without one reports no speedup.
 
 ``--only PREFIX`` restricts the run to cells whose name starts with
 ``PREFIX`` (e.g. ``--only fig11/``).
@@ -37,12 +33,10 @@ without checking out the seed commit, record a full
 cross-validation grid (``engine-xval/<profile>/<workload>``) instead of
 the memory-path cells: each cell runs one workload through
 :class:`repro.dram.engine.DRAMEngine` and records the wall-clock of the
-engine run plus its engine/analytic duration ratio.  Combined with
-``--scalar-baseline`` the same cells run on the scalar oracle
-controller (``mode="scalar"``), recording the baseline the batched
-points are compared against -- record the scalar point first, then
-batched runs report ``speedup_vs_baseline`` automatically.  ``--check``
-gates these cells against their latest batched point like any other.
+engine run plus its engine/analytic duration ratio, with
+``speedup_vs_baseline`` against the recorded scalar-controller points.
+``--check`` gates these cells against their latest batched point like
+any other.
 The mid profile is the tier-1 CI smoke; paper runs nightly.
 
 ``--profile mid|paper`` times that scale profile's cells
@@ -107,8 +101,9 @@ Workload notes: BFS runs to frontier exhaustion; PR runs 12 identical
 power iterations (the figure harness caps PR at 3 purely for seed
 wall-clock reasons -- the paper itself runs up to 40, so a deeper run is
 the *representative* cost of the workload, and is exactly where the
-batch-replay memo pays off).  The Piccolo (RRIP) cell stands in for the
-Fig. 11 fine-grained design sweep.
+batch-replay memo pays off).  The Fig. 11 cells name their cache by
+``cache_design`` (``repro.cache.variants.FIG11_DESIGNS``), so they are
+digestable and picklable like every other cell.
 """
 
 from __future__ import annotations
@@ -127,8 +122,6 @@ DEFAULT_JSON = REPO_ROOT / "BENCH_hotpath.json"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cache.variants import FIG11_VARIANTS  # noqa: E402
-from repro.core import memory_path  # noqa: E402
-from repro.core.piccolo_cache import PiccoloCache  # noqa: E402
 from repro.experiments import parallel  # noqa: E402
 from repro.dram.engine.xval import (  # noqa: E402
     ENGINE_XVAL_PROFILES,
@@ -143,17 +136,17 @@ from repro.experiments.runner import (  # noqa: E402
 )
 
 
-def _variant_cell(design):
-    """A Fig. 11 design-sweep cell: the Piccolo system with the design's
-    cache substituted (same substitution ``figures.figure_11`` makes)."""
-    factory = FIG11_VARIANTS[design]
+def _fig11_cell(name, design):
+    """A Fig. 11 design-sweep cell: the Piccolo system with the named
+    design's cache substituted (same substitution ``figures.figure_11``
+    makes)."""
     return (
-        f"fig11/{design}/PR/TW",
+        f"fig11/{name}/PR/TW",
         design,
         "PR",
         "TW",
         12,
-        {"_system": "Piccolo", "cache_factory": lambda size: factory(size)},
+        {"_system": "Piccolo", "cache_design": design},
     )
 
 
@@ -165,15 +158,8 @@ FULL_CELLS = [
     ("fig10/GraphDyns-Cache/PR/TW", "GraphDyns (Cache)", "PR", "TW", 12, {}),
     ("fig10/NMP/BFS/TW", "NMP", "BFS", "TW", 40, {}),
     ("fig10/NMP/PR/TW", "NMP", "PR", "TW", 12, {}),
-    (
-        "fig11/Piccolo-RRIP/PR/TW",
-        "Piccolo (RRIP)",
-        "Piccolo",
-        "PR",
-        "TW",
-        12,
-    ),
-] + [_variant_cell(design) for design in FIG11_VARIANTS]
+    _fig11_cell("Piccolo-RRIP", "Piccolo (RRIP)"),
+] + [_fig11_cell(design, design) for design in FIG11_VARIANTS]
 # distinct names: quick cells run fewer iterations, so they must never
 # be compared against the full-grid baseline entries
 QUICK_CELLS = [
@@ -223,31 +209,6 @@ PARALLEL_SWEEP_DATASETS = ("UU", "SW")
 PARALLEL_SWEEP_NAME = "parallel/mid-fig10pr"
 
 
-def _normalise(cells):
-    out = []
-    for cell in cells:
-        if len(cell) == 6 and isinstance(cell[5], dict):
-            out.append(cell)
-        else:  # fig11 RRIP row: (name, row, system, alg, ds, iters)
-            name, row, system, alg, ds, iters = cell
-            out.append(
-                (
-                    name,
-                    row,
-                    alg,
-                    ds,
-                    iters,
-                    {
-                        "_system": system,
-                        "cache_factory": lambda size: PiccoloCache(
-                            size, ways=8, fg_tag_bits=4, policy="rrip"
-                        ),
-                    },
-                )
-            )
-    return out
-
-
 def time_cell(system, algorithm, dataset, max_iterations, kwargs, repeats):
     best = math.inf
     extra = dict(kwargs)
@@ -288,8 +249,8 @@ def engine_xval_cells(profile):
     ]
 
 
-def run_engine_xval_suite(cells, mode, repeats):
-    """Time the engine cross-validation grid on one controller mode.
+def run_engine_xval_suite(cells, repeats):
+    """Time the engine cross-validation grid.
 
     Returns (times, ratios): best-of-``repeats`` engine wall seconds and
     the engine/analytic duration ratio per cell (the cross-validation
@@ -299,9 +260,7 @@ def run_engine_xval_suite(cells, mode, repeats):
     for name, _row, workload, profile, *_ in cells:
         best = math.inf
         for _ in range(repeats):
-            result = run_engine_xval_cell(
-                profile, workload, engine_mode=mode
-            )
+            result = run_engine_xval_cell(profile, workload)
             best = min(best, result["seconds"])
         times[name] = round(best, 4)
         ratios[name] = round(result["ratio"], 4)
@@ -523,8 +482,9 @@ def load_trajectory(path):
 
 
 #: trajectory modes that qualify as a speedup baseline: the pristine
-#: seed checkout, or the seed-identical scalar fallback re-timed later
-#: (how cells added after the seed point get a baseline)
+#: seed checkout, or the seed's per-address loop re-timed later while
+#: it was still a runtime mode (how cells added after the seed point
+#: got a baseline)
 BASELINE_MODES = ("seed-checkout", "scalar")
 
 
@@ -594,11 +554,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke subset")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--scalar-baseline",
-        action="store_true",
-        help="time the seed-identical scalar fallback instead",
-    )
     parser.add_argument("--label", default=None)
     parser.add_argument("--json", type=pathlib.Path, default=DEFAULT_JSON)
     parser.add_argument(
@@ -623,8 +578,7 @@ def main(argv=None) -> int:
         choices=sorted(ENGINE_XVAL_PROFILES),
         metavar="PROFILE",
         help="time the DRAM engine cross-validation grid at this scale "
-        "profile instead of the memory-path cells (scalar oracle with "
-        "--scalar-baseline)",
+        "profile instead of the memory-path cells",
     )
     parser.add_argument(
         "--ooc",
@@ -717,18 +671,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    if args.profile and args.scalar_baseline:
-        parser.error("--profile cells have no scalar baseline to record")
-    if args.check and args.scalar_baseline:
-        parser.error("--check gates the batched trajectory, not scalar runs")
     if args.check_ratio <= 1.0:
         parser.error("--check-ratio must be > 1.0")
     sharded = args.workers is not None or args.resume_from is not None
-    if args.scalar_baseline and (sharded or args.parallel):
-        # spawn workers would not inherit the parent's BATCHED_DEFAULT
-        # toggle and would silently time the batched engine
-        parser.error("--scalar-baseline only runs in-process (no "
-                     "--workers/--resume-from/--parallel)")
     if args.parallel and (args.profile or sharded):
         parser.error("--parallel is its own suite; it does not combine "
                      "with --profile/--workers/--resume-from")
@@ -739,19 +684,16 @@ def main(argv=None) -> int:
                      "with --profile/--parallel/--workers/--resume-from/"
                      "--quick/--chunk-size")
     if args.ooc and (args.profile or args.parallel or sharded or args.quick
-                     or args.engine_xval or args.scalar_baseline
-                     or args.chunk_size is not None):
+                     or args.engine_xval or args.chunk_size is not None):
         parser.error("--ooc is its own suite; it does not combine with "
                      "--profile/--parallel/--workers/--resume-from/--quick/"
-                     "--engine-xval/--scalar-baseline/--chunk-size")
+                     "--engine-xval/--chunk-size")
     if args.service and (args.profile or args.parallel or sharded
                          or args.quick or args.engine_xval or args.ooc
-                         or args.scalar_baseline
                          or args.chunk_size is not None):
         parser.error("--service is its own suite; it does not combine "
                      "with --profile/--parallel/--workers/--resume-from/"
-                     "--quick/--engine-xval/--ooc/--scalar-baseline/"
-                     "--chunk-size")
+                     "--quick/--engine-xval/--ooc/--chunk-size")
     try:
         worker_counts = [
             int(c) for c in args.worker_counts.split(",") if c
@@ -763,7 +705,7 @@ def main(argv=None) -> int:
         parser.error("--worker-counts must be positive integers")
 
     if args.profile:
-        cells = _normalise(PROFILE_CELLS[args.profile])
+        cells = PROFILE_CELLS[args.profile]
     elif args.engine_xval:
         cells = engine_xval_cells(args.engine_xval)
     elif args.ooc:
@@ -773,7 +715,7 @@ def main(argv=None) -> int:
     elif args.parallel:
         cells = []
     else:
-        cells = _normalise(QUICK_CELLS if args.quick else FULL_CELLS)
+        cells = QUICK_CELLS if args.quick else FULL_CELLS
     if args.chunk_size is not None:
         cells = [
             (name, row, alg, ds, iters, {**kw, "chunk_size": args.chunk_size})
@@ -784,19 +726,14 @@ def main(argv=None) -> int:
         cells = [c for c in cells if c[0].startswith(prefixes)]
         if not cells:
             parser.error(f"--only {args.only!r} matches no cells")
-    mode = "scalar" if args.scalar_baseline else "batched"
-    if args.scalar_baseline and not args.engine_xval:
-        # engine-xval routes the mode into DRAMEngine directly; the
-        # memory-path toggle is the other suites' scalar switch
-        memory_path.BATCHED_DEFAULT = False
     if args.check:
         args.no_write = True
     label = args.label or (
         "parallel" if args.parallel
-        else f"{mode}-engine-xval-{args.engine_xval}" if args.engine_xval
+        else f"batched-engine-xval-{args.engine_xval}" if args.engine_xval
         else f"ooc-{args.ooc}" if args.ooc
         else "service" if args.service
-        else f"{mode}-{args.profile}" if args.profile else mode
+        else f"batched-{args.profile}" if args.profile else "batched"
     )
 
     loaded_cells: list[str] = []
@@ -812,29 +749,27 @@ def main(argv=None) -> int:
                 worker_counts, args.repeats, gdir
             )
     elif sharded:
-        print(f"perf_report: mode={mode} workers={args.workers or 1} "
+        print(f"perf_report: workers={args.workers or 1} "
               f"cells={len(cells)} (sharded; single-shot timings)")
         times, loaded_cells, cell_rss = run_suite_sharded(
             cells, args.workers, args.resume_from
         )
     elif args.engine_xval:
-        print(f"perf_report: mode={mode} engine-xval "
+        print(f"perf_report: engine-xval "
               f"profile={args.engine_xval} repeats={args.repeats} "
               f"cells={len(cells)}")
-        times, xval_ratios = run_engine_xval_suite(
-            cells, mode, args.repeats
-        )
+        times, xval_ratios = run_engine_xval_suite(cells, args.repeats)
     elif args.ooc:
-        print(f"perf_report: mode={mode} ooc profile={args.ooc} "
+        print(f"perf_report: ooc profile={args.ooc} "
               f"cells={len(cells)} (spawned children; single-shot timings)")
         times, cell_rss, ooc_detail = run_ooc_suite(cells, args.ooc)
     elif args.service:
-        print(f"perf_report: mode={mode} service cache-hit suite "
+        print(f"perf_report: service cache-hit suite "
               f"({args.repeats * SERVICE_REQUESTS_PER_REPEAT} hit "
               f"requests over localhost)")
         times, service_detail = run_service_suite(args.repeats)
     else:
-        print(f"perf_report: mode={mode} repeats={args.repeats} "
+        print(f"perf_report: repeats={args.repeats} "
               f"cells={len(cells)}")
         times = run_suite(cells, args.repeats)
     import resource
@@ -849,7 +784,9 @@ def main(argv=None) -> int:
     base_times, base_labels = baseline_times(report)
     point = {
         "label": label,
-        "mode": mode,
+        # every point since the seed's per-address loop left src/ is
+        # batched; --check and the trajectory schema rely on the field
+        "mode": "batched",
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "quick": bool(args.quick),
         "times": times,
@@ -882,15 +819,6 @@ def main(argv=None) -> int:
         point["parallel_rss"] = parallel_rss
 
     shared = [c for c in cells if c[0] in base_times and c[0] in times]
-    if mode in BASELINE_MODES:
-        # a baseline run records reference times, it does not compare
-        if shared:
-            print(
-                "\nnote: earliest scalar point wins -- these cells keep "
-                "their existing baselines: "
-                + ", ".join(f"{name} ({base_labels[name]})" for name, *_ in shared)
-            )
-        shared = []
     if shared:
         point["speedup_vs_baseline"] = {
             name: round(base_times[name] / times[name], 3)
@@ -908,9 +836,7 @@ def main(argv=None) -> int:
         print("row totals:")
         for row, speedup in point["row_speedup_vs_baseline"].items():
             print(f"  {row:38s} {speedup:7.2f}x")
-    elif not base_times:
-        print("no baseline trajectory point yet; this run becomes it")
-    elif mode not in BASELINE_MODES:
+    else:
         print("no cells shared with a baseline point (quick mode?); "
               "skipping speedup comparison")
 
@@ -958,7 +884,7 @@ def main(argv=None) -> int:
     )
     gate_rss_mb = max(peak_rss_mb, worker_peak)
     verdict = {
-        "mode": mode,
+        "mode": "batched",
         "profile": args.profile,
         "quick": bool(args.quick),
         "timestamp": point["timestamp"],

@@ -46,8 +46,10 @@ class _ECSystem(AcceleratorSystem):
         self.onchip_bytes = onchip_bytes
         self.tile_scale = tile_scale
         self.layout = layout if layout is not None else MemoryLayout()
-        #: memory-path knobs (scale-profile driven; None = module
-        #: defaults), mirroring the vertex-centric systems
+        #: memory-path knobs (scale-profile driven; chunk_size None =
+        #: whole-tile batches, replay_capacity None =
+        #: REPLAY_CAPACITY_DEFAULT, 0 = no memo), mirroring the
+        #: vertex-centric systems
         self.chunk_size = chunk_size
         self.replay_capacity = replay_capacity
 

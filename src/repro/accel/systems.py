@@ -66,9 +66,11 @@ class _VCMSystem(AcceleratorSystem):
             tile_scale if tile_scale is not None else self.default_tile_scale
         )
         self.layout = layout if layout is not None else MemoryLayout()
-        #: memory-path knobs (scale-profile driven; None keeps the
-        #: module defaults).  SPM/PIM systems have no cached random
-        #: path, so they simply ignore them.
+        #: memory-path knobs (scale-profile driven): chunk_size None
+        #: runs whole-tile batches; replay_capacity None means
+        #: REPLAY_CAPACITY_DEFAULT and 0 means no memo.  SPM/PIM
+        #: systems have no cached random path, so they simply ignore
+        #: them.
         self.chunk_size = chunk_size
         self.replay_capacity = replay_capacity
         #: tile-array backing ("memory"/"disk") plus the disk store's

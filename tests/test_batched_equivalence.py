@@ -370,6 +370,10 @@ def assert_memo_transparent(path_kind, make_cache, chunks, rounds):
     with_memo.flush()
     without.flush()
     assert drain_all(with_memo) == drain_all(without)
+    # the flush settles the useful-byte counters of every line still
+    # resident, so this also checks the touched/dirty masks a replay
+    # restored
+    assert cache_signature(with_memo.cache) == cache_signature(without.cache)
     if path_kind != "conventional":
         assert vars(with_memo.mshr.stats) == vars(without.mshr.stats)
     return with_memo.memo

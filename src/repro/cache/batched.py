@@ -16,7 +16,8 @@ Every batched cache engine in this package follows the same recipe
    arrays.
 
 The plain-LRU ``ConventionalCache`` narrows step 3's loop to each
-block's first touch in the batch (docs/CACHE_ENGINES.md, step 5).
+block's first touch in the batch (docs/CACHE_ENGINES.md, step 5);
+``PiccoloCache`` keys it by sector address (step 6).
 
 This module holds the parts of that recipe that are identical across
 designs, so a cache variant only implements its replacement/sectoring
@@ -60,12 +61,15 @@ def empty_batch() -> BatchResult:
     return BatchResult(0, 0, _EMPTY_I64, _EMPTY_BOOL, _EMPTY_I64)
 
 
-def pack_events(n: int, hits: int, events: list[int], nbytes: int) -> BatchResult:
+def pack_events(
+    n: int, hits: int, events: list[int] | np.ndarray, nbytes: int
+) -> BatchResult:
     """Pack a flat event list into a :class:`BatchResult`.
 
     ``events`` carries one integer per fill/write-back, in scalar-loop
     order, with the write-back flag in bit 0 (event addresses are 8 B
-    aligned, so bit 0 is free).  All events share one size ``nbytes``
+    aligned, so bit 0 is free); an int64 array of the same packing is
+    taken as is.  All events share one size ``nbytes``
     (uniform-granularity designs: piccolo, conventional, sectored,
     scrabble, fine-8B).
     """

@@ -181,9 +181,17 @@ class CollectionExtendedMSHR:
         row keys and in-row word offsets, and the issued operations are
         emitted straight into an array-backed :class:`FimOpBatch`
         (structure-of-arrays) instead of a Python object list.
+
+        Raises:
+            ValueError: ``is_wb`` is not as long as ``addrs``.
         """
         ops = FimOpBatch()
         addrs = np.asarray(addrs, dtype=np.int64)
+        is_wb = np.asarray(is_wb, dtype=bool)
+        if is_wb.shape != addrs.shape:
+            raise ValueError(
+                f"is_wb has shape {is_wb.shape}; addrs has {addrs.size} entries"
+            )
         if addrs.size == 0:
             return ops
         _, _, _, _, row_key, word = self.mapper.decode_fim_many(addrs)
@@ -198,11 +206,7 @@ class CollectionExtendedMSHR:
         forwarded = merged_r = merged_w = 0
         gathers_full = scatters_full = conflicts = 0
 
-        for rk, wd, wb in zip(
-            row_key.tolist(),
-            word.tolist(),
-            np.asarray(is_wb, dtype=bool).tolist(),
-        ):
+        for rk, wd, wb in zip(row_key.tolist(), word.tolist(), is_wb.tolist()):
             entry = slots[rk & slot_mask]
             if entry is None or entry.row_key != rk:
                 if entry is not None:

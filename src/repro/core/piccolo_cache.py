@@ -33,13 +33,26 @@ increasing stamp per line: under LRU the stamp advances on every touch,
 under SRRIP only on insertion, which reproduces the original MRU-first
 list ordering (including SRRIP's first-max tie-break on the youngest
 insertion) without any list churn.  :meth:`access` operates on the
-arrays one address at a time; :meth:`access_many` materialises the
-touched sets into flat Python structures once per batch, runs the whole
-tile through a tight loop, and writes the arrays back.  Both paths are
-behaviourally identical (enforced by tests/test_batched_equivalence.py).
+arrays one address at a time and is the per-access oracle.
+
+:meth:`access_many` keys the touched sets by *sector address*, the
+word's full (tag, set, fg-tag, offset), as the hardware's split lookup
+does.  Per call it builds, in NumPy, a dict from each resident sector
+to ``2 * line + dirty``, each line's sector addresses by fg-offset, and
+each (tag, set) group's lines LRU-first in a ``deque`` (plus the groups
+at their way quota).  A hit is one dict probe; a sector replacement at
+quota takes the group's LRU line, pops the displaced sector (its flag
+decides the write-back, its key is the write-back address) and inserts
+the new one.  After the loop the fg-tags and dirty masks are read back
+out of the dict, and the touched sets' arrays are written once.  Both
+paths are behaviourally identical (enforced by
+tests/test_batched_equivalence.py).
 """
 
 from __future__ import annotations
+
+from collections import deque
+from itertools import count
 
 import numpy as np
 
@@ -291,189 +304,186 @@ class PiccoloCache(BatchedCacheEngine, BaseCache):
         if n == 0:
             return empty_batch()
 
-        sectors = self.sectors_per_line
-        sector_mask = self.sector_bytes - 1
-        fg_shift = self._fg_shift
-        quota = self.way_quota
         nways = self.ways
+        sectors = self.sectors_per_line
+        sector_shift = self._sector_shift
+        set_shift = self._set_shift
+        set_mask = self.num_sets - 1
+        quota = self.way_quota
         is_lru = self.policy == "lru"
+        wflag = 1 if is_write else 0
+        clock0 = self._clock
 
-        # Vectorized address decomposition (the per-access bit slicing
-        # the scalar loop pays in the interpreter).
-        off_a = (addrs >> self._sector_shift) & (sectors - 1)
-        fg_a = (addrs >> fg_shift) & ((1 << self.fg_tag_bits) - 1)
-        set_a = (addrs >> self._set_shift) & (self.num_sets - 1)
-        tag_a = addrs >> self._tag_shift
-        fill_a = addrs & ~sector_mask
-        # Fill address with the fg field cleared: OR-ing a victim's old
-        # fg-tag back in yields its write-back address in two int ops.
-        nofg_a = fill_a & ~(((1 << self.fg_tag_bits) - 1) << fg_shift)
-        bit_a = np.left_shift(1, off_a)
+        # Each access reduces to its sector (fill) address, its (tag,
+        # set) group key and its fg-offset.
+        key_a = addrs >> set_shift
+        seen = np.zeros(self.num_sets, dtype=bool)
+        seen[key_a & set_mask] = True
+        sets = np.flatnonzero(seen)
+        nlines = sets.size * nways
+        fills = (addrs & ~(self.sector_bytes - 1)).tolist()
+        keys = key_a.tolist()
+        offs = ((addrs >> sector_shift) & (sectors - 1)).tolist()
 
-        tag_l = tag_a.tolist()
-        set_l = set_a.tolist()
-        fg_l = fg_a.tolist()
-        off_l = off_a.tolist()
-        bit_l = bit_a.tolist()
-        fill_l = fill_a.tolist()
-        nofg_l = nofg_a.tolist()
+        # Touched sets as flat lines: local line id = set rank * ways + way.
+        tag = self._tag[sets].reshape(nlines)
+        fgt = self._fgt[sets].reshape(nlines, sectors).astype(np.int64)
+        ord_lines = self._ord[sets].reshape(nlines)
+        valid = tag >= 0
+        gkey = (tag << self._set_bits) | np.repeat(sets, nways)
+        offsets = np.arange(sectors, dtype=np.int64)
+        sec = (
+            (gkey << set_shift)[:, None]
+            | (fgt << self._fg_shift)
+            | (offsets << sector_shift)
+        )
+        resident = valid[:, None] & (fgt >= 0)
+        flag = (np.arange(nlines, dtype=np.int64) << 1)[:, None] | (
+            (self._dirty[sets].reshape(nlines)[:, None] >> offsets) & 1
+        )
+        # resident sector address -> 2 * line + dirty
+        smap = dict(zip(sec[resident].tolist(), flag[resident].tolist()))
+        # per line, the sector address held at each fg-offset (-1: empty)
+        secs = np.where(resident, sec, -1).tolist()
+        lkey = np.where(valid, gkey, -1).tolist()
+        stamp = ord_lines.tolist()
+        ins = self._ins[sets].reshape(nlines).tolist()
+        rrpv = self._rrpv[sets].reshape(nlines).tolist()
 
-        # Materialise the touched sets into flat Python structures.  Tag
-        # groups are built MRU-first so the LRU victim is simply the
-        # group's tail (no per-miss min() scan); the loop keeps that
-        # invariant by moving touched ways to the group head.
-        state: dict[int, tuple] = {}
-        for s in set(set_l):
-            tags = self._tag[s].tolist()
-            fgw = [row.tolist() for row in self._fgt[s]]
-            dirty = self._dirty[s].tolist()
-            rrpv = self._rrpv[s].tolist()
-            ord_ = self._ord[s].tolist()
-            ins = self._ins[s].tolist()
-            tagmap: dict[int, list[int]] = {}
-            free: list[int] = []
-            for w in sorted(range(nways), key=ord_.__getitem__, reverse=True):
-                t = tags[w]
-                if t == -1:
-                    free.append(w)
-                else:
-                    tagmap.setdefault(t, []).append(w)
-            state[s] = (tags, fgw, dirty, rrpv, ord_, ins, tagmap, free)
+        # Each group's lines LRU-first (the deque's head is the LRU line),
+        # and the groups at their way quota.
+        groups: dict[int, deque[int]] = {}
+        ldq: list = [None] * nlines  # each valid line's group deque
+        by_age = np.argsort(ord_lines, kind="stable")
+        for line in by_age[valid[by_age]].tolist():
+            dq = ldq[line] = groups.setdefault(lkey[line], deque())
+            dq.append(line)
+        full = {k: dq for k, dq in groups.items() if len(dq) >= quota}
+        base_of = dict(zip(sets.tolist(), range(0, nlines, nways)))
+        # Free ways by set base, in the order pop() claims them: least
+        # recent stamp first, the higher way of equal stamps first.
+        free: dict[int, list[int]] = {}
+        for w in np.flatnonzero(~valid).tolist():
+            free.setdefault(w - w % nways, []).append(w)
+        for free_ways in free.values():
+            free_ways.sort(key=stamp.__getitem__, reverse=True)
 
         # Write-back events carry bit 0 as a flag (sector addresses are
         # 8 B aligned): one append per event, unpacked vectorised below.
         events: list[int] = []
-        clk = self._clock
-        hits = wb_events = sector_repl = line_evict = 0
-        cur_s = -1
-        tags = fgw = dirty = rrpv = ord_ = ins = tagmap = free = None
+        emit = events.append
+        smap_get = smap.get
+        smap_pop = smap.pop
+        full_get = full.get
+        rrip_victim = self._rrip_victim
+        alloc = evicted = 0
 
-        for tag, s, fg, off, bit, fill, nofg in zip(
-            tag_l, set_l, fg_l, off_l, bit_l, fill_l, nofg_l
-        ):
-            if s != cur_s:
-                tags, fgw, dirty, rrpv, ord_, ins, tagmap, free = state[s]
-                cur_s = s
-            grp = tagmap.get(tag)
-            if grp is not None:
-                hit_w = -1
-                for w in grp:
-                    if fgw[w][off] == fg:
-                        hit_w = w
-                        break
-                if hit_w >= 0:
-                    hits += 1
-                    if is_write:
-                        dirty[hit_w] |= bit
-                    if is_lru:
-                        ord_[hit_w] = clk
-                        clk += 1
-                        if grp[0] != hit_w:
-                            grp.remove(hit_w)
-                            grp.insert(0, hit_w)
-                    else:
-                        rrpv[hit_w] = 0
-                    continue
-            # miss: the fill precedes any write-back it displaces
-            events.append(fill)
-            if grp is not None and len(grp) >= quota:
-                # sector replacement in the tag's LRU/SRRIP-victim line
+        for clk, fill, key, off in zip(count(clock0), fills, keys, offs):
+            v = smap_get(fill)
+            if v is not None:
+                line = v >> 1
                 if is_lru:
-                    v = grp[-1]
-                    if grp[0] != v:
-                        grp.pop()
-                        grp.insert(0, v)
-                    ord_[v] = clk
-                    clk += 1
+                    stamp[line] = clk
+                    dq = ldq[line]
+                    if dq[-1] != line:
+                        dq.remove(line)
+                        dq.append(line)
                 else:
-                    v = self._rrip_victim(grp, rrpv, ins)
-                    rrpv[v] = 0
-                row = fgw[v]
-                old_fg = row[off]
-                if old_fg >= 0 and dirty[v] & bit:
-                    events.append(nofg | (old_fg << fg_shift) | 1)
-                    wb_events += 1
-                row[off] = fg
-                if is_write:
-                    dirty[v] |= bit
+                    rrpv[line] = 0
+                if wflag and not v & 1:
+                    smap[fill] = v | 1
+                continue
+            # miss: the fill precedes any write-back it displaces
+            emit(fill)
+            dq = full_get(key)
+            if dq is not None:
+                # sector replacement in the group's LRU/SRRIP-victim line
+                if is_lru:
+                    line = dq[0]
+                    dq.rotate(-1)
+                    stamp[line] = clk
                 else:
-                    dirty[v] &= ~bit
-                sector_repl += 1
+                    line = rrip_victim(dq, rrpv, ins)
+                    rrpv[line] = 0
+                row = secs[line]
+                old = row[off]
+                if old >= 0 and smap_pop(old) & 1:
+                    emit(old | 1)
+                row[off] = fill
+                smap[fill] = (line << 1) | wflag
+                continue
+            # whole-line allocation, evicting another tag if the set is full
+            b = base_of[key & set_mask]
+            free_ways = free.get(b)
+            if free_ways:
+                line = free_ways.pop()
             else:
-                # whole-line allocation, evicting another tag if full
-                if free:
-                    w = free.pop()
+                cands = [w for w in range(b, b + nways) if lkey[w] != key]
+                if not cands:
+                    # degenerate all-same-tag set (quota above the ways)
+                    cands = list(range(b, b + nways))
+                if is_lru:
+                    line = min(cands, key=stamp.__getitem__)
                 else:
-                    cands = [w2 for w2 in range(nways) if tags[w2] != tag]
-                    if not cands:
-                        cands = list(range(nways))
-                    if is_lru:
-                        w = min(cands, key=ord_.__getitem__)
-                    else:
-                        w = self._rrip_victim(cands, rrpv, ins)
-                    line_evict += 1
-                    d = dirty[w]
-                    if d:
-                        vrow = fgw[w]
-                        base = (tags[w] << self._tag_shift) | (
-                            s << self._set_shift
-                        )
-                        o = 0
-                        while d:
-                            if d & 1:
-                                events.append(
-                                    base
-                                    | (vrow[o] << fg_shift)
-                                    | (o << self._sector_shift)
-                                    | 1
-                                )
-                                wb_events += 1
-                            d >>= 1
-                            o += 1
-                    old_grp = tagmap[tags[w]]
-                    old_grp.remove(w)
-                    if not old_grp:
-                        del tagmap[tags[w]]
-                        # the victim may have shared our tag (degenerate
-                        # all-same-tag fallback): re-resolve the group
-                        grp = tagmap.get(tag)
-                tags[w] = tag
-                new_row = [-1] * sectors
-                new_row[off] = fg
-                fgw[w] = new_row
-                dirty[w] = bit if is_write else 0
-                rrpv[w] = RRIP_INSERT
-                ord_[w] = clk
-                ins[w] = clk
-                clk += 1
-                if grp is not None:
-                    grp.insert(0, w)
-                else:
-                    tagmap[tag] = [w]
+                    line = rrip_victim(cands, rrpv, ins)
+                evicted += 1
+                for old in secs[line]:
+                    if old >= 0 and smap_pop(old) & 1:
+                        emit(old | 1)
+                old_key = lkey[line]
+                old_dq = ldq[line]
+                old_dq.remove(line)
+                if len(old_dq) < quota:
+                    full.pop(old_key, None)
+                    if not old_dq:
+                        del groups[old_key]
+            row = [-1] * sectors
+            row[off] = fill
+            secs[line] = row
+            smap[fill] = (line << 1) | wflag
+            lkey[line] = key
+            rrpv[line] = RRIP_INSERT
+            stamp[line] = ins[line] = clk if is_lru else clock0 + alloc
+            alloc += 1
+            dq = ldq[line] = groups.setdefault(key, deque())
+            dq.append(line)
+            if len(dq) >= quota:
+                full[key] = dq
 
-        # Write the mutated sets back to the arrays.
-        for s, (tags, fgw, dirty, rrpv, ord_, ins, _, _) in state.items():
-            self._tag[s] = tags
-            self._fgt[s] = fgw
-            self._dirty[s] = dirty
-            self._rrpv[s] = rrpv
-            self._ord[s] = ord_
-            self._ins[s] = ins
-        self._clock = clk
+        # Write the touched sets back: fg-tags and dirty masks from the
+        # sector map, tags from the group keys.
+        sec_a = np.fromiter(smap.keys(), dtype=np.int64, count=len(smap))
+        flag_a = np.fromiter(smap.values(), dtype=np.int64, count=len(smap))
+        line_a = flag_a >> 1
+        off_a = (sec_a >> sector_shift) & (sectors - 1)
+        fgt_new = np.full((nlines, sectors), -1, dtype=np.int32)
+        fgt_new[line_a, off_a] = (sec_a & (self.window_bytes - 1)) >> self._fg_shift
+        dirty_bits = np.zeros((nlines, sectors), dtype=np.int64)
+        dirty_bits[line_a, off_a] = flag_a & 1
+        shape = (sets.size, nways)
+        # a free line's key -1 shifts to tag -1
+        self._tag[sets] = (np.asarray(lkey) >> self._set_bits).reshape(shape)
+        self._fgt[sets] = fgt_new.reshape(shape + (sectors,))
+        self._dirty[sets] = (dirty_bits << offsets).sum(axis=1).reshape(shape)
+        self._rrpv[sets] = np.asarray(rrpv).reshape(shape)
+        self._ord[sets] = np.asarray(stamp).reshape(shape)
+        self._ins[sets] = np.asarray(ins).reshape(shape)
+        self._clock = clock0 + (n if is_lru else alloc)
 
-        misses = n - hits
+        packed = np.asarray(events, dtype=np.int64)
+        wb_events = int(np.count_nonzero(packed & 1))
+        misses = packed.size - wb_events
         stats = self.stats
         stats.accesses += n
         stats.requested_bytes += n * self.sector_bytes
-        stats.hits += hits
+        stats.hits += n - misses
         stats.misses += misses
         stats.fill_bytes += misses * self.sector_bytes
         stats.writeback_bytes += wb_events * self.sector_bytes
-        stats.evictions += line_evict
-        self.sector_replacements += sector_repl
-        self.line_evictions += line_evict
-
-        return pack_events(n, hits, events, self.sector_bytes)
+        stats.evictions += evicted
+        self.sector_replacements += misses - alloc
+        self.line_evictions += evicted
+        return pack_events(n, n - misses, packed, self.sector_bytes)
 
     @staticmethod
     def _rrip_victim(cands, rrpv, ins) -> int:

@@ -96,19 +96,27 @@ def cache_signature(cache):
     return sig
 
 
+def assert_call_matches(batched, scalar, chunk, rmw):
+    """One ``access_many`` call against the per-address walk: same
+    result and event stream, same state (recency order included).
+    Returns the batched result."""
+    res_b = batched.access_many(chunk, rmw)
+    res_s = scalar_batch(scalar, chunk, rmw)
+    assert res_b.accesses == res_s.accesses
+    assert res_b.hits == res_s.hits
+    np.testing.assert_array_equal(res_b.ev_addr, res_s.ev_addr)
+    np.testing.assert_array_equal(res_b.ev_is_wb, res_s.ev_is_wb)
+    np.testing.assert_array_equal(res_b.ev_bytes, res_s.ev_bytes)
+    assert batched.state_digest() == scalar.state_digest()
+    return res_b
+
+
 def assert_matches_scalar(batched, scalar, batches):
     """Feed ``(addrs, rmw)`` batches to both caches; everything observable
     must agree, recency order included (``state_digest`` after every
     batch)."""
     for chunk, rmw in batches:
-        res_b = batched.access_many(chunk, rmw)
-        res_s = scalar_batch(scalar, chunk, rmw)
-        assert res_b.accesses == res_s.accesses
-        assert res_b.hits == res_s.hits
-        np.testing.assert_array_equal(res_b.ev_addr, res_s.ev_addr)
-        np.testing.assert_array_equal(res_b.ev_is_wb, res_s.ev_is_wb)
-        np.testing.assert_array_equal(res_b.ev_bytes, res_s.ev_bytes)
-        assert batched.state_digest() == scalar.state_digest()
+        assert_call_matches(batched, scalar, chunk, rmw)
     assert cache_signature(batched) == cache_signature(scalar)
     assert batched.flush() == scalar.flush()
 
@@ -139,6 +147,150 @@ def test_mixed_read_write_batches(addrs, seed):
         assert batched.state_digest() == scalar.state_digest()
     assert cache_signature(batched) == cache_signature(scalar)
     assert batched.flush() == scalar.flush()
+
+
+# ---------------------------------------------------------------------------
+# PiccoloCache's sector-keyed engine on figure-shaped streams: every set
+# runs through thousands of sector replacements at its way quota, and
+# the edge cases of the per-call sector map and group deques.
+# ---------------------------------------------------------------------------
+@st.composite
+def piccolo_tile_streams(draw):
+    """A (num_sets, fg_tag_bits, tags_per_set) geometry and 2k-4k
+    accesses over 4-8x the cache's capacity (``addr_streams`` gives at
+    most 300 accesses on 1-2 sets)."""
+    num_sets = draw(st.sampled_from([4, 8, 16]))
+    fg_tag_bits = draw(st.integers(4, 6))
+    tags_per_set = draw(st.sampled_from([1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.integers(4, 8)) * num_sets * 8 * 128
+    n = draw(st.integers(2000, 4000))
+    addrs = rng.integers(0, span // 8, size=n, dtype=np.int64) * 8
+    return (num_sets, fg_tag_bits, tags_per_set), addrs
+
+
+@pytest.mark.parametrize("rmw", [True, False])
+@pytest.mark.parametrize("policy", ["lru", "rrip"])
+@settings(max_examples=15, deadline=None)
+@given(stream=piccolo_tile_streams(), seed=chunk_seed)
+def test_piccolo_tile_streams_match_scalar_loop(policy, rmw, stream, seed):
+    (num_sets, fg_tag_bits, tags_per_set), addrs = stream
+
+    def build():
+        cache = PiccoloCache(
+            num_sets * 8 * 128, ways=8, fg_tag_bits=fg_tag_bits, policy=policy
+        )
+        cache.set_way_quota(tags_per_set)
+        return cache
+
+    assert_matches_scalar(
+        build(), build(), [(chunk, rmw) for chunk in split_chunks(addrs, seed)]
+    )
+
+
+def one_set_cache(ways, tags_per_set):
+    """A single-set Piccolo cache (16 sectors per line, 16 fg-tags)."""
+    cache = PiccoloCache(ways * 128, ways=ways, fg_tag_bits=4)
+    cache.set_way_quota(tags_per_set)
+    return cache
+
+
+def sectors(cache, *parts):
+    """Sector addresses of (tag, fg, offset) triples in set 0."""
+    return np.asarray(
+        [cache._sector_addr(tag, 0, fg, off) for tag, fg, off in parts],
+        dtype=np.int64,
+    )
+
+
+def event_list(res):
+    return list(zip(res.ev_addr.tolist(), res.ev_is_wb.tolist()))
+
+
+A, B, C = 1, 2, 3
+
+
+def test_piccolo_evicted_dirty_line_retouched_in_same_call():
+    """An allocation evicts another tag's dirty line; the same call then
+    re-touches that line's sectors, which miss, refill and write back
+    the line they displace, in order."""
+    batched, scalar = one_set_cache(2, 2), one_set_cache(2, 2)  # quota 1
+    assert_call_matches(
+        batched, scalar, sectors(batched, (A, 0, 0), (A, 0, 1), (B, 0, 0)), True
+    )
+    res = assert_call_matches(
+        batched, scalar, sectors(batched, (C, 0, 0), (A, 0, 0), (A, 0, 1)), True
+    )
+    a00, a01, b00, c00 = sectors(batched, (A, 0, 0), (A, 0, 1), (B, 0, 0), (C, 0, 0))
+    assert res.hits == 0
+    assert event_list(res) == [
+        (c00, False), (a00, True), (a01, True),  # C evicts A's dirty line
+        (a00, False), (b00, True),  # A's refill evicts B's line
+        (a01, False),  # at quota again: a sector replacement
+    ]
+    assert batched.line_evictions == 2
+    assert_matches_scalar(batched, scalar, [])
+
+
+def test_piccolo_eviction_empties_a_group():
+    """Evictions shrink a group below its quota (its next miss allocates
+    a whole line instead of replacing a sector) and then empty it."""
+    batched, scalar = one_set_cache(4, 2), one_set_cache(4, 2)  # quota 2
+    assert_call_matches(
+        batched, scalar,
+        sectors(batched, (A, 0, 0), (A, 1, 0), (B, 0, 0), (B, 1, 0)), True,
+    )
+    res = assert_call_matches(
+        batched, scalar,
+        sectors(batched, (C, 0, 0), (A, 2, 0), (C, 1, 0), (C, 2, 0), (A, 3, 0)),
+        True,
+    )
+    assert res.hits == 0
+    # C's two allocations, A's two after dropping below quota, and C's
+    # sector replacement at quota
+    assert (batched.line_evictions, batched.sector_replacements) == (4, 1)
+    assert B not in batched._tag[0].tolist()
+    assert_matches_scalar(batched, scalar, [])
+
+
+def test_piccolo_group_reaches_quota_mid_call():
+    """A group allocates up to its quota and then replaces sectors in
+    its LRU line within the same call."""
+    batched, scalar = one_set_cache(4, 2), one_set_cache(4, 2)  # quota 2
+    res = assert_call_matches(
+        batched, scalar,
+        sectors(batched, (A, 0, 0), (A, 1, 0), (A, 2, 0), (A, 0, 0)), True,
+    )
+    a00, a10, a20 = sectors(batched, (A, 0, 0), (A, 1, 0), (A, 2, 0))
+    assert event_list(res) == [
+        (a00, False), (a10, False),
+        (a20, False), (a00, True),  # replaces A00 in the LRU line
+        (a00, False), (a10, True),  # now A10's line is the LRU
+    ]
+    assert (batched.line_evictions, batched.sector_replacements) == (0, 2)
+    assert_matches_scalar(batched, scalar, [])
+
+
+def test_piccolo_sector_map_rebuilt_from_arrays():
+    """Each call rebuilds its sector map from the arrays the previous
+    call wrote: resident sectors hit, and their dirty flags decide the
+    write-backs (a read call leaves a sector clean)."""
+    batched, scalar = one_set_cache(2, 2), one_set_cache(2, 2)  # quota 1
+    a01, a10, a21, a30, a41 = sectors(
+        batched, (A, 0, 1), (A, 1, 0), (A, 2, 1), (A, 3, 0), (A, 4, 1)
+    )
+    assert_call_matches(
+        batched, scalar, sectors(batched, (A, 0, 0), (A, 0, 1), (A, 1, 0)), True
+    )
+    res = assert_call_matches(
+        batched, scalar, np.asarray([a01, a10, a21, a30]), False
+    )
+    assert res.hits == 2
+    assert event_list(res) == [(a21, False), (a01, True), (a30, False), (a10, True)]
+    res = assert_call_matches(batched, scalar, np.asarray([a21, a30, a41]), False)
+    assert res.hits == 2
+    assert event_list(res) == [(a41, False)]  # A21 was filled by a read
+    assert_matches_scalar(batched, scalar, [])
 
 
 # ---------------------------------------------------------------------------

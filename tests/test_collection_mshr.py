@@ -1,5 +1,6 @@
 """Tests for the collection-extended MSHR (Sec. V-C, Fig. 7)."""
 
+import numpy as np
 import pytest
 
 from repro.core.collection_mshr import CollectionExtendedMSHR
@@ -157,3 +158,16 @@ class TestConfiguration:
         op = mshr.flush()[0]
         ch, ra, gb, ro, _ = mapper.decode_scalar(addr)
         assert (op.channel, op.rank, op.bank, op.row) == (ch, ra, gb, ro)
+
+
+class TestAddBatchValidation:
+    @pytest.mark.parametrize("wb_len", [3, 41], ids=["too-short", "too-long"])
+    def test_is_wb_length_must_match_addrs(self, mapper, wb_len):
+        """A mask of the wrong length raises instead of truncating the
+        event stream, and registers nothing."""
+        mshr = make_mshr(mapper)
+        addrs = np.arange(40, dtype=np.int64) * 8
+        with pytest.raises(ValueError, match="is_wb"):
+            mshr.add_batch(addrs, np.zeros(wb_len, dtype=bool))
+        assert mshr.stats == make_mshr(mapper).stats
+        assert mshr.flush() == []

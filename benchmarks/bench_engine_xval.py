@@ -4,17 +4,27 @@ Not a paper figure -- this regenerates the Fig. 9 microbenchmark series
 on the command-level engine (full JEDEC constraint set, refresh, bus
 arbitration) and reports, per stride, the FIM speedup measured by each
 model.  The analytic model carries the figure sweeps; this bench is the
-evidence that its shortcuts do not bend the headline ratios.
+evidence that its shortcuts do not bend the headline ratios.  The mid
+smoke also reruns every mid cell on the scalar oracle
+(``tests/reference_engine.py``) and requires identical results.
 """
 
+import pathlib
+import sys
 import time
 
+import pytest
+
+from repro.dram.engine import xval
 from repro.dram.engine.xval import (
     ENGINE_XVAL_WORKLOADS,
     microbench_speedups,
     run_engine_xval_cell,
 )
 from repro.dram.spec import default_config
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from reference_engine import ReferenceDRAMEngine  # noqa: E402
 
 
 def figure_engine_xval():
@@ -49,11 +59,12 @@ def test_engine_xval(run_figure):
 def test_engine_xval_mid_profile_smoke():
     """Tier-1 smoke for the ``engine-xval/mid`` trajectory cells.
 
-    The whole mid grid must fit a CI wall budget on the batched engine,
-    every cell's engine/analytic ratio must sit in the stable band, and
-    the headline cell must agree bit-for-bit with the scalar oracle
-    (identical cycle count, command count and duration -- the cheap
-    always-on shadow of the full differential suite).
+    The whole mid grid must fit a CI wall budget on the engine, every
+    cell's engine/analytic ratio must sit in the stable band, and every
+    cell must agree bit-for-bit with the scalar oracle (identical cycle
+    count, command count and duration -- an always-on shadow of the
+    differential suite on streams of 2k-5k commands, where the
+    hypothesis cases stop at 200 requests).
     """
     start = time.perf_counter()
     results = {
@@ -65,8 +76,9 @@ def test_engine_xval_mid_profile_smoke():
     for workload, result in results.items():
         assert 0.4 < result["ratio"] < 3.0, (workload, result["ratio"])
         assert result["commands"] > 0
-    scalar = run_engine_xval_cell("mid", "conv-hit", engine_mode="scalar")
-    batched = results["conv-hit"]
-    assert scalar["cycles"] == batched["cycles"]
-    assert scalar["commands"] == batched["commands"]
-    assert scalar["engine_ns"] == batched["engine_ns"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(xval, "DRAMEngine", ReferenceDRAMEngine)
+        for workload, batched in results.items():
+            scalar = run_engine_xval_cell("mid", workload)
+            for key in ("cycles", "commands", "engine_ns"):
+                assert scalar[key] == batched[key], (workload, key)

@@ -24,9 +24,8 @@ engine (docs/CACHE_ENGINES.md), so the whole Fig. 11 sweep runs on the
 batched memory path.  The batched-equivalence suite, the CI variant
 smoke, and ``tools/perf_report.py`` all derive their design lists from
 this registry, so adding a design here automatically subjects it to
-all three; only the figure itself
-(``experiments.figures.CACHE_DESIGNS``) stays hand-listed, because its
-entry order is the plotting order.
+all three.  To plot it, also add its name to :data:`FIG11_DESIGNS`,
+the tuple ``figure_11`` plots, in plotting order.
 """
 
 from repro.cache.amoeba import AmoebaCache

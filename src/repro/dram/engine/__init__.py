@@ -28,24 +28,19 @@ from repro.dram.engine.checker import (
 )
 from repro.dram.engine.commands import (
     Command,
-    CommandColumns,
     CommandType,
     EngineStats,
     Request,
     RequestType,
 )
-from repro.dram.engine.controller import ChannelController
-from repro.dram.engine.engine import ENGINE_MODES, DRAMEngine, EngineResult
+from repro.dram.engine.engine import DRAMEngine, EngineResult
 from repro.dram.engine.timing import TimingTable, timing_from_spec
 
 __all__ = [
     "BatchedChannelController",
-    "ChannelController",
     "Command",
-    "CommandColumns",
     "CommandType",
     "DRAMEngine",
-    "ENGINE_MODES",
     "EngineProtocolViolation",
     "EngineResult",
     "EngineStats",

@@ -1,28 +1,49 @@
-"""Vectorized event-driven channel controller (the batched engine).
+"""Per-channel DRAM command controller: FR-FCFS plus FIM sequencing.
 
-This is a bit-exact re-implementation of
-:class:`~repro.dram.engine.controller.ChannelController` on NumPy
-columns, following the ``FimOpBatch`` structure-of-arrays template:
-per-bank timing state lives in flat ``int64`` arrays indexed by the
-global bank id ``rank * banks_per_rank + bank``, request queues are
-preallocated column blocks, and the FR-FCFS queue scan -- the scalar
-engine's measured hot spot -- evaluates every queued request's earliest
-legal cycle and data-bus slot in a handful of array operations instead
-of a per-request Python loop.
+The controller owns one channel: its rank/bank timing state, its shared
+data bus, and three request queues (reads, writes, FIM operations).  It
+issues at most one command per decision -- the command bus carries one
+slot per clock -- chosen by a First-Ready, First-Come First-Served
+policy:
 
-The decision procedure is the scalar controller's, term for term: the
-same candidate priorities (refresh, in-flight FIM step, FIM start, row
-hit by earliest data slot, preparation by earliest cycle), the same
-tie-breaks (queue age, rank order, program insertion order) and the
-same state-update rules as :class:`~repro.dram.engine.state.RankState`
-and :class:`~repro.dram.engine.state.DataBus`.  The scalar engine stays
-untouched as the oracle; ``tests/test_engine_batched_equivalence.py``
-pins command streams, per-bank counters and total cycles bit-identical.
+1. an overdue refresh (banks are closed first),
+2. the next step of an in-flight FIM virtual-row sequence,
+3. a row-hit column command for the oldest matching request,
+4. the preparation command (PRE/ACT) for the oldest request.
+
+The earliest candidate cycle wins and this order breaks ties.  Row
+hits rank by their earliest data-bus slot, then issue cycle, then queue
+age; only the oldest queued request of a bank may prepare it, and a
+preparation wins only a strictly earlier command-bus slot than the
+chosen hit.  Writes are buffered and drained in batches between the
+``WRITE_HI``/``WRITE_LO`` watermarks, the standard technique to
+amortise bus turnarounds: the queue of the current direction is
+scanned first, the other only when it offers no candidate.
+Piccolo-FIM requests expand into the Sec. VI standard-command
+sequence::
+
+    gather:   [ACT x]  WR(off)          PRE   ACT   RD(data)
+    scatter:  [ACT x]  WR(off) WR(data) PRE   ACT   WR(trigger)
+
+where the PRE/ACT pair targets the virtual rows (translated to no-ops
+inside the chip, so the physically open row x survives the sequence)
+and supplies the ``tWR + tRP + tRCD`` window that hides the in-bank
+column accesses.  The controller additionally enforces the Sec. VI
+feasibility bound: the final column command may not issue before
+``items x tCCD_L`` after the offsets arrive, which models the "slightly
+adjusted tWR" of slower grades.
+
+The state is columnar, following the ``FimOpBatch`` structure-of-arrays
+template: per-bank timing state lives in flat ``int64`` arrays indexed
+by the global bank id ``rank * banks_per_rank + bank``, request queues
+are preallocated column blocks, and the FR-FCFS queue scan evaluates
+every queued request's earliest legal cycle and data-bus slot in a
+handful of array operations instead of a per-request Python loop.
 
 Instead of recomputing every JEDEC window term per scan, the scheduler
 maintains *floor caches* incrementally.  All cross-bank constraint
 terms are monotone in issue order (commands execute at non-decreasing
-cycles and every scalar update is a ``max``), so each issued command
+cycles and every window update is a ``max``), so each issued command
 folds its constraints into
 
 * ``_floor`` -- one flat array holding, per command class, the combined
@@ -41,43 +62,78 @@ folds its constraints into
   floor index, reloaded when the step advances or a refresh clamps the
   rank, so the program scan is a single gather-max-argmin.
 
-The driver loop (:meth:`repro.dram.engine.engine.DRAMEngine` in batched
-mode) additionally fast-forwards over the scalar walk's cycle-by-cycle
-creep: between two state changes the candidate set is provably constant
-except where a refresh deadline (``now >= next_refresh_due``) is
-crossed, so the clock jumps straight to the chosen command's cycle, to
-the next admissible arrival, or to the first refresh crossing --
-whichever the scalar walk would visit first.
+The driver loop (:meth:`repro.dram.engine.engine.DRAMEngine.run`)
+fast-forwards the clock: between two state changes the candidate set is
+constant except where a refresh deadline (``now >= next_refresh_due``)
+is crossed, so the clock jumps straight to the chosen command's cycle,
+to the next admissible arrival, or to the first refresh crossing --
+whichever a cycle-by-cycle walk would visit first.
+
+``tests/reference_engine.py`` keeps the per-command scalar walk this
+controller was derived from (one dict-based scan per step, every term
+recomputed) as the bit-exactness oracle;
+``tests/test_engine_batched_equivalence.py`` pins command streams,
+stats and per-request cycles bit-identical to it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.dram.engine.commands import (
-    COMMAND_CODES,
-    CommandColumns,
+    Command,
     CommandType,
     EngineStats,
     Request,
     RequestType,
 )
-from repro.dram.engine.controller import (
-    WRITE_HI,
-    WRITE_LO,
-    _FimProgram,
-    _FimStep,
-    _NEVER,
-)
 from repro.dram.engine.timing import TimingTable
 
-_ACT = COMMAND_CODES[CommandType.ACT]
-_PRE = COMMAND_CODES[CommandType.PRE]
-_RD = COMMAND_CODES[CommandType.RD]
-_WR = COMMAND_CODES[CommandType.WR]
-_REF = COMMAND_CODES[CommandType.REF]
+#: write-drain watermarks as fractions of the write queue capacity
+WRITE_HI = 0.75
+WRITE_LO = 0.25
+
+#: an unreachable future cycle
+_NEVER = 1 << 60
+
+
+@dataclass
+class _FimStep:
+    """One command of an in-flight FIM sequence."""
+
+    kind: CommandType
+    virtual: bool
+    #: data-bus bursts this step transfers (0 for ACT/PRE)
+    bursts: int = 0
+    #: column driven on the bus (offset vs data buffer region)
+    column: int = 0
+    #: must wait for the in-bank operation window (Sec. VI bound)
+    window_bound: bool = False
+
+
+@dataclass
+class _FimProgram:
+    """Decomposed FIM request plus its progress."""
+
+    request: Request
+    steps: list[_FimStep]
+    next_step: int = 0
+    #: cycle the offset-buffer write data completes (window anchor)
+    offsets_ready: int = -1
+
+    @property
+    def current(self) -> _FimStep:
+        """The next step awaiting issue."""
+        return self.steps[self.next_step]
+
+    @property
+    def finished(self) -> bool:
+        """Whether every step has issued."""
+        return self.next_step >= len(self.steps)
+
 
 _QCOLS = ("gkey", "rank", "bank", "rg", "row", "arrival", "frd", "fwr")
 
@@ -131,9 +187,9 @@ class _QueueColumns:
 class BatchedChannelController:
     """One channel's scheduler on columnar state.
 
-    Drive with :meth:`next_action` / :meth:`execute`; the split (the
-    scalar controller fuses both in ``step``) is what lets the engine
-    loop fast-forward past idle stretches without rescanning.
+    Drive with :meth:`next_action` / :meth:`execute`; the split is what
+    lets the engine loop fast-forward past idle stretches without
+    rescanning.
     """
 
     def __init__(
@@ -168,8 +224,8 @@ class BatchedChannelController:
         self._next_pre = np.zeros(n_banks, dtype=np.int64)
         self._next_rd = np.zeros(n_banks, dtype=np.int64)
         self._next_wr = np.zeros(n_banks, dtype=np.int64)
-        # Physically open row across FIM virtual sequences; mirrors the
-        # scalar dict's three states: unset / None (-1) / row.
+        # Physically open row across FIM virtual sequences, in three
+        # states: unset (follow open_row) / precharged (-1) / row.
         self._phys_set = np.zeros(n_banks, dtype=bool)
         self._phys_row = np.full(n_banks, -1, dtype=np.int64)
         self._prog_active = np.zeros(n_banks, dtype=bool)
@@ -214,15 +270,12 @@ class BatchedChannelController:
         # Shared data bus (scalar state; one transfer at a time) plus
         # the per-rank earliest-start floors it implies.
         self._bus_busy_until = 0
-        self._bus_last_rank = -1
-        self._bus_last_dir_read = True
         self.bus_busy_clocks = 0
         self._bus_floor_rd = np.zeros(ranks, dtype=np.int64)
         self._bus_floor_wr = np.ones(ranks, dtype=np.int64)
         # Queues and in-flight FIM programs.  Program slots stay in
         # insertion order (retirement shifts the tail down) so a plain
-        # argmin over cached step terms reproduces the scalar dict
-        # walk's oldest-first tie-break.
+        # argmin over cached step terms breaks ties oldest-first.
         self._read = _QueueColumns(queue_depth)
         self._write = _QueueColumns(queue_depth)
         self._fim = _QueueColumns(queue_depth)
@@ -242,7 +295,7 @@ class BatchedChannelController:
         self._wm_lo = max(0, int(queue_depth * WRITE_LO))
         self._iota = np.arange(queue_depth, dtype=np.int64)
         self._first_scratch = np.zeros(n_banks + 1, dtype=np.int64)
-        self._trace_rows: list[tuple] = []
+        self.trace: list[Command] = []
         self.stats = EngineStats()
         self.finished: list[Request] = []
 
@@ -278,10 +331,10 @@ class BatchedChannelController:
                 + len(self._programs))
 
     # ------------------------------------------------------------------
-    # Scheduling: pick the scalar controller's winning candidate
+    # Scheduling: pick the FR-FCFS winning candidate
     # ------------------------------------------------------------------
     def next_action(self, now: int) -> tuple[int, object | None]:
-        """The candidate the scalar ``step(now)`` would execute.
+        """The winning candidate command at ``now``.
 
         Returns ``(cycle, action)``; ``action is None`` means no
         candidate exists and ``cycle`` is the idle deadline (the next
@@ -336,7 +389,7 @@ class BatchedChannelController:
     def next_refresh_crossing(self, now: int, cycle: int) -> int | None:
         """First refresh deadline in ``(now, cycle]``, if any.
 
-        Crossing one changes the scalar walk's candidate set (the
+        Crossing one changes the candidate set (the
         ``now >= next_refresh_due`` trigger is the only now-dependent
         condition between state changes), so the driver must rescan
         there instead of jumping straight to ``cycle``.
@@ -472,10 +525,9 @@ class BatchedChannelController:
 
         Per rank: precharge the first open program-free bank, or the
         REF itself once every bank is closed; a rank whose remaining
-        open banks are all program-owned contributes nothing (the
-        scalar "noop" -- a finite prio-1 program candidate then exists
-        and always outranks it).  Rank order breaks cycle ties, as in
-        the scalar loop.
+        open banks are all program-owned contributes nothing (a finite
+        prio-1 program candidate then exists and always outranks it).
+        Rank order breaks cycle ties.
         """
         open2 = self._open_2d != -1
         closable = open2 & ~self._prog_2d
@@ -590,8 +642,8 @@ class BatchedChannelController:
         g = request.rank * self._bpr + request.bank
         open_row = int(self._open_row[g])
         physical = int(self._phys_row[g]) if self._phys_set[g] else open_row
-        # Mirrors the scalar _start_fim decomposition (Sec. VI): -1
-        # encodes the scalar's None for "no physically open row".
+        # The Sec. VI decomposition: a physical PRE/ACT prefix only when
+        # the target row is not already open (-1: nothing open).
         steps = self._fim_steps(physical != request.row, open_row != -1,
                                 request.kind is RequestType.SCATTER)
         program = _FimProgram(request=request, steps=steps)
@@ -651,8 +703,9 @@ class BatchedChannelController:
             self._issue_act(g, request.rank, rg, cycle, request.row)
             self._phys_set[g] = True
             self._phys_row[g] = request.row
-            self._record(cycle, _ACT, request.rank, request.bank,
-                         request.row, -1, request.req_id, 0, 0, 0)
+            self.trace.append(Command(cycle, CommandType.ACT, request.rank,
+                                      request.bank, row=request.row,
+                                      req_id=request.req_id))
             self.stats.acts += 1
             return
         if tag in ("pre", "pre_for_ref"):
@@ -667,7 +720,7 @@ class BatchedChannelController:
             self._issue_pre(g, cycle)
             self._phys_set[g] = True
             self._phys_row[g] = -1
-            self._record(cycle, _PRE, rank, bank, -1, -1, -1, 0, 0, 0)
+            self.trace.append(Command(cycle, CommandType.PRE, rank, bank))
             self.stats.pres += 1
             return
         if tag == "fim_start":
@@ -676,7 +729,7 @@ class BatchedChannelController:
         if tag == "refresh":
             rank = action[1]
             self._issue_ref(rank, cycle)
-            self._record(cycle, _REF, rank, 0, -1, -1, -1, 0, 0, 0)
+            self.trace.append(Command(cycle, CommandType.REF, rank, 0))
             self.stats.refreshes += 1
             return
         raise ValueError(f"unknown action {tag!r}")
@@ -701,9 +754,12 @@ class BatchedChannelController:
         self.stats.writes += not is_read
         self.stats.total_latency += request.latency
         self.stats.finished_requests += 1
-        self._record(cycle, _RD if is_read else _WR, request.rank,
-                     request.bank, request.row, request.column,
-                     request.req_id, 0, t.tBL, start)
+        self.trace.append(Command(
+            cycle, CommandType.RD if is_read else CommandType.WR,
+            request.rank, request.bank, row=request.row,
+            column=request.column, req_id=request.req_id,
+            data_clocks=t.tBL, data_start=start,
+        ))
 
     def _issue_fim_step(self, g: int, cycle: int) -> None:
         program = self._programs[g]
@@ -714,7 +770,6 @@ class BatchedChannelController:
         bank = g - rank * self._bpr
         rg = self._bank_rg_l[g]
         is_act = step.kind is CommandType.ACT
-        row = request.row if is_act else -1
         if request.issue_cycle < 0:
             request.issue_cycle = cycle
         data_start = 0
@@ -750,11 +805,13 @@ class BatchedChannelController:
                 self._phys_set[g] = True
                 self._phys_row[g] = -1
                 self.stats.pres += 1
-        # The scalar trace drops a zero FIM column to None ("or None").
-        column = step.column if step.column else -1
-        self._record(cycle, COMMAND_CODES[step.kind], rank, bank, row,
-                     column, request.req_id, int(step.virtual),
-                     t.tBL * step.bursts, data_start)
+        self.trace.append(Command(
+            cycle, step.kind, rank, bank,
+            row=request.row if is_act else None,
+            column=step.column or None, req_id=request.req_id,
+            virtual=step.virtual, data_clocks=t.tBL * step.bursts,
+            data_start=data_start,
+        ))
         program.next_step += 1
         if program.finished:
             self._finish_program(g, request)
@@ -771,8 +828,8 @@ class BatchedChannelController:
             self._load_program_step(g, program)
 
     # ------------------------------------------------------------------
-    # State updates (mirror RankState.issue / DataBus, folding each
-    # command's cross-bank constraints into the class floors)
+    # State updates (each command's JEDEC windows: per-bank terms, plus
+    # its cross-bank constraints folded into the class floors)
     # ------------------------------------------------------------------
     def _issue_act(self, g: int, rank: int, rg: int, cycle: int,
                    row: int) -> None:
@@ -899,8 +956,6 @@ class BatchedChannelController:
         busy = start + clocks
         self._bus_busy_until = busy
         self.bus_busy_clocks += clocks
-        self._bus_last_rank = rank
-        self._bus_last_dir_read = is_read
         # Rebuild the per-rank start floors: occupancy, tRTRS on a rank
         # switch, one-clock direction turnaround.
         pen_rd = 0 if is_read else 1
@@ -916,14 +971,3 @@ class BatchedChannelController:
         frd[rank] = busy + pen_rd
         fwr.fill(busy + (trtrs if trtrs > pen_wr else pen_wr))
         fwr[rank] = busy + pen_wr
-
-    # ------------------------------------------------------------------
-    def _record(self, cycle: int, kind: int, rank: int, bank: int,
-                row: int, column: int, req_id: int, virtual: int,
-                data_clocks: int, data_start: int) -> None:
-        self._trace_rows.append((cycle, kind, rank, bank, row, column,
-                                 req_id, virtual, data_clocks, data_start))
-
-    def trace_columns(self) -> CommandColumns:
-        """Seal the recorded command stream into columns."""
-        return CommandColumns.from_lists(self._trace_rows)

@@ -18,8 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class CommandType(enum.Enum):
     """One slot on the DDR command bus."""
@@ -29,20 +27,6 @@ class CommandType(enum.Enum):
     RD = "RD"
     WR = "WR"
     REF = "REF"
-
-
-#: stable integer codes for columnar (structure-of-arrays) traces
-COMMAND_CODES: dict[CommandType, int] = {
-    CommandType.ACT: 0,
-    CommandType.PRE: 1,
-    CommandType.RD: 2,
-    CommandType.WR: 3,
-    CommandType.REF: 4,
-}
-COMMAND_FROM_CODE: tuple[CommandType, ...] = (
-    CommandType.ACT, CommandType.PRE, CommandType.RD, CommandType.WR,
-    CommandType.REF,
-)
 
 
 class RequestType(enum.Enum):
@@ -158,133 +142,3 @@ class EngineStats:
             return 0.0
         return self.data_bus_clocks.get(channel, 0) / self.cycles
 
-
-class CommandColumns:
-    """One channel's command trace as NumPy columns (SoA).
-
-    The batched engine records every issued command into plain-int
-    columns (the :class:`~repro.dram.fim_batch.FimOpBatch` layout) and
-    seals them here; row episodes, per-bank activity and bus occupancy
-    then close with ``bincount``/``reduceat`` segment math instead of a
-    per-command Python walk.  ``row`` and ``column`` use ``-1`` for the
-    scalar trace's ``None`` (PRE/REF carry no row; ACT/PRE carry no
-    column), so :meth:`to_commands` round-trips bit-identically to the
-    scalar :class:`Command` stream.
-    """
-
-    _FIELDS = ("cycle", "kind", "rank", "bank", "row", "column",
-               "req_id", "virtual", "data_clocks", "data_start")
-
-    # columns installed by __init__'s setattr walk over _FIELDS
-    cycle: np.ndarray
-    kind: np.ndarray
-    rank: np.ndarray
-    bank: np.ndarray
-    row: np.ndarray
-    column: np.ndarray
-    req_id: np.ndarray
-    virtual: np.ndarray
-    data_clocks: np.ndarray
-    data_start: np.ndarray
-
-    def __init__(self, **columns: np.ndarray) -> None:
-        n = None
-        for name in self._FIELDS:
-            col = np.asarray(columns.get(name, ()), dtype=np.int64)
-            if n is None:
-                n = col.size
-            elif col.size != n:
-                raise ValueError(f"column {name!r} length mismatch")
-            setattr(self, name, col)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_lists(cls, rows: list[tuple]) -> "CommandColumns":
-        """Seal the batched controller's append-only row tuples."""
-        if not rows:
-            return cls()
-        cols = np.array(rows, dtype=np.int64).T
-        return cls(**dict(zip(cls._FIELDS, cols)))
-
-    @classmethod
-    def from_commands(cls, commands: list[Command]) -> "CommandColumns":
-        """Columnar view of a scalar :class:`Command` trace."""
-        rows = [
-            (c.cycle, COMMAND_CODES[c.kind], c.rank, c.bank,
-             -1 if c.row is None else c.row,
-             -1 if c.column is None else c.column,
-             c.req_id, int(c.virtual), c.data_clocks, c.data_start)
-            for c in commands
-        ]
-        return cls.from_lists(rows)
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self.cycle.size
-
-    def to_commands(self) -> list[Command]:
-        """Materialise the scalar :class:`Command` objects."""
-        out: list[Command] = []
-        for (cyc, kind, rank, bank, row, column, req_id, virtual,
-             clocks, start) in zip(*(getattr(self, f).tolist()
-                                     for f in self._FIELDS)):
-            out.append(Command(
-                cycle=cyc, kind=COMMAND_FROM_CODE[kind], rank=rank,
-                bank=bank, row=None if row < 0 else row,
-                column=None if column < 0 else column, req_id=req_id,
-                virtual=bool(virtual), data_clocks=clocks,
-                data_start=start,
-            ))
-        return out
-
-    # ------------------------------------------------------------------
-    def per_bank_counts(self, ranks: int,
-                        banks_per_rank: int) -> np.ndarray:
-        """Command counts as a ``(ranks*banks_per_rank, 5)`` array.
-
-        Row ``rank*banks_per_rank + bank``, column ``COMMAND_CODES``
-        order -- one ``bincount`` instead of a per-command dict walk.
-        REF targets a whole rank and is tallied under its bank-0 row,
-        matching the scalar trace's bookkeeping.
-        """
-        n_banks = ranks * banks_per_rank
-        flat = (self.rank * banks_per_rank + self.bank) * 5 + self.kind
-        counts = np.bincount(flat, minlength=n_banks * 5)
-        return counts.reshape(n_banks, 5)
-
-    def row_episode_lengths(self) -> np.ndarray:
-        """Column commands per activation, closed with segment math.
-
-        Commands are regrouped per (rank, bank) with a stable sort (the
-        trace is already time-ordered, so order within a bank survives);
-        each non-virtual ACT opens an episode and ``reduceat`` over the
-        episode boundaries counts the RD/WR commands it serves.
-        """
-        if not len(self):
-            return np.zeros(0, dtype=np.int64)
-        gbank = self.rank * (self.bank.max() + 1 if self.bank.size else 1)
-        gbank = gbank + self.bank
-        order = np.argsort(gbank, kind="stable")
-        kind = self.kind[order]
-        virtual = self.virtual[order]
-        is_act = (kind == COMMAND_CODES[CommandType.ACT]) & (virtual == 0)
-        starts = np.flatnonzero(is_act)
-        if not starts.size:
-            return np.zeros(0, dtype=np.int64)
-        is_col = ((kind == COMMAND_CODES[CommandType.RD])
-                  | (kind == COMMAND_CODES[CommandType.WR])).astype(np.int64)
-        # Episodes end at the next ACT in the same bank (or the bank's
-        # last command); a cumulative sum difference closes each run.
-        csum = np.concatenate(([0], np.cumsum(is_col)))
-        bank_bounds = np.flatnonzero(np.diff(gbank[order]) != 0) + 1
-        ends = np.concatenate((starts[1:], [len(self)]))
-        # Clip each episode at its bank boundary.
-        if bank_bounds.size:
-            nxt = np.searchsorted(bank_bounds, starts, side="right")
-            limit = np.concatenate((bank_bounds, [len(self)]))[nxt]
-            ends = np.minimum(ends, limit)
-        return csum[ends] - csum[starts]
-
-    def bus_busy_clocks(self) -> int:
-        """Total data-bus clocks the trace occupies."""
-        return int(self.data_clocks.sum())

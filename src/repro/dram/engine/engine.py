@@ -1,22 +1,19 @@
 """Multi-channel command-level engine: request streams in, cycles out.
 
 Channels have independent command/address/data buses (Sec. II-C), so
-each channel controller simulates independently with event-skipping:
-the clock jumps straight to the next cycle at which any command can
-issue.  The run finishes when every request has completed; total time is
-the slowest channel's finish cycle.
-
-Two interchangeable controller implementations back :class:`DRAMEngine`:
-the original per-command scalar walk (``mode="scalar"``, kept as the
-bit-exactness oracle) and the vectorized columnar engine
-(``mode="batched"``, the default) from
-:mod:`repro.dram.engine.batched`, which also fast-forwards the clock
-over stretches where the scalar walk would creep cycle by cycle.  Both
-produce bit-identical traces, stats and cycle counts.
+each channel's controller
+(:class:`~repro.dram.engine.batched.BatchedChannelController`, the
+vectorized FR-FCFS scheduler) simulates independently with
+event-skipping: the clock jumps straight to the next cycle at which any
+command can issue.  The run finishes when every request has completed;
+total time is the slowest channel's finish cycle.  Each channel's trace
+is a list of :class:`~repro.dram.engine.commands.Command` records.
 
 This engine is the high-fidelity counterpart of the fast phase
 evaluator in :mod:`repro.dram.system`; `repro.dram.engine.xval`
-cross-validates the two on shared workloads.
+cross-validates the two on shared workloads.  The per-command scalar
+walk the controller was derived from lives in
+``tests/reference_engine.py`` as the bit-exactness oracle.
 """
 
 from __future__ import annotations
@@ -29,20 +26,15 @@ from repro.dram.address import AddressMapper
 from repro.dram.engine.batched import BatchedChannelController
 from repro.dram.engine.commands import (
     Command,
-    CommandColumns,
     EngineStats,
     Request,
     RequestType,
 )
-from repro.dram.engine.controller import ChannelController
 from repro.dram.engine.timing import TimingTable, timing_from_spec
 from repro.dram.spec import DRAMConfig
 
 #: safety valve: one channel may not run longer than this many cycles
 MAX_CYCLES = 1 << 34
-
-#: controller implementations selectable on DRAMEngine
-ENGINE_MODES = ("batched", "scalar")
 
 
 @dataclass
@@ -55,8 +47,6 @@ class EngineResult:
     requests: list[Request]
     #: per-channel command traces (sorted by cycle within a channel)
     traces: list[list[Command]] = field(default_factory=list)
-    #: per-channel columnar traces (batched runs; None for scalar runs)
-    trace_columns: list[CommandColumns] | None = None
 
     @property
     def time_ns(self) -> float:
@@ -83,18 +73,16 @@ class DRAMEngine:
         config: DRAMConfig,
         queue_depth: int = 32,
         refresh_enabled: bool = True,
-        mode: str = "batched",
     ) -> None:
-        if mode not in ENGINE_MODES:
-            raise ValueError(
-                f"mode must be one of {ENGINE_MODES}, got {mode!r}"
-            )
+        if queue_depth < 1:
+            # A queue that admits nothing would leave the driver
+            # creeping toward MAX_CYCLES one cycle at a time.
+            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         self.config = config
         self.timing = timing_from_spec(config.spec)
         self.mapper = AddressMapper(config)
         self.queue_depth = queue_depth
         self.refresh_enabled = refresh_enabled
-        self.mode = mode
 
     # ------------------------------------------------------------------
     def requests_from_addresses(
@@ -103,12 +91,23 @@ class DRAMEngine:
         is_write: np.ndarray | None = None,
         arrivals: np.ndarray | None = None,
     ) -> tuple[list[Request], np.ndarray]:
-        """Decode byte addresses into requests plus their channel route."""
+        """Decode byte addresses into requests plus their channel route.
+
+        Raises:
+            ValueError: ``is_write`` or ``arrivals`` is not as long as
+                ``addrs``.
+        """
         addrs = np.asarray(addrs, dtype=np.int64)
         if is_write is None:
             is_write = np.zeros(addrs.size, dtype=bool)
         if arrivals is None:
             arrivals = np.zeros(addrs.size, dtype=np.int64)
+        for name, values in (("is_write", is_write), ("arrivals", arrivals)):
+            if len(values) != addrs.size:
+                raise ValueError(
+                    f"{name} has {len(values)} entries; addrs has "
+                    f"{addrs.size}"
+                )
         channel, rank, bank, row, column = self.mapper.decode_many(addrs)
         requests: list[Request] = []
         for i in range(addrs.size):
@@ -125,6 +124,33 @@ class DRAMEngine:
         return requests, channel
 
     # ------------------------------------------------------------------
+    def _split_channels(
+        self,
+        requests: list[Request],
+        channels: np.ndarray | None,
+    ) -> list[list[Request]]:
+        """Per-channel request lists, in request order, after checking
+        the route."""
+        n_channels = self.config.channels
+        per_channel: list[list[Request]] = [[] for _ in range(n_channels)]
+        if channels is None:
+            per_channel[0].extend(requests)
+            return per_channel
+        route = np.asarray(channels)
+        if route.shape != (len(requests),):
+            raise ValueError(
+                f"channels has shape {route.shape}; requests has "
+                f"{len(requests)} entries"
+            )
+        if route.size and (route.min() < 0 or route.max() >= n_channels):
+            raise ValueError(
+                f"channels routes outside [0, {n_channels}): "
+                f"min {route.min()}, max {route.max()}"
+            )
+        for request, channel in zip(requests, route.tolist()):
+            per_channel[channel].append(request)
+        return per_channel
+
     def run(
         self,
         requests: list[Request],
@@ -135,12 +161,14 @@ class DRAMEngine:
         Args:
             requests: the request list (arrival cycles respected).
             channels: per-request channel index; defaults to channel 0.
+
+        Raises:
+            ValueError: ``channels`` is not as long as ``requests``, or
+                routes a request outside ``[0, config.channels)``.
         """
-        n_channels = self.config.channels
-        batched = self.mode == "batched"
-        cls = BatchedChannelController if batched else ChannelController
+        per_channel = self._split_channels(requests, channels)
         controllers = [
-            cls(
+            BatchedChannelController(
                 self.timing,
                 ranks=self.config.ranks,
                 channel=c,
@@ -150,84 +178,37 @@ class DRAMEngine:
                 fim_data_bursts=self.config.fim_data_bursts,
                 refresh_enabled=self.refresh_enabled,
             )
-            for c in range(n_channels)
+            for c in range(self.config.channels)
         ]
-        per_channel: list[list[Request]] = [[] for _ in range(n_channels)]
-        for i, request in enumerate(requests):
-            channel = int(channels[i]) if channels is not None else 0
-            per_channel[channel].append(request)
-
         finish = 0
         stats = EngineStats()
         for controller, queue in zip(controllers, per_channel):
-            if batched:
-                last = self._run_channel_batched(controller, queue)
-            else:
-                last = self._run_channel(controller, queue)
-            finish = max(finish, last)
+            finish = max(finish, self._run_channel(controller, queue))
             self._merge_stats(stats, controller.stats)
             stats.data_bus_clocks[controller.channel] = (
-                controller.bus_busy_clocks if batched
-                else controller.bus.busy_clocks
+                controller.bus_busy_clocks
             )
         stats.cycles = finish
-        if batched:
-            columns = [c.trace_columns() for c in controllers]
-            traces = [cols.to_commands() for cols in columns]
-        else:
-            columns = None
-            traces = [c.trace for c in controllers]
         return EngineResult(
             timing=self.timing,
             cycles=finish,
             stats=stats,
             requests=requests,
-            traces=traces,
-            trace_columns=columns,
+            traces=[c.trace for c in controllers],
         )
 
     # ------------------------------------------------------------------
-    def _run_channel(self, controller: ChannelController,
+    def _run_channel(self, controller: BatchedChannelController,
                      queue: list[Request]) -> int:
-        """Feed one channel's requests through its controller."""
-        queue = sorted(queue, key=lambda r: r.arrival)
-        next_new = 0
-        now = 0
-        finish = 0
-        while next_new < len(queue) or controller.pending:
-            while (next_new < len(queue)
-                    and queue[next_new].arrival <= now
-                    and controller.can_accept(queue[next_new].kind)):
-                controller.enqueue(queue[next_new])
-                next_new += 1
-            next_cycle, issued = controller.step(now)
-            if issued:
-                now = next_cycle
-            else:
-                # Idle: jump to the next request arrival or ready cycle.
-                jump = next_cycle
-                if next_new < len(queue):
-                    jump = min(jump, max(now + 1, queue[next_new].arrival))
-                if jump <= now:
-                    jump = now + 1
-                now = jump
-            if now > MAX_CYCLES:
-                raise RuntimeError("engine exceeded cycle budget")
-        for request in controller.finished:
-            finish = max(finish, request.finish_cycle)
-        return finish
+        """Feed one channel's requests through its controller.
 
-    # ------------------------------------------------------------------
-    def _run_channel_batched(self, controller: BatchedChannelController,
-                             queue: list[Request]) -> int:
-        """Batched-mode channel driver with event fast-forwarding.
-
-        Visits exactly the decision points of the scalar walk that can
-        change its choice: between two state changes the candidate set
-        is constant except at refresh-deadline crossings, so when the
-        chosen command lies in the future the clock jumps straight to
-        it -- unless an arrival the scalar walk would stop at, or a
-        refresh deadline it would creep onto, comes first.
+        Visits exactly the decision points of a cycle-by-cycle walk
+        (the reference walk of ``tests/reference_engine.py``) at which
+        the choice can change: between two state changes the candidate
+        set is constant except at refresh-deadline crossings, so when
+        the chosen command lies in the future the clock jumps straight
+        to it -- unless an arrival the walk would stop at, or a refresh
+        deadline it would creep onto, comes first.
         """
         queue = sorted(queue, key=lambda r: r.arrival)
         n_queue = len(queue)
@@ -258,11 +239,11 @@ class DRAMEngine:
                     if arrival is not None and arrival <= now:
                         if controller.can_accept(queue[next_new].kind):
                             # A fim_start freed queue room mid-scan: the
-                            # scalar walk admits the waiting head at its
-                            # very next step.
+                            # walk admits the waiting head at its very
+                            # next step.
                             now = now + 1
                             break
-                        # A capacity-blocked head: the scalar walk creeps
+                        # A capacity-blocked head: the walk creeps
                         # cycle by cycle, so a refresh deadline inside
                         # the jump is seen exactly when it falls due.
                         crossing = controller.next_refresh_crossing(
@@ -271,8 +252,8 @@ class DRAMEngine:
                             now = crossing
                             break
                     elif arrival is not None and arrival <= cycle:
-                        # The scalar walk stops at the arrival, admits,
-                        # and rescans there.
+                        # The walk stops at the arrival, admits, and
+                        # rescans there.
                         now = arrival
                         break
                     else:
@@ -285,9 +266,9 @@ class DRAMEngine:
                             break
                 controller.execute(action, cycle)
                 if action[0] == "fim_start":
-                    # Starting a program consumes no command-bus slot;
-                    # the scalar step recurses at the same cycle with
-                    # no admission in between.
+                    # Starting a program consumes no command-bus slot:
+                    # schedule again at the same cycle, with no
+                    # admission in between.
                     now = cycle
                     continue
                 now = cycle + 1

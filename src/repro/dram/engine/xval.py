@@ -99,10 +99,9 @@ def compare_conventional(
     is_write: np.ndarray | None = None,
     label: str = "conventional",
     refresh: bool = False,
-    engine_mode: str = "batched",
 ) -> XValPoint:
     """Run burst requests through both models."""
-    engine = DRAMEngine(config, refresh_enabled=refresh, mode=engine_mode)
+    engine = DRAMEngine(config, refresh_enabled=refresh)
     requests, channels = conventional_requests(config, addrs, is_write)
     result = engine.run(requests, channels)
     analytic_ns = _analytic_conventional_ns(config, addrs, is_write)
@@ -116,10 +115,9 @@ def compare_fim(
     scatter: bool = False,
     label: str = "fim",
     refresh: bool = False,
-    engine_mode: str = "batched",
 ) -> XValPoint:
     """Run row-grouped FIM operations through both models."""
-    engine = DRAMEngine(config, refresh_enabled=refresh, mode=engine_mode)
+    engine = DRAMEngine(config, refresh_enabled=refresh)
     requests, channels = fim_requests(config, addrs, scatter=scatter)
     result = engine.run(requests, channels)
     analytic_ns = _analytic_fim_ns(config, requests, channels, scatter)
@@ -156,8 +154,9 @@ def engine_xval_workload(
         raise ValueError(f"unknown engine-xval profile {profile!r}")
     scale = ENGINE_XVAL_PROFILES[profile]
     if workload == "conv-hit":
-        # Streaming bursts: long row episodes, the scalar walk's
-        # worst case (it rescans the full queue per command).
+        # Streaming bursts: long row episodes, the worst case for a
+        # per-request queue scan (it re-picks the same open row on
+        # every command).
         addrs = strided_addresses(config, scale["total_bytes"], 8, False)
         requests, channels = conventional_requests(config, addrs)
         return requests, channels, {"kind": "conv", "addrs": addrs,
@@ -192,7 +191,6 @@ def engine_xval_workload(
 def run_engine_xval_cell(
     profile: str,
     workload: str,
-    engine_mode: str = "batched",
     config: DRAMConfig | None = None,
 ) -> dict:
     """Time one engine-xval trajectory cell and cross-validate it.
@@ -203,7 +201,7 @@ def run_engine_xval_cell(
     """
     if config is None:
         config = default_config()
-    engine = DRAMEngine(config, refresh_enabled=True, mode=engine_mode)
+    engine = DRAMEngine(config, refresh_enabled=True)
     requests, channels, analytic = engine_xval_workload(
         config, profile, workload, engine
     )

@@ -14,7 +14,7 @@ from repro.accel.edge_centric import ECConventionalSystem, ECPiccoloSystem
 from repro.accel.pipeline import PipelineConfig
 from repro.accel.systems import SYSTEM_ORDER, make_system
 from repro.algorithms import ALGORITHM_ORDER
-from repro.cache.variants import FIG11_DESIGNS, fig11_cache_factory
+from repro.cache.variants import FIG11_DESIGNS
 from repro.dram.spec import DEVICES, DRAMConfig
 from repro.energy.accel_energy import system_energy
 from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
@@ -168,19 +168,6 @@ def figure_10(
 # ---------------------------------------------------------------------------
 # Fig. 11 -- fine-grained cache designs on top of Piccolo-FIM
 # ---------------------------------------------------------------------------
-#: Fig. 11 design name -> ``(size, scale) -> cache``, derived from the
-#: single-source registry (:data:`repro.cache.variants.FIG11_DESIGNS`);
-#: the tuple order is the figure's plotting order.
-CACHE_DESIGNS = {
-    design: (
-        lambda size, scale, _d=design: fig11_cache_factory(
-            _d, ways=scale.cache_ways, fg_tag_bits=scale.fg_tag_bits
-        )(size)
-    )
-    for design in FIG11_DESIGNS
-}
-
-
 def figure_11(
     datasets: Sequence[str] = REAL_WORLD,
     algorithms: Sequence[str] = ALGORITHM_ORDER,

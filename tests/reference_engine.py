@@ -1,37 +1,51 @@
-"""Per-channel memory controller: FR-FCFS over banks plus FIM sequencing.
+"""The per-command scalar DRAM controller: the engine's test oracle.
 
-The controller owns one channel: its rank/bank timing state, its shared
-data bus, and three request queues (reads, writes, FIM operations).  On
-every scheduling step it issues at most one command -- the command bus
-carries one slot per clock -- chosen by a First-Ready, First-Come
-First-Served policy:
+``repro.dram.engine`` runs one controller, the vectorized
+:class:`~repro.dram.engine.batched.BatchedChannelController`.  This
+module keeps the walk it was derived from, as the bit-exactness
+reference:
 
-1. an overdue refresh (banks are closed first),
-2. the next step of an in-flight FIM virtual-row sequence,
-3. a row-hit column command for the oldest matching request,
-4. the preparation command (PRE/ACT) for the oldest request.
+- :class:`BankState`, :class:`RankState` and :class:`DataBus` -- per-bank
+  and per-rank timing state machines plus the shared data bus.  Each
+  bank tracks its open row and the earliest cycle at which each command
+  type may legally issue; each rank adds the cross-bank constraints
+  (tRRD, tFAW, bank-group-aware tCCD/tWTR, refresh).  The controller
+  consults ``earliest(...)`` before issuing and calls ``issue(...)``
+  afterwards, which rolls the affected windows forward -- the same
+  structure Ramulator uses.
+- :class:`ChannelController` -- one channel's FR-FCFS scheduler with the
+  Sec. VI FIM sequencing, driven one command per :meth:`step`; every
+  step rescans every queued request and re-derives each candidate's
+  earliest cycle from the state machines above.  Its scheduling policy
+  is documented in :mod:`repro.dram.engine.batched`.
+- :class:`ReferenceDRAMEngine` -- a :class:`~repro.dram.engine.DRAMEngine`
+  whose ``run`` drives one :class:`ChannelController` per channel with
+  the plain cycle-by-cycle walk.
 
-Writes are buffered and drained in batches between high/low watermarks,
-the standard technique to amortise bus turnarounds.  Piccolo-FIM
-requests expand into the Sec. VI standard-command sequence::
-
-    gather:   [ACT x]  WR(off)          PRE   ACT   RD(data)
-    scatter:  [ACT x]  WR(off) WR(data) PRE   ACT   WR(trigger)
-
-where the PRE/ACT pair targets the virtual rows (translated to no-ops
-inside the chip, so the physically open row x survives the sequence)
-and supplies the ``tWR + tRP + tRCD`` window that hides the in-bank
-column accesses.  The engine additionally enforces the Sec. VI
-feasibility bound: the final column command may not issue before
-``items x tCCD_L`` after the offsets arrive, which models the "slightly
-adjusted tWR" of slower grades.
+``tests/test_engine_batched_equivalence.py`` diffs the production engine
+against :class:`ReferenceDRAMEngine` (traces, stats, per-request
+cycles), ``tests/test_engine_scheduler.py``, ``test_engine_controller.py``
+and ``test_engine_state.py`` pin the oracle's own behaviour, and
+``benchmarks/bench_engine_xval.py`` runs the mid engine-xval cells on
+it.  The module is in the ``mypy --strict`` perimeter (``mypy.ini``), so
+it imports nothing from pytest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
+from repro.dram.engine.batched import (
+    WRITE_HI,
+    WRITE_LO,
+    _FimProgram,
+    _FimStep,
+    _NEVER,
+)
 from repro.dram.engine.commands import (
     Command,
     CommandType,
@@ -39,50 +53,199 @@ from repro.dram.engine.commands import (
     Request,
     RequestType,
 )
-from repro.dram.engine.state import DataBus, RankState
+from repro.dram.engine.engine import MAX_CYCLES, DRAMEngine, EngineResult
 from repro.dram.engine.timing import TimingTable
 
-#: write-drain watermarks as fractions of the write queue capacity
-WRITE_HI = 0.75
-WRITE_LO = 0.25
-
-#: an unreachable future cycle
-_NEVER = 1 << 60
+#: effectively "never constrained yet"
+_PAST = -(1 << 60)
 
 
 @dataclass
-class _FimStep:
-    """One command of an in-flight FIM sequence."""
+class BankState:
+    """Timing state of one bank."""
 
-    kind: CommandType
-    virtual: bool
-    #: data-bus bursts this step transfers (0 for ACT/PRE)
-    bursts: int = 0
-    #: column driven on the bus (offset vs data buffer region)
-    column: int = 0
-    #: must wait for the in-bank operation window (Sec. VI bound)
-    window_bound: bool = False
+    open_row: int | None = None
+    next_act: int = 0
+    next_pre: int = 0
+    next_rd: int = 0
+    next_wr: int = 0
+    #: cycle of the last ACT (to honour tRAS on PRE)
+    last_act: int = _PAST
+
+    def earliest(self, kind: CommandType) -> int:
+        """Earliest legal issue cycle for ``kind`` on this bank."""
+        if kind is CommandType.ACT:
+            return self.next_act
+        if kind is CommandType.PRE:
+            return self.next_pre
+        if kind is CommandType.RD:
+            return self.next_rd
+        if kind is CommandType.WR:
+            return self.next_wr
+        raise ValueError(f"bank-level command expected, got {kind}")
+
+
+class RankState:
+    """Timing state of one rank: banks plus cross-bank windows."""
+
+    def __init__(self, timing: TimingTable) -> None:
+        self.timing = timing
+        self.banks = [BankState() for _ in range(timing.banks_per_rank)]
+        #: last ACT cycle anywhere in the rank, per bank group
+        self._last_act_group = [_PAST] * timing.bank_groups
+        self._last_act_rank = _PAST
+        #: issue cycles of recent ACTs for the tFAW sliding window
+        self._act_window: deque[int] = deque(maxlen=4)
+        #: last column command cycle, per group and rank-wide
+        self._last_col_group = [_PAST] * timing.bank_groups
+        self._last_col_rank = _PAST
+        #: end of the last write data burst, per group and rank-wide
+        self._last_wr_end_group = [_PAST] * timing.bank_groups
+        self._last_wr_end_rank = _PAST
+        #: end of the last read data burst (for write-after-read turnaround)
+        self._last_rd_end_rank = _PAST
+        #: rank blocked until this cycle by refresh
+        self.refresh_until = 0
+        self.next_refresh_due = timing.tREFI
+
+    # ------------------------------------------------------------------
+    def group_of(self, bank: int) -> int:
+        """Bank-group index of a rank-local bank id."""
+        return bank // self.timing.banks_per_group
+
+    def all_banks_closed(self) -> bool:
+        """Whether every bank of the rank is precharged."""
+        return all(b.open_row is None for b in self.banks)
+
+    # ------------------------------------------------------------------
+    def earliest(self, kind: CommandType, bank: int) -> int:
+        """Earliest legal issue cycle for ``kind`` on ``bank``."""
+        t = self.timing
+        state = self.banks[bank]
+        bound = max(state.earliest(kind), self.refresh_until)
+        if kind is CommandType.ACT:
+            group = self.group_of(bank)
+            bound = max(
+                bound,
+                self._last_act_rank + t.tRRD_S,
+                self._last_act_group[group] + t.tRRD_L,
+            )
+            if len(self._act_window) == 4:
+                bound = max(bound, self._act_window[0] + t.tFAW)
+        elif kind in (CommandType.RD, CommandType.WR):
+            group = self.group_of(bank)
+            bound = max(
+                bound,
+                self._last_col_rank + t.tCCD_S,
+                self._last_col_group[group] + t.tCCD_L,
+            )
+            if kind is CommandType.RD:
+                # Write-to-read turnaround from the end of write data.
+                bound = max(
+                    bound,
+                    self._last_wr_end_rank + t.tWTR_S,
+                    self._last_wr_end_group[group] + t.tWTR_L,
+                )
+            else:
+                # Read-to-write: data-bus direction turnaround; the bus
+                # model enforces occupancy, this adds the switch gap.
+                bound = max(bound, self._last_rd_end_rank + 1)
+        return bound
+
+    def earliest_refresh(self) -> int:
+        """Refresh needs every bank precharged and all tRP elapsed."""
+        bound = max(self.refresh_until, self.next_refresh_due)
+        for bank in self.banks:
+            bound = max(bound, bank.next_act)
+        return bound
+
+    # ------------------------------------------------------------------
+    def issue(self, kind: CommandType, bank: int, cycle: int,
+              row: int | None = None, data_end: int | None = None) -> None:
+        """Record an issued command and roll the timing windows.
+
+        ``data_end`` is the actual last data-bus clock of a RD/WR (which
+        bus contention may push past the nominal CAS-latency position);
+        recovery windows (tWR, tWTR, turnarounds) anchor on it.
+        """
+        t = self.timing
+        state = self.banks[bank]
+        group = self.group_of(bank)
+        if kind is CommandType.ACT:
+            state.open_row = row
+            state.last_act = cycle
+            state.next_act = cycle + t.tRC
+            state.next_pre = cycle + t.tRAS
+            state.next_rd = cycle + t.tRCD
+            state.next_wr = cycle + t.tRCD
+            self._last_act_rank = cycle
+            self._last_act_group[group] = cycle
+            self._act_window.append(cycle)
+        elif kind is CommandType.PRE:
+            state.open_row = None
+            state.next_act = max(state.next_act, cycle + t.tRP)
+        elif kind is CommandType.RD:
+            self._last_col_rank = cycle
+            self._last_col_group[group] = cycle
+            if data_end is None:
+                data_end = cycle + t.tCL + t.tBL
+            self._last_rd_end_rank = max(self._last_rd_end_rank, data_end)
+            # RD -> PRE needs tRTP.
+            state.next_pre = max(state.next_pre, cycle + t.tRTP)
+        elif kind is CommandType.WR:
+            self._last_col_rank = cycle
+            self._last_col_group[group] = cycle
+            if data_end is None:
+                data_end = cycle + t.tCWL + t.tBL
+            self._last_wr_end_rank = max(self._last_wr_end_rank, data_end)
+            self._last_wr_end_group[group] = max(
+                self._last_wr_end_group[group], data_end
+            )
+            # Write recovery: data end -> PRE.
+            state.next_pre = max(state.next_pre, data_end + t.tWR)
+        elif kind is CommandType.REF:
+            self.refresh_until = cycle + t.tRFC
+            self.next_refresh_due += t.tREFI
+            for b in self.banks:
+                b.next_act = max(b.next_act, self.refresh_until)
+        else:
+            raise ValueError(f"unhandled command {kind}")
 
 
 @dataclass
-class _FimProgram:
-    """Decomposed FIM request plus its progress."""
+class DataBus:
+    """Shared per-channel data bus: one transfer at a time.
 
-    request: Request
-    steps: list[_FimStep]
-    next_step: int = 0
-    #: cycle the offset-buffer write data completes (window anchor)
-    offsets_ready: int = -1
+    Tracks the cycle up to which the bus is reserved and which rank last
+    drove it (a rank switch costs tRTRS).
+    """
 
-    @property
-    def current(self) -> _FimStep:
-        """The next step awaiting issue."""
-        return self.steps[self.next_step]
+    timing: TimingTable
+    busy_until: int = 0
+    last_rank: int = -1
+    busy_clocks: int = 0
+    _last_dir_read: bool = True
 
-    @property
-    def finished(self) -> bool:
-        """Whether every step has issued."""
-        return self.next_step >= len(self.steps)
+    def earliest_data_start(self, rank: int, cycle_data_start: int,
+                            is_read: bool) -> int:
+        """Earliest start for a transfer wanting to begin at the given
+        cycle, honouring occupancy and rank/direction switches."""
+        start = max(cycle_data_start, self.busy_until)
+        if self.last_rank >= 0 and rank != self.last_rank:
+            start = max(start, self.busy_until + self.timing.tRTRS)
+        if self._last_dir_read != is_read:
+            start = max(start, self.busy_until + 1)
+        return start
+
+    def reserve(self, rank: int, start: int, clocks: int,
+                is_read: bool) -> None:
+        """Book the bus for one transfer starting at ``start``."""
+        if start < self.busy_until:
+            raise ValueError("data bus double-booked")
+        self.busy_until = start + clocks
+        self.busy_clocks += clocks
+        self.last_rank = rank
+        self._last_dir_read = is_read
 
 
 class ChannelController:
@@ -490,3 +653,75 @@ class ChannelController:
     # ------------------------------------------------------------------
     def _record(self, command: Command) -> None:
         self.trace.append(command)
+
+
+class ReferenceDRAMEngine(DRAMEngine):
+    """:class:`DRAMEngine` on the scalar :class:`ChannelController`."""
+
+    def run(
+        self,
+        requests: list[Request],
+        channels: np.ndarray | None = None,
+    ) -> EngineResult:
+        """Simulate to completion, one scalar step per decision."""
+        per_channel = self._split_channels(requests, channels)
+        controllers = [
+            ChannelController(
+                self.timing,
+                ranks=self.config.ranks,
+                channel=c,
+                queue_depth=self.queue_depth,
+                fim_items=self.config.fim_items_per_op,
+                fim_offset_bursts=self.config.fim_offset_bursts,
+                fim_data_bursts=self.config.fim_data_bursts,
+                refresh_enabled=self.refresh_enabled,
+            )
+            for c in range(self.config.channels)
+        ]
+        finish = 0
+        stats = EngineStats()
+        for controller, queue in zip(controllers, per_channel):
+            finish = max(finish, self._run_scalar_channel(controller, queue))
+            self._merge_stats(stats, controller.stats)
+            stats.data_bus_clocks[controller.channel] = (
+                controller.bus.busy_clocks
+            )
+        stats.cycles = finish
+        return EngineResult(
+            timing=self.timing,
+            cycles=finish,
+            stats=stats,
+            requests=requests,
+            traces=[c.trace for c in controllers],
+        )
+
+    # ------------------------------------------------------------------
+    def _run_scalar_channel(self, controller: ChannelController,
+                            queue: list[Request]) -> int:
+        """Feed one channel's requests through its controller."""
+        queue = sorted(queue, key=lambda r: r.arrival)
+        next_new = 0
+        now = 0
+        finish = 0
+        while next_new < len(queue) or controller.pending:
+            while (next_new < len(queue)
+                    and queue[next_new].arrival <= now
+                    and controller.can_accept(queue[next_new].kind)):
+                controller.enqueue(queue[next_new])
+                next_new += 1
+            next_cycle, issued = controller.step(now)
+            if issued:
+                now = next_cycle
+            else:
+                # Idle: jump to the next request arrival or ready cycle.
+                jump = next_cycle
+                if next_new < len(queue):
+                    jump = min(jump, max(now + 1, queue[next_new].arrival))
+                if jump <= now:
+                    jump = now + 1
+                now = jump
+            if now > MAX_CYCLES:
+                raise RuntimeError("engine exceeded cycle budget")
+        for request in controller.finished:
+            finish = max(finish, request.finish_cycle)
+        return finish

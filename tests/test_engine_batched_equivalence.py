@@ -1,14 +1,14 @@
-"""Differential suite: batched engine vs the scalar oracle.
+"""Differential suite: the engine vs the scalar oracle.
 
-The vectorized columnar controller (``mode="batched"``) is an
+The vectorized columnar controller behind :class:`DRAMEngine` is an
 independent reimplementation of the scalar FR-FCFS walk in
-:mod:`repro.dram.engine.controller`, which stays untouched as the
-bit-exactness oracle.  Hypothesis drives both over random conventional,
-FIM and mixed workloads -- across device grades, channel/rank
-geometries, queue depths, staggered arrivals and refresh on/off -- and
-every observable must match bit-for-bit: the full command trace, the
-per-bank command counters, every stats field, per-request issue/finish
-cycles, and the total duration.
+``tests/reference_engine.py`` (:class:`ReferenceDRAMEngine`), which
+stays untouched as the bit-exactness oracle.  Hypothesis drives both
+over random conventional, FIM and mixed workloads -- across device
+grades, channel/rank geometries, queue depths, staggered arrivals and
+refresh on/off -- and every observable must match bit-for-bit: the full
+command trace, every stats field, per-request issue/finish cycles, and
+the total duration.
 """
 
 import dataclasses
@@ -17,12 +17,14 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dram.engine import CommandColumns, DRAMEngine, check_engine_result
+from repro.dram.engine import DRAMEngine, check_engine_result
 from repro.dram.engine.workloads import (
     conventional_requests,
     fim_requests,
 )
 from repro.dram.spec import DEVICES, DRAMConfig, default_config
+
+from reference_engine import ReferenceDRAMEngine
 
 GRADES = sorted(DEVICES)
 
@@ -51,11 +53,12 @@ def _fresh(requests):
 
 def assert_bit_identical(config, requests, channels, *, queue_depth=32,
                          refresh=True):
-    """Run both modes on copies of one workload and diff everything."""
-    scalar = DRAMEngine(config, queue_depth=queue_depth,
-                        refresh_enabled=refresh, mode="scalar")
+    """Run the engine and the oracle on copies of one workload and diff
+    everything."""
+    scalar = ReferenceDRAMEngine(config, queue_depth=queue_depth,
+                                 refresh_enabled=refresh)
     batched = DRAMEngine(config, queue_depth=queue_depth,
-                         refresh_enabled=refresh, mode="batched")
+                         refresh_enabled=refresh)
     s_requests = _fresh(requests)
     b_requests = _fresh(requests)
     s = scalar.run(s_requests, channels)
@@ -71,19 +74,6 @@ def assert_bit_identical(config, requests, channels, *, queue_depth=32,
     for b_req, s_req in zip(b_requests, s_requests):
         assert b_req.issue_cycle == s_req.issue_cycle
         assert b_req.finish_cycle == s_req.finish_cycle
-
-    # Per-bank counters: the batched run's columnar trace against the
-    # scalar trace re-columnised -- exercised through the same SoA
-    # segment math on both sides.
-    banks = config.spec.banks_per_rank
-    assert b.trace_columns is not None
-    for cols, s_trace in zip(b.trace_columns, s.traces):
-        oracle = CommandColumns.from_commands(s_trace)
-        np.testing.assert_array_equal(
-            cols.per_bank_counts(config.ranks, banks),
-            oracle.per_bank_counts(config.ranks, banks),
-        )
-        assert cols.bus_busy_clocks() == oracle.bus_busy_clocks()
 
     # The batched trace must also stand on its own: protocol-clean.
     assert check_engine_result(b) > 0

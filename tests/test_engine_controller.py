@@ -3,9 +3,10 @@
 import pytest
 
 from repro.dram.engine.commands import CommandType, Request, RequestType
-from repro.dram.engine.controller import ChannelController
 from repro.dram.engine.timing import timing_from_spec
 from repro.dram.spec import DEVICES
+
+from reference_engine import ChannelController
 
 ACT, PRE, RD, WR = (CommandType.ACT, CommandType.PRE,
                     CommandType.RD, CommandType.WR)

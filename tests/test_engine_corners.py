@@ -39,6 +39,13 @@ class TestDegenerateInputs:
         assert result.stats.finished_requests == 60
         assert check_engine_result(result) > 0
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_queue_depth_below_one_raises(self, config, depth):
+        """A queue that admits nothing can never drain: the driver would
+        creep one cycle at a time toward the cycle budget."""
+        with pytest.raises(ValueError, match="queue_depth"):
+            DRAMEngine(config, queue_depth=depth)
+
     def test_single_offset_gather(self, config):
         engine = DRAMEngine(config)
         request = Request(RequestType.GATHER, rank=0, bank=0, row=0,

@@ -125,6 +125,44 @@ class TestChannels:
         assert len(result.traces) == 2
         assert all(len(trace) > 0 for trace in result.traces)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_route_outside_channels_raises(self, bad):
+        """A route of -1 used to land every request on the last channel
+        (Python negative indexing); one past the end raised a bare
+        IndexError."""
+        dual = DRAMConfig(spec=DEVICES["DDR4_2400_x16"], channels=2,
+                          ranks=4)
+        engine = DRAMEngine(dual)
+        addrs = np.arange(0, 64 * 40, 64, dtype=np.int64)
+        requests, channels = conventional_requests(dual, addrs)
+        channels = channels.copy()
+        channels[:] = bad
+        with pytest.raises(ValueError, match="channels"):
+            engine.run(requests, channels)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_route_length_mismatch_raises(self, config, delta):
+        """A longer route was silently cut; a shorter one failed with a
+        NumPy IndexError."""
+        engine = DRAMEngine(config)
+        addrs = np.arange(0, 64 * 40, 64, dtype=np.int64)
+        requests, channels = conventional_requests(config, addrs)
+        route = np.zeros(len(requests) + delta, dtype=np.int64)
+        with pytest.raises(ValueError, match="channels"):
+            engine.run(requests, route)
+
+    @pytest.mark.parametrize("name", ["is_write", "arrivals"])
+    @pytest.mark.parametrize("length", [4, 40])
+    def test_address_column_length_mismatch_raises(self, config, name,
+                                                   length):
+        """``requests_from_addresses`` used to drop the tail of a longer
+        column (5 addresses with 40 flags gave 5 requests)."""
+        engine = DRAMEngine(config)
+        addrs = np.arange(0, 64 * 5, 64, dtype=np.int64)
+        column = np.zeros(length, dtype=np.int64)
+        with pytest.raises(ValueError, match=name):
+            engine.requests_from_addresses(addrs, **{name: column})
+
 
 class TestFimRuns:
     def test_gathers_complete_and_check(self, config):

@@ -4,10 +4,12 @@ awareness."""
 import numpy as np
 import pytest
 
+from repro.dram.engine.batched import WRITE_HI, WRITE_LO
 from repro.dram.engine.commands import CommandType, Request, RequestType
-from repro.dram.engine.controller import WRITE_HI, WRITE_LO, ChannelController
 from repro.dram.engine.timing import timing_from_spec
 from repro.dram.spec import DEVICES
+
+from reference_engine import ChannelController
 
 
 def make_controller(**kwargs):

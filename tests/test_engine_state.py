@@ -3,9 +3,10 @@
 import pytest
 
 from repro.dram.engine.commands import CommandType
-from repro.dram.engine.state import BankState, DataBus, RankState
 from repro.dram.engine.timing import timing_from_spec
 from repro.dram.spec import DEVICES
+
+from reference_engine import BankState, DataBus, RankState
 
 ACT, PRE, RD, WR = (CommandType.ACT, CommandType.PRE,
                     CommandType.RD, CommandType.WR)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dram.engine import xval
 from repro.dram.engine.workloads import random_mix, strided_addresses
 from repro.dram.engine.xval import (
     ENGINE_XVAL_PROFILES,
@@ -14,6 +15,8 @@ from repro.dram.engine.xval import (
     run_engine_xval_cell,
 )
 from repro.dram.spec import default_config
+
+from reference_engine import ReferenceDRAMEngine
 
 
 @pytest.fixture(scope="module")
@@ -125,10 +128,11 @@ class TestEngineXvalCells:
             assert result["commands"] > 0
             assert 0.4 < result["ratio"] < 3.0, (workload, result["ratio"])
 
-    def test_engine_mode_is_observable_only_in_wall_clock(self):
+    def test_engine_mode_is_observable_only_in_wall_clock(self,
+                                                          monkeypatch):
         batched = run_engine_xval_cell("toy", "fim-gather")
-        scalar = run_engine_xval_cell("toy", "fim-gather",
-                                      engine_mode="scalar")
+        monkeypatch.setattr(xval, "DRAMEngine", ReferenceDRAMEngine)
+        scalar = run_engine_xval_cell("toy", "fim-gather")
         assert batched["cycles"] == scalar["cycles"]
         assert batched["commands"] == scalar["commands"]
         assert batched["engine_ns"] == scalar["engine_ns"]

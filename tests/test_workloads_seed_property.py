@@ -3,9 +3,10 @@
 The differential suite and the ``engine-xval`` trajectory cells both
 assume that :mod:`repro.dram.engine.workloads` generators are pure
 functions of their arguments: the same seed must reproduce the same
-request stream on any controller mode, and the streams themselves must
-be engine-mode agnostic (the generators never consult the engine).
-Hypothesis pins both properties.
+request stream for any controller, and the streams themselves must be
+controller agnostic (the generators never consult the engine), so the
+engine and the scalar oracle (``tests/reference_engine.py``) see the
+same input.  Hypothesis pins both properties.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from repro.dram.engine.workloads import (
     strided_addresses,
 )
 from repro.dram.spec import default_config
+
+from reference_engine import ReferenceDRAMEngine
 
 CONFIG = default_config()
 
@@ -73,8 +76,8 @@ def test_strided_addresses_are_pure(log2_bytes, stride, single_row):
     st.booleans(),
 )
 def test_generated_streams_are_mode_agnostic(seed, n, scatter):
-    """Request streams built for one engine mode run identically on the
-    other: generators depend on the seed and config alone, so the two
+    """Request streams run identically on the engine and the scalar
+    oracle: generators depend on the seed and config alone, so the two
     controller implementations see byte-identical inputs and must
     produce the identical outcome."""
     addrs, is_write = random_mix(CONFIG, n, seed=seed)
@@ -85,8 +88,9 @@ def test_generated_streams_are_mode_agnostic(seed, n, scatter):
     np.testing.assert_array_equal(conv_route, again_route)
 
     outcomes = {}
-    for mode in ("batched", "scalar"):
-        engine = DRAMEngine(CONFIG, refresh_enabled=True, mode=mode)
+    for mode, cls in (("batched", DRAMEngine),
+                      ("scalar", ReferenceDRAMEngine)):
+        engine = cls(CONFIG, refresh_enabled=True)
         requests = [
             type(r)(**{**r.__dict__, "issue_cycle": -1, "finish_cycle": -1})
             for r in conv + fim

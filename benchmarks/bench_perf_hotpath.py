@@ -1,7 +1,8 @@
 """Hot-path perf smoke: the batched memory path must beat the reference.
 
-A CI-sized companion to ``tools/perf_report.py`` (which records the full
-trajectory in ``BENCH_hotpath.json``): runs the quick PR cells once on
+A CI-sized companion to the perf harness's ``quick`` and ``full``
+families (``tools/perf_report.py``, which records the trajectory in
+``BENCH_hotpath.json``): runs the quick PR cells once on
 the production memory paths and once on the per-address reference
 paths (``tests/reference_paths.py``), checks both produce the same
 simulation, and asserts the batched engine delivers a real speedup.

@@ -57,7 +57,6 @@ class _VCMSystem(AcceleratorSystem):
         replay_capacity: int | None = None,
         tile_backing: str = "memory",
         tile_store_root=None,
-        tile_bucket_edges: int | None = None,
     ) -> None:
         super().__init__(dram_config, pipeline)
         if onchip_bytes is not None:
@@ -74,11 +73,10 @@ class _VCMSystem(AcceleratorSystem):
         self.chunk_size = chunk_size
         self.replay_capacity = replay_capacity
         #: tile-array backing ("memory"/"disk") plus the disk store's
-        #: root and external-sort chunk size; bit-identical results
-        #: either way (see :mod:`repro.graph.tilestore`)
+        #: root; bit-identical results either way (see
+        #: :mod:`repro.graph.tilestore`)
         self.tile_backing = tile_backing
         self.tile_store_root = tile_store_root
-        self.tile_bucket_edges = tile_bucket_edges
 
     # -- hooks ----------------------------------------------------------
     def choose_tile_width(self, graph: CSRGraph) -> int:
@@ -151,7 +149,6 @@ class _VCMSystem(AcceleratorSystem):
             edge_chunk=self.chunk_size,
             tile_backing=self.tile_backing,
             tile_store_root=self.tile_store_root,
-            tile_bucket_edges=self.tile_bucket_edges,
         )
         result = SystemResult(
             system=self.name,

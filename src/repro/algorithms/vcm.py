@@ -158,7 +158,6 @@ class VertexCentricEngine:
         edge_chunk: int | None = None,
         tile_backing: str = "memory",
         tile_store_root=None,
-        tile_bucket_edges: int | None = None,
     ) -> None:
         if tile_width is not None and tile_width < 0:
             raise ValueError("tile_width must be >= 0 (0 or None: one tile)")
@@ -177,7 +176,6 @@ class VertexCentricEngine:
             with_weights=spec.uses_weights,
             backing=tile_backing,
             store_root=tile_store_root,
-            bucket_edges=tile_bucket_edges,
         )
         self.prop = spec.init_prop.copy()
         self.active_mask = np.zeros(self.graph.num_vertices, dtype=bool)

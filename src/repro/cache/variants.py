@@ -22,9 +22,10 @@ Every design in :data:`FIG11_VARIANTS` (the two published sectored/
 8 B-line references included) carries an array-backed ``access_many``
 engine (docs/CACHE_ENGINES.md), so the whole Fig. 11 sweep runs on the
 batched memory path.  The batched-equivalence suite, the CI variant
-smoke, and ``tools/perf_report.py`` all derive their design lists from
-this registry, so adding a design here automatically subjects it to
-all three.  To plot it, also add its name to :data:`FIG11_DESIGNS`,
+smoke, and the ``fig11/`` cells of the perf harness's ``full`` family
+(``tools/perf_report.py``) all derive their design lists from this
+registry, so adding a design here automatically subjects it to all
+three.  To plot it, also add its name to :data:`FIG11_DESIGNS`,
 the tuple ``figure_11`` plots, in plotting order.
 """
 
@@ -35,8 +36,8 @@ from repro.cache.scrabble import ScrabbleCache
 from repro.cache.sectored import SectoredCache
 
 #: Fig. 11 design name -> cache factory ``(size_bytes, ways) -> cache``.
-#: The batched-equivalence suite and ``tools/perf_report.py`` iterate
-#: this registry; keep entries in the figure's plotting order.
+#: The batched-equivalence suite and the perf harness's ``full`` family
+#: iterate this registry; keep entries in the figure's plotting order.
 FIG11_VARIANTS = {
     "Sectored": lambda size, ways=8: SectoredCache(size, ways=ways),
     "Amoeba": lambda size, ways=8: AmoebaCache(size, ways=ways),

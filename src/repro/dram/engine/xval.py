@@ -196,8 +196,10 @@ def run_engine_xval_cell(
     """Time one engine-xval trajectory cell and cross-validate it.
 
     Returns the measured wall seconds of the engine run plus the
-    engine/analytic duration ratio, command count and cycle count --
-    the payload ``tools/perf_report.py --engine-xval`` records.
+    engine/analytic duration ratio, command count and cycle count.
+    The perf harness's ``engine-xval/<profile>`` families
+    (``tools/perf_report.py engine-xval/mid``) time these cells and
+    record the ratio with each point.
     """
     if config is None:
         config = default_config()

@@ -111,9 +111,6 @@ class ExperimentScale:
     #: :func:`repro.graph.tilestore.default_root` (REPRO_TILE_STORE env
     #: var, then a per-process temp dir)
     tile_store_root: str | None = None
-    #: external-sort scatter-chunk size in edges (bounds the build's
-    #: transient RSS); None uses the tilestore default
-    tile_bucket_edges: int | None = None
     #: per-algorithm iteration caps (PR iterations are identical in cost,
     #: so a short run preserves every ratio; the paper caps at 40)
     max_iterations: dict = field(default_factory=_default_iterations)

@@ -45,7 +45,7 @@ def _sweep(
     """
     if not specs:
         return
-    if (workers or 0) <= 1 and not resume and checkpoint_dir is None:
+    if workers in (None, 0, 1) and not resume and checkpoint_dir is None:
         return
     from repro.experiments import parallel
 
@@ -76,7 +76,6 @@ def figure_3(
                 replay_capacity=scale.replay_capacity,
                 tile_backing=scale.tile_backing,
                 tile_store_root=scale.tile_store_root,
-                tile_bucket_edges=scale.tile_bucket_edges,
             )
             width = graph.num_vertices if mode == "Non-Tiling" else None
             result = system.run(graph, "BFS", tile_width=width)

@@ -1,7 +1,7 @@
 """Out-of-core measurement cells: tile-backing RSS/wall-clock probes.
 
-``tools/perf_report.py --ooc mid|paper`` runs each cell here in a
-*spawned child process* and records two phases:
+``tools/perf_report.py ooc/mid`` (or ``ooc/paper``) runs each cell here
+in a *spawned child process* and records two phases:
 
 1. **materialize** -- generate the dataset stand-in and write it to a
    memmap directory (:func:`repro.graph.datasets.materialize_memmap`),
@@ -25,19 +25,20 @@ is recorded alongside for context.
 
 Child isolation matters because RSS high-water marks never reset within
 a process: timing both backings in one process would let the in-memory
-build's peak mask the disk build's.  The child writes its measurement
-as JSON to a handoff file; the parent never shares allocator state with
-the measured run.
+build's peak mask the disk build's.  The child is a one-worker spawn
+``ProcessPoolExecutor`` (the start method the sweep workers of
+:mod:`repro.experiments.parallel` use) that returns its measurement;
+the parent never shares allocator state with the measured run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import pathlib
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.experiments.config import get_profile
 
@@ -141,7 +142,7 @@ class _AnonPeakSampler:
         return round(peak / 1024, 1)
 
 
-def _child_main(cell: OocCell, root: str, out_path: str) -> None:
+def _child_main(cell: OocCell, root: str) -> dict:
     """Measure one cell (runs inside the spawned child)."""
     import resource
 
@@ -183,7 +184,7 @@ def _child_main(cell: OocCell, root: str, out_path: str) -> None:
         seconds = time.perf_counter() - run_start
         run_peak_mb = sampler.reset_mb()
 
-    payload = {
+    return {
         "cell": cell.name,
         "tile_backing": cell.tile_backing,
         "dataset": cell.dataset,
@@ -198,9 +199,6 @@ def _child_main(cell: OocCell, root: str, out_path: str) -> None:
         ),
         "total_ns": result.total_ns,
     }
-    tmp = pathlib.Path(out_path + ".tmp")
-    tmp.write_text(json.dumps(payload))
-    tmp.replace(out_path)
 
 
 def run_ooc_cell(cell: OocCell, root) -> dict:
@@ -211,18 +209,14 @@ def run_ooc_cell(cell: OocCell, root) -> dict:
     """
     root_dir = pathlib.Path(root)
     root_dir.mkdir(parents=True, exist_ok=True)
-    out_path = root_dir / (cell.name.replace("/", "_") + ".json")
-    ctx = multiprocessing.get_context("spawn")
-    proc = ctx.Process(
-        target=_child_main, args=(cell, str(root_dir), str(out_path))
-    )
-    proc.start()
-    proc.join()
-    if proc.exitcode != 0 or not out_path.exists():
-        raise RuntimeError(
-            f"ooc cell {cell.name} child failed (exit code {proc.exitcode})"
-        )
-    return json.loads(out_path.read_text())
+    with ProcessPoolExecutor(
+        max_workers=1, mp_context=multiprocessing.get_context("spawn")
+    ) as child:
+        future = child.submit(_child_main, cell, str(root_dir))
+        try:
+            return future.result()
+        except Exception as exc:
+            raise RuntimeError(f"ooc cell {cell.name} child failed") from exc
 
 
 __all__ = ["OOC_CELLS", "OocCell", "run_ooc_cell"]

@@ -265,7 +265,8 @@ def run_cells(
         specs: iterable of :class:`CellSpec` (duplicates by digest run
             once and share an outcome).
         workers: process count; ``None``/0/1 runs serially in-process
-            (still checkpointing when a ``checkpoint_dir`` is given).
+            (still checkpointing when a ``checkpoint_dir`` is given);
+            a negative count raises ``ValueError``.
         resume: load digest-matching records from ``checkpoint_dir``
             instead of re-running their cells.
         checkpoint_dir: where per-cell records live; required for
@@ -283,6 +284,8 @@ def run_cells(
     """
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires a checkpoint_dir")
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     specs = list(specs)
     cells = [resolve_cell(spec) for spec in specs]
     store = (

@@ -42,7 +42,6 @@ _NON_SEMANTIC_KEYS = (
     "cache_factory",
     "tile_backing",
     "tile_store_root",
-    "tile_bucket_edges",
 )
 
 #: bound on the completed-run memo.  Results are a few hundred bytes of
@@ -247,7 +246,6 @@ def resolve_cell(spec: CellSpec) -> ResolvedCell:
             else scale.tile_backing
         ),
         tile_store_root=scale.tile_store_root,
-        tile_bucket_edges=scale.tile_bucket_edges,
     )
     if spec.system in FINE_GRAINED_SYSTEMS:
         kwargs["mshr_entries"] = scale.mshr_entries

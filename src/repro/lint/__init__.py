@@ -36,7 +36,7 @@ def run_paths(
 ) -> LintReport:
     """Lint ``paths`` (default: ``root``/src + ``root``/tools) with the
     shipped rule set; the programmatic twin of ``python -m repro.lint``
-    used by ``tools/perf_report.py`` and the meta-tests."""
+    that the meta-tests use."""
     root = (root or pathlib.Path.cwd()).resolve()
     if paths is None:
         paths = [p for p in (root / "src", root / "tools") if p.exists()]

@@ -119,7 +119,8 @@ class ExperimentService:
             threads stay responsive either way).
         workers_per_job: process-pool width handed to ``run_cells`` per
             job; 0 runs the cell in the job thread itself (default --
-            a single service cell has nothing to shard).
+            a single service cell has nothing to shard).  Negative
+            widths, like ``max_workers`` below 1, raise ``ValueError``.
         trajectory_path: ``BENCH_hotpath.json`` to expose under
             ``GET /trajectory`` (None disables the endpoint's data).
         run_cell: test seam -- replaces the default
@@ -136,6 +137,12 @@ class ExperimentService:
         trajectory_path: str | pathlib.Path | None = None,
         run_cell=None,
     ) -> None:
+        if max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        if workers_per_job < 0:
+            raise ValueError(
+                f"workers_per_job must be >= 0, got {workers_per_job}"
+            )
         self.store = SweepCheckpointStore(store_root)
         self.stats = CacheStats()
         self.trajectory_path = (
@@ -147,7 +154,7 @@ class ExperimentService:
         self._jobs: dict[str, _Job] = {}
         self._lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, int(max_workers)),
+            max_workers=max_workers,
             thread_name_prefix="repro-service",
         )
         self._closed = False

@@ -118,7 +118,8 @@ class TestRatioGuard:
 
 
 class TestEngineXvalCells:
-    """The trajectory-cell API behind ``perf_report --engine-xval``."""
+    """The trajectory-cell API behind the perf harness's
+    ``engine-xval/*`` families."""
 
     def test_toy_grid_runs_and_validates(self):
         for workload in ENGINE_XVAL_WORKLOADS:

@@ -1,12 +1,12 @@
-"""Out-of-core measurement cells (``perf_report --ooc``).
+"""Out-of-core measurement cells (the perf harness's ``ooc/*`` families).
 
 The suite definition must stay runnable (known datasets, valid
 backings, unique names), the RSS sampler must actually see anonymous
 allocations, and the spawned-child round trip must produce a complete
 measurement payload.  The child runs a *toy*-scale cell here so the
-spawn + sampler + JSON-handoff machinery is exercised end to end
+spawn + sampler + returned-payload machinery is exercised end to end
 without mid/paper cost; the real mid/paper cells run in the perf
-harness (``tools/perf_report.py --ooc``), not tier-1.
+harness (``tools/perf_report.py ooc/mid``), not tier-1.
 """
 
 import numpy as np

@@ -313,6 +313,24 @@ class TestRunCells:
         with pytest.raises(ValueError, match="requires a checkpoint_dir"):
             parallel.run_cells(EQUIV_SPECS[:1], resume=True)
 
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            parallel.run_cells(EQUIV_SPECS[:2], workers=-3)
+
+    @pytest.mark.parametrize("workers", [None, 0, 1])
+    def test_up_to_one_worker_runs_serially(self, workers):
+        outcomes = parallel.run_cells(EQUIV_SPECS[:2], workers=workers)
+        assert [o.source for o in outcomes] == ["run", "run"]
+
+    def test_negative_figure_workers_reach_the_check(self):
+        from repro.experiments import figures
+
+        with pytest.raises(ValueError, match="workers"):
+            figures.figure_10(
+                datasets=("UU",), algorithms=("PR",), systems=("PIM",),
+                workers=-4,
+            )
+
     def test_workers_share_one_tile_store(self, tmp_path):
         """Disk-backed cells in a pool build each (graph, width) store
         once under the sweep's graph root; later workers attach it --

@@ -197,7 +197,6 @@ class TestTileBacking:
                 PROFILES["toy"],
                 tile_backing="disk",
                 tile_store_root=str(tmp_path),
-                tile_bucket_edges=1 << 12,
             ),
         )
         digests = {resolve_cell(s).digest for s in (base, disk, store)}

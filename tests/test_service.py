@@ -218,6 +218,15 @@ class TestFailureAndRetry:
             code, payload = service.status("0" * 32)
             assert code == 404 and "unknown experiment digest" in payload["error"]
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_workers": 0}, {"max_workers": -2}, {"workers_per_job": -4},
+    ])
+    def test_bad_worker_counts_rejected(self, tmp_path, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            ExperimentService(tmp_path / "store", **kwargs)
+        assert not (tmp_path / "store").exists()
+
 
 # ---------------------------------------------------------------------------
 # cache hits are bit-identical to direct serial runs, across restarts

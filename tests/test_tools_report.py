@@ -1,18 +1,22 @@
-"""The bench-output report generator in tools/."""
+"""The report generator and the perf harness in tools/."""
 
+import json
 import pathlib
+import shlex
 import sys
 
 import pytest
 
-TOOLS = pathlib.Path(__file__).parent.parent / "tools"
+REPO = pathlib.Path(__file__).parent.parent
+TOOLS = REPO / "tools"
 sys.path.insert(0, str(TOOLS))
 
 from generate_report import headline_numbers, parse_tables  # noqa: E402
 from perf_report import (  # noqa: E402
+    FAMILIES,
     check_regressions,
     main as perf_report_main,
-    ooc_cells,
+    parse_args,
     reference_times,
 )
 
@@ -139,22 +143,16 @@ class TestPerfRegressionGate:
         ]
 
     def test_ooc_cells_use_the_common_tuple_shape(self):
-        cells = ooc_cells("paper")
-        assert any("KN28" in name for name, *_ in cells)
-        for name, row, algorithm, dataset, iters, kwargs in cells:
-            assert name.startswith("ooc/paper/")
-            assert iters is None
-            assert kwargs == {}
+        cells = FAMILIES["ooc/paper"].cells
+        assert any("KN28" in cell.name for cell in cells)
+        for cell in cells:
+            assert cell.name.startswith("ooc/paper/")
+            assert cell.max_iterations is None
+            assert cell.run.name == cell.name
 
     def test_ooc_scale_shift_lands_in_the_dataset_label(self):
-        labels = {name: ds for name, _, _, ds, *_ in ooc_cells("paper")}
+        labels = {c.name: c.dataset for c in FAMILIES["ooc/paper"].cells}
         assert labels["ooc/paper/disk/Piccolo/PR/KN28s4"] == "KN28@s4"
-
-    def test_ooc_is_its_own_suite(self):
-        for conflict in (["--quick"], ["--profile", "mid"],
-                         ["--workers", "2"]):
-            with pytest.raises(SystemExit):
-                perf_report_main(["--ooc", "mid", *conflict])
 
     def test_scalar_and_seed_points_are_not_references(self):
         refs, _ = reference_times(
@@ -164,3 +162,118 @@ class TestPerfRegressionGate:
             ]}
         )
         assert refs == {}
+
+
+def _ci_harness_invocations():
+    """Every ``tools/perf_report.py`` argument list in the CI workflow,
+    with folded (``run: >``) scalars joined into one line."""
+    ci = REPO / ".github" / "workflows" / "ci.yml"
+    lines = ci.read_text().splitlines()
+    commands = []
+    for i, line in enumerate(lines):
+        key, _, value = line.strip().partition(" ")
+        if key != "run:":
+            continue
+        if value != ">":
+            commands.append(value)
+            continue
+        indent = len(line) - len(line.lstrip()) + 1
+        folded = []
+        for follow in lines[i + 1:]:
+            if follow.strip() and len(follow) - len(follow.lstrip()) < indent:
+                break
+            folded.append(follow.strip())
+        commands.append(" ".join(folded))
+    return [
+        shlex.split(command.split("tools/perf_report.py", 1)[1])
+        for command in commands if "tools/perf_report.py" in command
+    ]
+
+
+class TestFamilies:
+    """The harness's family registry and its one command line."""
+
+    def test_cell_names_are_unique_and_carry_their_family_prefix(self):
+        names = [c.name for f in FAMILIES.values() for c in f.cells]
+        assert len(names) == len(set(names))
+        for name, family in FAMILIES.items():
+            prefixes = ("fig10/", "fig11/") if name == "full" else (
+                f"{name}/",
+            )
+            assert family.cells
+            assert all(c.name.startswith(prefixes) for c in family.cells)
+
+    def test_workers_need_a_grid_family(self, tmp_path):
+        for argv in (["ooc/mid", "--workers", "2"],
+                     ["service", "--resume-from", str(tmp_path)]):
+            with pytest.raises(SystemExit):
+                parse_args(argv)
+        args, _ = parse_args(["scale/mid", "--workers", "2",
+                              "--resume-from", str(tmp_path)])
+        assert args.workers == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_must_be_positive(self, workers):
+        with pytest.raises(SystemExit):
+            parse_args(["quick", "--workers", workers])
+
+    def test_only_selects_worker_count_cells(self):
+        _, cells = parse_args(
+            ["parallel", "--only",
+             "parallel/mid-fig10pr/w1,parallel/mid-fig10pr/w2"]
+        )
+        assert [c.run for c in cells] == [1, 2]
+        with pytest.raises(SystemExit):
+            parse_args(["parallel", "--only", "quick/"])
+
+    def test_check_against_a_missing_trajectory_fails(self, tmp_path,
+                                                      capsys):
+        missing = tmp_path / "no-such-trajectory.json"
+        with pytest.raises(SystemExit) as exc:
+            perf_report_main(["engine-xval/toy", "--check",
+                              "--json", str(missing)])
+        assert exc.value.code != 0
+        assert str(missing) in capsys.readouterr().err
+
+    def test_ci_invocations_parse_and_gate(self):
+        invocations = _ci_harness_invocations()
+        assert len(invocations) == 6
+        families = set()
+        for argv in invocations:
+            args, _ = parse_args(argv)
+            assert args.check, argv
+            families.add(args.family)
+        assert families == {
+            "quick", "engine-xval/mid", "service", "scale/paper",
+            "engine-xval/paper", "ooc/paper",
+        }
+
+    def test_record_then_check_round_trip(self, tmp_path):
+        trajectory = tmp_path / "trajectory.json"
+        verdict_path = tmp_path / "verdict.json"
+        assert perf_report_main(["engine-xval/toy", "--repeats", "1",
+                                 "--json", str(trajectory)]) == 0
+        report = json.loads(trajectory.read_text())
+        (point,) = report["trajectory"]
+        cells = [c.name for c in FAMILIES["engine-xval/toy"].cells]
+        assert {"label", "mode", "timestamp", "family", "times",
+                "peak_rss_mb", "details"} <= set(point)
+        assert point["label"] == point["family"] == "engine-xval/toy"
+        assert point["mode"] == "batched"
+        assert sorted(point["times"]) == sorted(cells)
+        assert point["peak_rss_mb"] > 0
+        assert set(point["details"]) == set(cells)
+        assert set(report["workloads"]) == set(cells)
+
+        rc = perf_report_main(["engine-xval/toy", "--repeats", "1",
+                               "--json", str(trajectory), "--check",
+                               "--report-out", str(verdict_path)])
+        verdict = json.loads(verdict_path.read_text())
+        assert rc == (0 if verdict["ok"] else 1)
+        assert verdict["gate"]["ratio"] == FAMILIES["engine-xval/toy"].ratio
+        assert sorted(c["cell"] for c in verdict["cells"]) == sorted(cells)
+        assert {c["reference_label"] for c in verdict["cells"]} == {
+            "engine-xval/toy"
+        }
+        # --check records nothing
+        assert len(json.loads(trajectory.read_text())["trajectory"]) == 1

@@ -1,120 +1,84 @@
 #!/usr/bin/env python
-"""Wall-clock regression harness for the memory-path hot loop.
+"""Wall-clock regression harness: one registry of measured cell families.
 
-Times representative Fig. 10 / Fig. 11 cells (the random-access
-cache/MSHR path dominates all of them) and appends a point to the
-``BENCH_hotpath.json`` trajectory at the repo root, so every PR can
-*show* its speedup or regression against the recorded history instead
-of asserting it.  The first trajectory point is the seed
-implementation, measured from a pristine checkout; per-cell and per-row
-(system) speedups are reported against it.
+Every speed claim in this repo is a trajectory point in
+``BENCH_hotpath.json`` at the repo root, recorded or gated by this
+script.  A *family* is a named set of cells, the one function that
+measures them, and the gate CI holds them to.  Pick one by name (the
+prefix of its cell names; ``full`` holds the ``fig10/`` and ``fig11/``
+cells)::
 
-Usage::
+    PYTHONPATH=src python tools/perf_report.py              # full grid
+    PYTHONPATH=src python tools/perf_report.py quick --no-write
+    PYTHONPATH=src python tools/perf_report.py engine-xval/mid --check
 
-    PYTHONPATH=src python tools/perf_report.py                # full grid
-    PYTHONPATH=src python tools/perf_report.py --quick        # CI smoke
-    PYTHONPATH=src python tools/perf_report.py --no-write
+=====================  ==============================  ========================
+family                 cells; how each is measured     gate (``--check``)
+=====================  ==============================  ========================
+``full``               Fig. 10 / Fig. 11 toy cells,    1.3x
+                       BFS and PR x12; best of N
+``quick``              two toy PR x3 cells; best of N  1.3x
+``scale/mid``          mid-profile PR; best of N       1.3x
+``scale/paper``        paper-profile PR; best of N     900 s, 1024 MB, no ratio
+``engine-xval/toy``    DRAM engine cross-validation    1.3x
+``engine-xval/mid``    workloads; best of N, plus      1.5x, 60 s
+``engine-xval/paper``  the engine/analytic ratio       1.5x, 300 s
+``ooc/mid``            memory- vs disk-backed tile     1.3x
+``ooc/paper``          builds, one spawned child       1.5x, 2400 s, 4096 MB
+                       each, single shot
+``service``            service cache-hit latency       4.0x
+                       over localhost; best of N x 30
+``parallel``           mid Fig. 10 PR sweep at 1, 2,   1.3x
+                       4, 8 workers; best of N
+=====================  ==============================  ========================
 
-Every run times the production (batched) memory path and records a
-``"mode": "batched"`` point.  Speedups are reported against each cell's
-*earliest* baseline point: the pristine seed checkout (``seed``), or a
-scalar point recorded while the seed's per-address loop was still a
-runtime mode (``scalar-fig11-variants-a/b`` for the Fig. 11 variant
-rows, ``scalar-engine-xval-mid/paper`` for the engine cells).  That
-loop now lives only in ``tests/reference_paths.py``, where the
-batched-equivalence suite and ``benchmarks/bench_perf_hotpath.py`` use
-it as the reference, so no new baseline can be recorded here; a cell
-without one reports no speedup.
+Grid families (``full``, ``quick``, ``scale/*``) run their cells
+through :func:`repro.experiments.parallel.run_cells`: in process, best
+of ``--repeats``, with every graph loaded before timing starts, or
+sharded single-shot across ``--workers`` processes.  ``--resume-from
+DIR`` loads cells already checkpointed under ``DIR`` instead of
+re-running them; loaded cells are kept out of the recorded times, so a
+trajectory point only ever contains real measurements.
 
-``--only PREFIX`` restricts the run to cells whose name starts with
-``PREFIX`` (e.g. ``--only fig11/``).
+Every point carries ``label`` (default: the family name), ``mode``
+(``"batched"``), ``timestamp``, ``family``, ``times`` and
+``peak_rss_mb``: the high-water mark of this process or of any child
+or worker that ran a cell.  Where the family produces them, points also
+carry ``cell_rss_mb`` (per-cell peak of the process that ran it; peak
+*anonymous* RSS for the ``ooc`` children) and ``details`` (the xval
+ratio, the ooc payload, the service latency spread, worker RSS).
+Speedups are reported against each cell's *earliest* baseline point:
+the pristine seed checkout (``seed``), or a scalar point recorded while
+the seed's per-address loop was still a runtime mode.  That loop now
+lives only in ``tests/reference_paths.py``, so no new baseline can be
+recorded; a cell without one reports no speedup.
 
-``--engine-xval toy|mid|paper`` times the command-level DRAM engine's
-cross-validation grid (``engine-xval/<profile>/<workload>``) instead of
-the memory-path cells: each cell runs one workload through
-:class:`repro.dram.engine.DRAMEngine` and records the wall-clock of the
-engine run plus its engine/analytic duration ratio, with
-``speedup_vs_baseline`` against the recorded scalar-controller points.
-``--check`` gates these cells against their latest batched point like
-any other.
-The mid profile is the tier-1 CI smoke; paper runs nightly.
-
-``--profile mid|paper`` times that scale profile's cells
-(``scale/<profile>/...``) instead of the toy grid, recording the
-mid/paper-scale trajectory: wall-clock per cell plus the process peak
-RSS.  These cells have no scalar baseline (the seed could not run them
-at all); their value is the recorded trend itself.  ``--chunk-size``
-overrides the profile's memory-path tile chunking for the run.
-
-``--ooc mid|paper`` times the out-of-core tile-backing cells
-(``ooc/<profile>/<backing>/...``) instead of the memory-path grid: each
-cell runs in a *spawned child process* (RSS high-water marks never
-reset within a process) with the dataset materialised to a memmap and
-the tile arrays built memory- or disk-backed into a fresh store, and
-records wall-clock plus the child's peak *anonymous* RSS (file-backed
-memmap pages are reclaimable, so they are excluded -- bounded anonymous
-memory is the out-of-core claim).  The paper suite includes the
-100M+-edge Kronecker cell (``KN28`` at ``scale_shift=4``) that only the
-disk backing can run at bounded RSS.  ``--check`` / ``--max-rss-mb``
-gate these cells like any other; the per-cell anonymous peaks feed the
-RSS budget.  Single-shot timings (one child per cell); ``--repeats`` is
-ignored.
-
-``--service`` times the experiment service's cache-hit path
-(``service/...`` cells) instead of the memory-path grid: an
-in-process stdlib server (``repro.service``) is stood up on an
-ephemeral localhost port, one miss is simulated to warm the
-content-addressed store, and the recorded cell is the best observed
-wall-clock of a repeated identical ``POST /experiments`` -- request
-parse, digest canonicalization, cache lookup, and the full
-``SystemResult`` record over the wire, no re-simulation.  ``--check``
-gates it like any other cell (CI uses a wider ratio: localhost
-latency on shared runners jitters more than simulation wall-clock).
-
-``--check`` turns the run into a CI perf-regression *gate*: every timed
-cell is compared against its most recent recorded batched-mode
-trajectory point, and the process exits non-zero if any cell is slower
-than ``--check-ratio`` (default 1.3x) times its recorded time.  No
-trajectory point is written; a machine-readable verdict goes to
-``--report-out`` (default ``perf_check_report.json`` next to the
-trajectory) for upload as a workflow artifact.  Cells with no recorded
-reference are reported as ``no-baseline`` and do not fail the gate.
-
-``--max-seconds`` / ``--max-rss-mb`` are absolute budgets (nightly
-paper-profile watchdog): exceed either and the run exits non-zero.
-
-``--workers N`` shards the run across worker processes through the
-parallel sweep orchestrator (shared memmapped graphs); with
-``--resume-from DIR`` cells already checkpointed under ``DIR`` are
-loaded instead of re-run (the sharded-nightly mode).  Checkpoint-loaded
-cells are *excluded* from the recorded times -- a trajectory point only
-ever contains real measurements.
-
-``--parallel`` times the worker-scaling benchmark instead of the cell
-grid: one fixed mid-profile Fig. 10 PR sweep (UU/SW x GraphDyns-Cache/
-Piccolo/NMP, 6 cells) run end-to-end at each worker count in
-``--worker-counts`` (default 1,2,4,8), recorded as trajectory cells
-``parallel/mid-fig10pr/w{N}``.  ``--check`` gates these cells like any
-other.
-
-Workload notes: BFS runs to frontier exhaustion; PR runs 12 identical
-power iterations (the figure harness caps PR at 3 purely for seed
-wall-clock reasons -- the paper itself runs up to 40, so a deeper run is
-the *representative* cost of the workload, and is exactly where the
-batch-replay memo pays off).  The Fig. 11 cells name their cache by
-``cache_design`` (``repro.cache.variants.FIG11_DESIGNS``), so they are
-digestable and picklable like every other cell.
+``--check`` runs the family's gate instead of recording: each cell must
+stay within the gate's ratio of its most recent batched point (a cell
+with no recorded point is ``no-baseline`` and does not fail), the summed
+cell times within ``max_seconds`` and ``peak_rss_mb`` within
+``max_rss_mb``.  A local ``--check`` runs exactly the gate CI runs.
+The verdict goes to ``--report-out`` (default ``perf_check_report.json``
+next to the trajectory) and the exit status is 1 on failure.
+``--only PREFIXES`` restricts a family to cells whose name starts with
+one of the comma-separated prefixes (e.g. ``--only fig11/``).
 """
 
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import math
 import pathlib
+import resource
 import sys
+import tempfile
+import threading
 import time
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import Callable
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "BENCH_hotpath.json"
@@ -122,262 +86,145 @@ DEFAULT_JSON = REPO_ROOT / "BENCH_hotpath.json"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cache.variants import FIG11_VARIANTS  # noqa: E402
-from repro.experiments import parallel  # noqa: E402
 from repro.dram.engine.xval import (  # noqa: E402
-    ENGINE_XVAL_PROFILES,
     ENGINE_XVAL_WORKLOADS,
     run_engine_xval_cell,
 )
+from repro.experiments import parallel  # noqa: E402
 from repro.experiments.ooc import OOC_CELLS, run_ooc_cell  # noqa: E402
 from repro.experiments.runner import (  # noqa: E402
     CellSpec,
     clear_result_cache,
-    run_system,
+    resolve_cell,
 )
+from repro.graph.datasets import load_dataset  # noqa: E402
 
 
-def _fig11_cell(name, design):
-    """A Fig. 11 design-sweep cell: the Piccolo system with the named
-    design's cache substituted (same substitution ``figures.figure_11``
-    makes)."""
-    return (
-        f"fig11/{name}/PR/TW",
-        design,
-        "PR",
-        "TW",
-        12,
-        {"_system": "Piccolo", "cache_design": design},
-    )
+@dataclass(frozen=True)
+class Cell:
+    """One trajectory cell: its recorded identity plus what to run."""
+
+    name: str
+    row: str
+    algorithm: str
+    dataset: str
+    max_iterations: int | None
+    #: the family's measure input: a ``CellSpec`` (grid), an
+    #: (engine-xval profile, workload) pair, an ``OocCell``, the service
+    #: request config, or the sweep's worker count
+    run: object
 
 
-#: (cell name, row/system, algorithm, dataset, max_iterations, kwargs)
-FULL_CELLS = [
-    ("fig10/Piccolo/BFS/TW", "Piccolo", "BFS", "TW", 40, {}),
-    ("fig10/Piccolo/PR/TW", "Piccolo", "PR", "TW", 12, {}),
-    ("fig10/GraphDyns-Cache/BFS/TW", "GraphDyns (Cache)", "BFS", "TW", 40, {}),
-    ("fig10/GraphDyns-Cache/PR/TW", "GraphDyns (Cache)", "PR", "TW", 12, {}),
-    ("fig10/NMP/BFS/TW", "NMP", "BFS", "TW", 40, {}),
-    ("fig10/NMP/PR/TW", "NMP", "PR", "TW", 12, {}),
-    _fig11_cell("Piccolo-RRIP", "Piccolo (RRIP)"),
-] + [_fig11_cell(design, design) for design in FIG11_VARIANTS]
-# distinct names: quick cells run fewer iterations, so they must never
-# be compared against the full-grid baseline entries
-QUICK_CELLS = [
-    ("quick/Piccolo/PR3/TW", "Piccolo", "PR", "TW", 3, {}),
-    ("quick/GraphDyns-Cache/PR3/TW", "GraphDyns (Cache)", "PR", "TW", 3, {}),
-]
+@dataclass
+class Measured:
+    """What a family's measure function returns."""
 
-#: scale-profile cells (``--profile``): the mid/paper trajectory.  The
-#: ``_scale`` kwarg routes the profile into ``run_system``; iteration
-#: caps come from the profile itself (PR x3).
-PROFILE_CELLS = {
-    "mid": [
-        ("scale/mid/Piccolo/PR/SW", "Piccolo", "PR", "SW", None,
-         {"_scale": "mid"}),
-        ("scale/mid/GraphDyns-Cache/PR/SW", "GraphDyns (Cache)", "PR", "SW",
-         None, {"_scale": "mid"}),
-        ("scale/mid/Piccolo/PR/UU", "Piccolo", "PR", "UU", None,
-         {"_scale": "mid"}),
-    ],
-    "paper": [
-        ("scale/paper/Piccolo/PR/SW", "Piccolo", "PR", "SW", None,
-         {"_scale": "paper"}),
-        ("scale/paper/Piccolo/PR/UU", "Piccolo", "PR", "UU", None,
-         {"_scale": "paper"}),
-    ],
-}
+    #: best measured seconds per cell (checkpoint-loaded cells absent)
+    times: dict = field(default_factory=dict)
+    #: per-cell peak RSS (MB) of the process or child that ran it
+    cell_rss_mb: dict = field(default_factory=dict)
+    #: per-cell payload recorded alongside the time
+    details: dict = field(default_factory=dict)
 
-#: the ``--service`` cache-hit-latency suite: one warm toy cell behind
-#: the stdlib service backend; the cell name pins the config below
-SERVICE_CELLS = [
-    ("service/hit-latency/toy-pr3", "service", "PR", "TW", 3, {}),
-]
-SERVICE_CONFIG = {
-    "system": "Piccolo",
-    "algorithm": "PR",
-    "dataset": "TW",
-    "profile": "toy",
-    "max_iterations": 3,
-}
+
+@dataclass(frozen=True)
+class Family:
+    """A named cell set, its measure function and its CI gate."""
+
+    cells: list[Cell]
+    measure: Callable[[list[Cell], argparse.Namespace], Measured]
+    #: max slowdown per cell vs its latest batched point; None: no check
+    ratio: float | None = 1.3
+    #: budget on the summed cell times (s)
+    max_seconds: float | None = None
+    #: budget on the point's ``peak_rss_mb``
+    max_rss_mb: float | None = None
+
+
+# ---------------------------------------------------------------------------
+# Measure functions
+# ---------------------------------------------------------------------------
+def measure_grid(cells, args) -> Measured:
+    """Grid cells through ``parallel.run_cells``: in process best of
+    ``--repeats``, or one sharded pass (``--workers``/``--resume-from``)
+    timed by the workers."""
+    specs = [cell.run for cell in cells]
+    # graph generation is the dataset's cost, not the cell's
+    for spec in specs:
+        resolved = resolve_cell(spec)
+        load_dataset(resolved.dataset, resolved.shift)
+    sharded = args.workers is not None or args.resume_from is not None
+    measured = Measured()
+    for _ in range(1 if sharded else args.repeats):
+        clear_result_cache()
+        outcomes = parallel.run_cells(
+            specs,
+            workers=args.workers,
+            resume=args.resume_from is not None,
+            checkpoint_dir=args.resume_from,
+        )
+        for cell, outcome in zip(cells, outcomes):
+            if outcome.source == "checkpoint":
+                continue
+            measured.times[cell.name] = min(
+                measured.times.get(cell.name, math.inf),
+                round(outcome.seconds, 4),
+            )
+            measured.cell_rss_mb[cell.name] = round(outcome.rss_mb, 1)
+    for cell in cells:
+        seconds = measured.times.get(cell.name)
+        print(f"  {cell.name:38s} "
+              + ("(from checkpoint)" if seconds is None
+                 else f"{seconds:8.3f} s"), flush=True)
+    return measured
+
+
+def measure_engine_xval(cells, args) -> Measured:
+    """Best-of-``--repeats`` engine wall seconds per workload, plus the
+    engine/analytic duration ratio (the cross-validation payload)."""
+    measured = Measured()
+    for cell in cells:
+        runs = [run_engine_xval_cell(*cell.run) for _ in range(args.repeats)]
+        measured.times[cell.name] = round(min(r["seconds"] for r in runs), 4)
+        ratio = round(runs[-1]["ratio"], 4)
+        measured.details[cell.name] = {"xval_ratio": ratio}
+        print(f"  {cell.name:38s} {measured.times[cell.name]:8.3f} s  "
+              f"(xval ratio {ratio:.3f})", flush=True)
+    return measured
+
+
+def measure_ooc(cells, args) -> Measured:
+    """One spawned child per cell, single shot: RSS high-water marks
+    never reset within a process.  The child's peak *anonymous* RSS is
+    the cell's RSS (file-backed memmap pages are reclaimable)."""
+    measured = Measured()
+    with tempfile.TemporaryDirectory(prefix="repro-ooc-") as root:
+        for cell in cells:
+            payload = run_ooc_cell(cell.run, root)
+            measured.times[cell.name] = payload["seconds"]
+            measured.cell_rss_mb[cell.name] = payload["rss_anon_peak_mb"]
+            measured.details[cell.name] = payload
+            print(f"  {cell.name:38s} {payload['seconds']:8.3f} s  "
+                  f"anon peak {payload['rss_anon_peak_mb']:8.1f} MB  "
+                  f"(+{payload['materialize_seconds']:.1f}s materialize)",
+                  flush=True)
+    return measured
+
+
 #: identical POSTs timed per --repeats unit (best-of is recorded)
 SERVICE_REQUESTS_PER_REPEAT = 30
 
-#: the fixed ``--parallel`` worker-scaling sweep: the mid-profile
-#: Fig. 10 PR grid over the two fastest real-world datasets
-PARALLEL_SWEEP_SYSTEMS = ("GraphDyns (Cache)", "Piccolo", "NMP")
-PARALLEL_SWEEP_DATASETS = ("UU", "SW")
-PARALLEL_SWEEP_NAME = "parallel/mid-fig10pr"
 
-
-def time_cell(system, algorithm, dataset, max_iterations, kwargs, repeats):
-    best = math.inf
-    extra = dict(kwargs)
-    system = extra.pop("_system", system)
-    scale = extra.pop("_scale", None)
-    if scale is not None:
-        extra["scale"] = scale
-    for _ in range(repeats):
-        clear_result_cache()
-        start = time.perf_counter()
-        run_system(
-            system,
-            algorithm,
-            dataset,
-            max_iterations=max_iterations,
-            **extra,
-        )
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def run_suite(cells, repeats):
-    times = {}
-    for name, row, algorithm, dataset, iters, kwargs in cells:
-        times[name] = round(
-            time_cell(row, algorithm, dataset, iters, kwargs, repeats), 4
-        )
-        print(f"  {name:38s} {times[name]:8.3f} s", flush=True)
-    return times
-
-
-def engine_xval_cells(profile):
-    """The ``--engine-xval`` suite in the common cell-tuple shape."""
-    return [
-        (f"engine-xval/{profile}/{workload}", "dram-engine", workload,
-         profile, None, {})
-        for workload in ENGINE_XVAL_WORKLOADS
-    ]
-
-
-def run_engine_xval_suite(cells, repeats):
-    """Time the engine cross-validation grid.
-
-    Returns (times, ratios): best-of-``repeats`` engine wall seconds and
-    the engine/analytic duration ratio per cell (the cross-validation
-    payload recorded alongside the timing).
-    """
-    times, ratios = {}, {}
-    for name, _row, workload, profile, *_ in cells:
-        best = math.inf
-        for _ in range(repeats):
-            result = run_engine_xval_cell(profile, workload)
-            best = min(best, result["seconds"])
-        times[name] = round(best, 4)
-        ratios[name] = round(result["ratio"], 4)
-        print(f"  {name:38s} {times[name]:8.3f} s  "
-              f"(xval ratio {ratios[name]:.3f})", flush=True)
-    return times, ratios
-
-
-def _cell_spec(row, algorithm, dataset, iters, kwargs):
-    """Translate a suite cell tuple into a picklable CellSpec."""
-    extra = dict(kwargs)
-    system = extra.pop("_system", row)
-    scale = extra.pop("_scale", "toy")
-    return CellSpec(
-        system=system,
-        algorithm=algorithm,
-        dataset=dataset,
-        scale=scale,
-        max_iterations=iters,
-        chunk_size=extra.pop("chunk_size", None),
-        cache_design=extra.pop("cache_design", None),
-        system_kwargs=tuple(sorted(extra.items())),
-    )
-
-
-def run_suite_sharded(cells, workers, resume_from):
-    """Run the suite through the parallel orchestrator.
-
-    Returns (times, loaded): per-cell wall-clock for cells that actually
-    ran (worker-reported, single-shot -- no best-of-repeats across
-    processes) and the names of cells served from checkpoints, which are
-    reported but kept out of the recorded times.
-    """
-    specs = [
-        _cell_spec(row, alg, ds, iters, kw)
-        for _, row, alg, ds, iters, kw in cells
-    ]
-    outcomes = parallel.run_cells(
-        specs,
-        workers=workers,
-        resume=resume_from is not None,
-        checkpoint_dir=resume_from,
-    )
-    times, loaded, rss = {}, [], {}
-    for (name, *_), outcome in zip(cells, outcomes):
-        if outcome.source == "checkpoint":
-            loaded.append(name)
-            print(f"  {name:38s} (from checkpoint)", flush=True)
-        else:
-            times[name] = round(outcome.seconds, 4)
-            rss[name] = round(outcome.rss_mb, 1)
-            print(f"  {name:38s} {times[name]:8.3f} s  "
-                  f"[{outcome.source}]", flush=True)
-    return times, loaded, rss
-
-
-def ooc_cells(profile):
-    """The ``--ooc`` suite in the common cell-tuple shape."""
-    return [
-        (
-            cell.name,
-            cell.system,
-            cell.algorithm,
-            cell.dataset if cell.scale_shift is None
-            else f"{cell.dataset}@s{cell.scale_shift}",
-            None,
-            {},
-        )
-        for cell in OOC_CELLS[profile]
-    ]
-
-
-def run_ooc_suite(cells, profile):
-    """Run the out-of-core cells, one spawned child each.
-
-    Returns (times, rss, detail): per-cell run wall seconds, the child's
-    peak anonymous RSS in MB (what ``--max-rss-mb`` gates), and the full
-    per-cell measurement payloads (recorded in the trajectory point).
-    """
-    import tempfile
-
-    lookup = {cell.name: cell for cell in OOC_CELLS[profile]}
-    times, rss, detail = {}, {}, {}
-    with tempfile.TemporaryDirectory(prefix="repro-ooc-") as root:
-        for name, *_ in cells:
-            payload = run_ooc_cell(lookup[name], root)
-            times[name] = payload["seconds"]
-            rss[name] = payload["rss_anon_peak_mb"]
-            detail[name] = payload
-            print(
-                f"  {name:38s} {times[name]:8.3f} s  "
-                f"anon peak {rss[name]:8.1f} MB  "
-                f"(+{payload['materialize_seconds']:.1f}s materialize)",
-                flush=True,
-            )
-    return times, rss, detail
-
-
-def run_service_suite(repeats):
-    """Time the experiment service's cache-hit path over localhost.
-
-    Stands up the stdlib service backend on an ephemeral port, runs the
-    fixed toy config once (the miss that warms the content-addressed
-    store), then times ``repeats * SERVICE_REQUESTS_PER_REPEAT``
-    identical POSTs -- every one must come back as a cache hit carrying
-    the full result record.  Returns (times, detail): the best observed
-    hit latency per cell plus the sample distribution.
-    """
-    import http.client
-    import tempfile
-    import threading
-
+def measure_service(cells, args) -> Measured:
+    """Best cache-hit latency of a repeated identical ``POST
+    /experiments`` against an in-process stdlib server on an ephemeral
+    localhost port: request parse, digest canonicalization, cache
+    lookup and the full ``SystemResult`` record over the wire.  One
+    miss is simulated first to warm the content-addressed store."""
     from repro.service import ExperimentService, make_server
 
-    times, detail = {}, {}
-    (name, *_), = SERVICE_CELLS
-    body = json.dumps(SERVICE_CONFIG)
+    (cell,) = cells
+    body = json.dumps(cell.run)
     headers = {"Content-Type": "application/json"}
     with tempfile.TemporaryDirectory(prefix="repro-service-") as root:
         service = ExperimentService(root)
@@ -394,10 +241,9 @@ def run_service_suite(repeats):
                 response = conn.getresponse()
                 return response.status, json.loads(response.read())
 
-            _status, payload = post()
-            digest = payload["digest"]
+            _status, state = post()
+            digest = state["digest"]
             deadline = time.monotonic() + 300
-            state = payload
             while state.get("status") not in ("done", "failed"):
                 if time.monotonic() > deadline:
                     raise RuntimeError(
@@ -409,7 +255,7 @@ def run_service_suite(repeats):
             if state["status"] != "done":
                 raise RuntimeError(f"service warm-up run failed: {state}")
             samples = []
-            for _ in range(max(1, repeats) * SERVICE_REQUESTS_PER_REPEAT):
+            for _ in range(args.repeats * SERVICE_REQUESTS_PER_REPEAT):
                 start = time.perf_counter()
                 status, payload = post()
                 elapsed = time.perf_counter() - start
@@ -424,54 +270,178 @@ def run_service_suite(repeats):
             server.server_close()
             service.close()
     samples.sort()
-    times[name] = round(samples[0], 6)
-    detail[name] = {
+    detail = {
         "requests": len(samples),
         "best_s": round(samples[0], 6),
         "median_s": round(samples[len(samples) // 2], 6),
         "p90_s": round(samples[int(len(samples) * 0.9)], 6),
         "miss_run_seconds": state.get("seconds"),
-        "config": dict(SERVICE_CONFIG),
+        "config": dict(cell.run),
     }
-    print(f"  {name:38s} {times[name]:8.6f} s  "
-          f"(median {detail[name]['median_s']:.6f} s over "
-          f"{len(samples)} hits; miss ran "
-          f"{detail[name]['miss_run_seconds']} s)", flush=True)
-    return times, detail
+    print(f"  {cell.name:38s} {samples[0]:8.6f} s  (median "
+          f"{detail['median_s']:.6f} s over {len(samples)} hits; miss ran "
+          f"{detail['miss_run_seconds']} s)", flush=True)
+    return Measured(times={cell.name: detail["best_s"]},
+                    details={cell.name: detail})
 
 
-def time_parallel_sweep(worker_counts, repeats, graph_dir):
-    """Wall-clock the fixed mid-profile sweep at each worker count."""
-    specs = [
-        CellSpec(system=system, algorithm="PR", dataset=dataset, scale="mid")
-        for system in PARALLEL_SWEEP_SYSTEMS
-        for dataset in PARALLEL_SWEEP_DATASETS
-    ]
-    times = {}
-    rss = {}
-    for workers in worker_counts:
-        name = f"{PARALLEL_SWEEP_NAME}/w{workers}"
-        best = math.inf
-        for _ in range(repeats):
-            clear_result_cache()
-            start = time.perf_counter()
-            outcomes = parallel.run_cells(
-                specs, workers=workers, graph_dir=graph_dir
+#: the fixed worker-scaling sweep: the mid-profile Fig. 10 PR grid over
+#: the two fastest real-world datasets
+PARALLEL_SWEEP = [
+    CellSpec(system=system, algorithm="PR", dataset=dataset, scale="mid")
+    for system in ("GraphDyns (Cache)", "Piccolo", "NMP")
+    for dataset in ("UU", "SW")
+]
+
+
+def measure_parallel(cells, args) -> Measured:
+    """End-to-end wall-clock of the fixed sweep at each cell's worker
+    count, best of ``--repeats``."""
+    measured = Measured()
+    with tempfile.TemporaryDirectory(prefix="repro-graphs-") as graph_dir:
+        for cell in cells:
+            best = math.inf
+            for _ in range(args.repeats):
+                clear_result_cache()
+                start = time.perf_counter()
+                outcomes = parallel.run_cells(
+                    PARALLEL_SWEEP, workers=cell.run, graph_dir=graph_dir
+                )
+                best = min(best, time.perf_counter() - start)
+            measured.times[cell.name] = round(best, 4)
+            measured.cell_rss_mb[cell.name] = round(
+                max(o.rss_mb for o in outcomes), 1
             )
-            best = min(best, time.perf_counter() - start)
-            rss[name] = parallel.sweep_rss_mb(outcomes)
-        times[name] = round(best, 4)
-        print(f"  {name:38s} {times[name]:8.3f} s  "
-              f"(max worker RSS {rss[name]['max_worker_rss_mb']} MB)",
-              flush=True)
-    return times, rss
+            measured.details[cell.name] = parallel.sweep_rss_mb(outcomes)
+            print(f"  {cell.name:38s} {best:8.3f} s  (max worker RSS "
+                  f"{measured.details[cell.name]['max_worker_rss_mb']} MB)",
+                  flush=True)
+    return measured
 
 
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+def _grid(name, row, algorithm, dataset, iters, scale="toy", *,
+          system=None, cache_design=None):
+    return Cell(name, row, algorithm, dataset, iters, CellSpec(
+        system=system or row, algorithm=algorithm, dataset=dataset,
+        scale=scale, max_iterations=iters, cache_design=cache_design,
+    ))
+
+
+def _scale_cells(profile, rows):
+    # iteration caps come from the profile itself (PR x3)
+    return [
+        _grid(f"scale/{profile}/{tag}/PR/{dataset}", row, "PR", dataset,
+              None, profile)
+        for tag, row, dataset in rows
+    ]
+
+
+def _xval_cells(profile):
+    return [
+        Cell(f"engine-xval/{profile}/{workload}", "dram-engine", workload,
+             profile, None, (profile, workload))
+        for workload in ENGINE_XVAL_WORKLOADS
+    ]
+
+
+def _ooc_cells(profile):
+    return [
+        Cell(c.name, c.system, c.algorithm,
+             c.dataset if c.scale_shift is None
+             else f"{c.dataset}@s{c.scale_shift}", None, c)
+        for c in OOC_CELLS[profile]
+    ]
+
+
+_FIG10_SYSTEMS = (
+    ("Piccolo", "Piccolo"), ("GraphDyns-Cache", "GraphDyns (Cache)"),
+    ("NMP", "NMP"),
+)
+_FIG11_DESIGNS = (
+    ("Piccolo-RRIP", "Piccolo (RRIP)"),
+    *((design, design) for design in FIG11_VARIANTS),
+)
+
+#: The PR cells run 12 identical power iterations (the figure harness
+#: caps PR at 3 for wall-clock; the paper runs up to 40, so a deeper run
+#: is the representative cost, and exactly where the replay memo pays
+#: off).  The quick cells run 3, so their distinct names keep them from
+#: ever being compared against the full-grid points.
+FAMILIES: dict[str, Family] = {
+    "full": Family(
+        [_grid(f"fig10/{tag}/{alg}/TW", row, alg, "TW", iters)
+         for tag, row in _FIG10_SYSTEMS
+         for alg, iters in (("BFS", 40), ("PR", 12))]
+        + [_grid(f"fig11/{tag}/PR/TW", design, "PR", "TW", 12,
+                 system="Piccolo", cache_design=design)
+           for tag, design in _FIG11_DESIGNS],
+        measure_grid,
+    ),
+    "quick": Family(
+        [_grid(f"quick/{tag}/PR3/TW", row, "PR", "TW", 3)
+         for tag, row in _FIG10_SYSTEMS[:2]],
+        measure_grid,
+    ),
+    "scale/mid": Family(
+        _scale_cells("mid", (
+            ("Piccolo", "Piccolo", "SW"),
+            ("GraphDyns-Cache", "GraphDyns (Cache)", "SW"),
+            ("Piccolo", "Piccolo", "UU"),
+        )),
+        measure_grid,
+    ),
+    # the nightly watchdog: 15 min of simulation and 1 GB peak RSS keep
+    # the paper-profile cells runnable between PRs; no per-cell ratio
+    "scale/paper": Family(
+        _scale_cells("paper", (
+            ("Piccolo", "Piccolo", "SW"), ("Piccolo", "Piccolo", "UU"),
+        )),
+        measure_grid, ratio=None, max_seconds=900, max_rss_mb=1024,
+    ),
+    "engine-xval/toy": Family(_xval_cells("toy"), measure_engine_xval),
+    "engine-xval/mid": Family(
+        _xval_cells("mid"), measure_engine_xval, ratio=1.5, max_seconds=60,
+    ),
+    "engine-xval/paper": Family(
+        _xval_cells("paper"), measure_engine_xval, ratio=1.5,
+        max_seconds=300,
+    ),
+    "ooc/mid": Family(_ooc_cells("mid"), measure_ooc),
+    # budgets ~1.3-1.5x above the recorded point (cells sum 1657 s,
+    # worst-cell anon peak 3229 MB on the 1-CPU reference container),
+    # including the 165.6M-edge KN28 cell
+    "ooc/paper": Family(
+        _ooc_cells("paper"), measure_ooc, ratio=1.5, max_seconds=2400,
+        max_rss_mb=4096,
+    ),
+    # sub-millisecond localhost HTTP jitters far more than seconds-long
+    # simulation cells on shared runners, hence the wider ratio
+    "service": Family(
+        [Cell("service/hit-latency/toy-pr3", "service", "PR", "TW", 3, {
+            "system": "Piccolo", "algorithm": "PR", "dataset": "TW",
+            "profile": "toy", "max_iterations": 3,
+        })],
+        measure_service, ratio=4.0,
+    ),
+    "parallel": Family(
+        [Cell(f"parallel/mid-fig10pr/w{workers}", "parallel-sweep", "PR",
+              "UU+SW", None, workers) for workers in (1, 2, 4, 8)],
+        measure_parallel,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# Trajectory: baselines, references and the regression check
+# ---------------------------------------------------------------------------
 def row_totals(cells, times):
     rows: dict[str, float] = {}
-    for name, row, *_ in cells:
-        if name in times:
-            rows[row] = rows.get(row, 0.0) + times[name]
+    for cell in cells:
+        if cell.name in times:
+            rows[cell.row] = rows.get(cell.row, 0.0) + times[cell.name]
     return rows
 
 
@@ -550,361 +520,30 @@ def check_regressions(report, times, ratio):
     return cells, ok
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="CI smoke subset")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--label", default=None)
-    parser.add_argument("--json", type=pathlib.Path, default=DEFAULT_JSON)
-    parser.add_argument(
-        "--no-write", action="store_true", help="measure and print only"
-    )
-    parser.add_argument(
-        "--only",
-        default=None,
-        metavar="PREFIXES",
-        help="restrict to cells whose name starts with one of the "
-        "comma-separated prefixes",
-    )
-    parser.add_argument(
-        "--profile",
-        default=None,
-        choices=sorted(PROFILE_CELLS),
-        help="time this scale profile's cells instead of the toy grid",
-    )
-    parser.add_argument(
-        "--engine-xval",
-        default=None,
-        choices=sorted(ENGINE_XVAL_PROFILES),
-        metavar="PROFILE",
-        help="time the DRAM engine cross-validation grid at this scale "
-        "profile instead of the memory-path cells",
-    )
-    parser.add_argument(
-        "--ooc",
-        default=None,
-        choices=sorted(OOC_CELLS),
-        metavar="PROFILE",
-        help="time the out-of-core tile-backing cells at this scale "
-        "profile (memory- vs disk-backed builds in spawned children; "
-        "per-cell peak anonymous RSS feeds --max-rss-mb)",
-    )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help="time the experiment service's cache-hit path "
-        "(service/... cells) over an in-process localhost server "
-        "instead of the memory-path grid",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the profile's memory-path tile chunking",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="perf-regression gate: fail on >--check-ratio slowdown vs "
-        "the recorded trajectory (implies --no-write)",
-    )
-    parser.add_argument(
-        "--check-ratio",
-        type=float,
-        default=1.3,
-        metavar="R",
-        help="max tolerated slowdown per cell in --check mode",
-    )
-    parser.add_argument(
-        "--report-out",
-        type=pathlib.Path,
-        default=None,
-        metavar="PATH",
-        help="where to write the --check / budget verdict JSON "
-        "(default: perf_check_report.json next to the trajectory)",
-    )
-    parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="absolute budget: fail if the summed best cell times exceed S",
-    )
-    parser.add_argument(
-        "--max-rss-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="absolute budget: fail if process peak RSS exceeds MB",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard the cell grid across N worker processes (shared "
-        "memmapped graphs; per-cell times come from the workers)",
-    )
-    parser.add_argument(
-        "--resume-from",
-        type=pathlib.Path,
-        default=None,
-        metavar="DIR",
-        help="per-cell checkpoint directory: cells already recorded "
-        "there are loaded, everything else runs and is checkpointed "
-        "(sharded-nightly mode; implies a sharded run)",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="time the worker-scaling benchmark (the fixed mid-profile "
-        "Fig. 10 PR sweep at each --worker-counts count) instead of "
-        "the cell grid",
-    )
-    parser.add_argument(
-        "--worker-counts",
-        default="1,2,4,8",
-        metavar="LIST",
-        help="comma-separated worker counts for --parallel",
-    )
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    if args.check_ratio <= 1.0:
-        parser.error("--check-ratio must be > 1.0")
-    sharded = args.workers is not None or args.resume_from is not None
-    if args.parallel and (args.profile or sharded):
-        parser.error("--parallel is its own suite; it does not combine "
-                     "with --profile/--workers/--resume-from")
-    if args.engine_xval and (args.profile or args.parallel or sharded
-                             or args.quick
-                             or args.chunk_size is not None):
-        parser.error("--engine-xval is its own suite; it does not combine "
-                     "with --profile/--parallel/--workers/--resume-from/"
-                     "--quick/--chunk-size")
-    if args.ooc and (args.profile or args.parallel or sharded or args.quick
-                     or args.engine_xval or args.chunk_size is not None):
-        parser.error("--ooc is its own suite; it does not combine with "
-                     "--profile/--parallel/--workers/--resume-from/--quick/"
-                     "--engine-xval/--chunk-size")
-    if args.service and (args.profile or args.parallel or sharded
-                         or args.quick or args.engine_xval or args.ooc
-                         or args.chunk_size is not None):
-        parser.error("--service is its own suite; it does not combine "
-                     "with --profile/--parallel/--workers/--resume-from/"
-                     "--quick/--engine-xval/--ooc/--chunk-size")
-    try:
-        worker_counts = [
-            int(c) for c in args.worker_counts.split(",") if c
-        ]
-    except ValueError:
-        parser.error(f"bad --worker-counts {args.worker_counts!r}")
-    if args.parallel and (not worker_counts
-                          or any(c < 1 for c in worker_counts)):
-        parser.error("--worker-counts must be positive integers")
-
-    if args.profile:
-        cells = PROFILE_CELLS[args.profile]
-    elif args.engine_xval:
-        cells = engine_xval_cells(args.engine_xval)
-    elif args.ooc:
-        cells = ooc_cells(args.ooc)
-    elif args.service:
-        cells = list(SERVICE_CELLS)
-    elif args.parallel:
-        cells = []
-    else:
-        cells = QUICK_CELLS if args.quick else FULL_CELLS
-    if args.chunk_size is not None:
-        cells = [
-            (name, row, alg, ds, iters, {**kw, "chunk_size": args.chunk_size})
-            for name, row, alg, ds, iters, kw in cells
-        ]
-    if args.only and not args.parallel:
-        prefixes = tuple(p for p in args.only.split(",") if p)
-        cells = [c for c in cells if c[0].startswith(prefixes)]
-        if not cells:
-            parser.error(f"--only {args.only!r} matches no cells")
-    if args.check:
-        args.no_write = True
-    label = args.label or (
-        "parallel" if args.parallel
-        else f"batched-engine-xval-{args.engine_xval}" if args.engine_xval
-        else f"ooc-{args.ooc}" if args.ooc
-        else "service" if args.service
-        else f"batched-{args.profile}" if args.profile else "batched"
-    )
-
-    loaded_cells: list[str] = []
-    parallel_rss: dict[str, dict] = {}
-    cell_rss: dict[str, float] = {}
-    if args.parallel:
-        print(f"perf_report: worker-scaling sweep, counts={worker_counts} "
-              f"repeats={args.repeats}")
-        import tempfile
-
-        with tempfile.TemporaryDirectory(prefix="repro-graphs-") as gdir:
-            times, parallel_rss = time_parallel_sweep(
-                worker_counts, args.repeats, gdir
-            )
-    elif sharded:
-        print(f"perf_report: workers={args.workers or 1} "
-              f"cells={len(cells)} (sharded; single-shot timings)")
-        times, loaded_cells, cell_rss = run_suite_sharded(
-            cells, args.workers, args.resume_from
-        )
-    elif args.engine_xval:
-        print(f"perf_report: engine-xval "
-              f"profile={args.engine_xval} repeats={args.repeats} "
-              f"cells={len(cells)}")
-        times, xval_ratios = run_engine_xval_suite(cells, args.repeats)
-    elif args.ooc:
-        print(f"perf_report: ooc profile={args.ooc} "
-              f"cells={len(cells)} (spawned children; single-shot timings)")
-        times, cell_rss, ooc_detail = run_ooc_suite(cells, args.ooc)
-    elif args.service:
-        print(f"perf_report: service cache-hit suite "
-              f"({args.repeats * SERVICE_REQUESTS_PER_REPEAT} hit "
-              f"requests over localhost)")
-        times, service_detail = run_service_suite(args.repeats)
-    else:
-        print(f"perf_report: repeats={args.repeats} "
-              f"cells={len(cells)}")
-        times = run_suite(cells, args.repeats)
-    import resource
-
-    # ru_maxrss is the process high-water mark (KB on Linux): an upper
-    # bound on what the chunked paths actually held.
-    peak_rss_mb = round(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
-    )
-
-    report = load_trajectory(args.json)
-    base_times, base_labels = baseline_times(report)
-    point = {
-        "label": label,
-        # every point since the seed's per-address loop left src/ is
-        # batched; --check and the trajectory schema rely on the field
-        "mode": "batched",
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "quick": bool(args.quick),
-        "times": times,
-    }
-    if args.profile:
-        point["profile"] = args.profile
-        point["peak_rss_mb"] = peak_rss_mb
-        print(f"peak RSS: {peak_rss_mb} MB")
-    if args.chunk_size is not None:
-        point["chunk_size"] = args.chunk_size
-    if args.engine_xval:
-        point["engine_xval_profile"] = args.engine_xval
-        point["xval_ratios"] = xval_ratios
-    if args.ooc:
-        point["ooc_profile"] = args.ooc
-        point["cell_rss_mb"] = cell_rss
-        point["ooc_cells"] = ooc_detail
-    if args.service:
-        point["service_cells"] = service_detail
-    if sharded:
-        point["workers"] = args.workers or 1
-        if cell_rss:
-            point["cell_rss_mb"] = cell_rss
-        if loaded_cells:
-            print(f"{len(loaded_cells)} cell(s) served from checkpoints "
-                  f"(kept out of the recorded times): "
-                  + ", ".join(loaded_cells))
-    if args.parallel:
-        point["worker_counts"] = worker_counts
-        point["parallel_rss"] = parallel_rss
-
-    shared = [c for c in cells if c[0] in base_times and c[0] in times]
-    if shared:
-        point["speedup_vs_baseline"] = {
-            name: round(base_times[name] / times[name], 3)
-            for name, *_ in shared
-        }
-        rows_new = row_totals(shared, times)
-        rows_base = row_totals(shared, base_times)
-        point["row_speedup_vs_baseline"] = {
-            row: round(rows_base[row] / rows_new[row], 3) for row in rows_new
-        }
-        labels = sorted({base_labels[name] for name, *_ in shared})
-        print(f"\nvs baseline point(s) {labels}:")
-        for name, speedup in point["speedup_vs_baseline"].items():
-            print(f"  {name:38s} {speedup:7.2f}x")
-        print("row totals:")
-        for row, speedup in point["row_speedup_vs_baseline"].items():
-            print(f"  {row:38s} {speedup:7.2f}x")
-    else:
-        print("no cells shared with a baseline point (quick mode?); "
-              "skipping speedup comparison")
-
-    if not args.no_write:
-        for name, row, algorithm, dataset, iters, _ in cells:
-            report["workloads"].setdefault(
-                name,
-                {
-                    "row": row,
-                    "algorithm": algorithm,
-                    "dataset": dataset,
-                    "max_iterations": iters,
-                },
-            )
-        if args.parallel:
-            for name in times:
-                report["workloads"].setdefault(
-                    name,
-                    {
-                        "row": "parallel-sweep",
-                        "algorithm": "PR",
-                        "dataset": "+".join(PARALLEL_SWEEP_DATASETS),
-                        "max_iterations": None,
-                    },
-                )
-        report["trajectory"].append(point)
-        args.json.write_text(json.dumps(report, indent=1) + "\n")
-        print(f"\nappended trajectory point {label!r} to {args.json}")
-
-    # -- CI gates: trajectory regression check + absolute budgets --------
-    gating = (
-        args.check
-        or args.max_seconds is not None
-        or args.max_rss_mb is not None
-    )
-    if not gating:
-        return 0
-    total_best = round(sum(times.values()), 3)
-    # workers are separate processes: the RSS budget must see their
-    # high-water marks too, not just the parent's
-    worker_peak = max(
-        [*cell_rss.values()]
-        + [r["max_worker_rss_mb"] for r in parallel_rss.values()],
-        default=0.0,
-    )
-    gate_rss_mb = max(peak_rss_mb, worker_peak)
+def run_gate(name, family, report, point, report_out) -> int:
+    """Hold ``point`` to the family's gate; write the verdict JSON."""
+    total = round(sum(point["times"].values()), 3)
     verdict = {
-        "mode": "batched",
-        "profile": args.profile,
-        "quick": bool(args.quick),
+        "family": name,
         "timestamp": point["timestamp"],
-        "times": times,
-        "total_best_seconds": total_best,
-        "peak_rss_mb": gate_rss_mb,
+        "times": point["times"],
+        "total_best_seconds": total,
+        "peak_rss_mb": point["peak_rss_mb"],
+        "gate": {"ratio": family.ratio, "max_seconds": family.max_seconds,
+                 "max_rss_mb": family.max_rss_mb},
         "ok": True,
         "failures": [],
     }
-    if args.check:
-        cell_verdicts, cells_ok = check_regressions(
-            report, times, args.check_ratio
+    if family.ratio is not None:
+        cells, cells_ok = check_regressions(
+            report, point["times"], family.ratio
         )
-        verdict["check_ratio"] = args.check_ratio
-        verdict["cells"] = cell_verdicts
+        verdict["cells"] = cells
         if not cells_ok:
             verdict["ok"] = False
             verdict["failures"].append("cell-regression")
-        print(f"\nperf-regression gate (<= {args.check_ratio}x per cell):")
-        for cell in cell_verdicts:
+        print(f"\nperf-regression gate (<= {family.ratio}x per cell):")
+        for cell in cells:
             slow = cell.get("slowdown")
             print(
                 f"  {cell['cell']:38s} {cell['measured_s']:8.3f} s  "
@@ -915,45 +554,158 @@ def main(argv=None) -> int:
                     else "[no-baseline]"
                 )
             )
-    # Record the static-gate status alongside the perf verdict so
-    # nightly artifacts carry it.  Informational here: the blocking
-    # `lint` CI job owns pass/fail, and a lint hiccup must never sink
-    # a perf measurement that already ran.
-    try:
-        from repro.lint import run_paths as _lint_run_paths
-
-        _lint = _lint_run_paths(
-            root=pathlib.Path(__file__).resolve().parent.parent
-        )
-        verdict["lint"] = {
-            "ok": _lint.ok,
-            "files_checked": _lint.files_checked,
-            "counts_by_rule": _lint.counts_by_rule(),
-        }
-    except Exception as exc:
-        verdict["lint"] = {"ok": None, "error": repr(exc)}
-    if args.max_seconds is not None and total_best > args.max_seconds:
+    if family.max_seconds is not None and total > family.max_seconds:
         verdict["ok"] = False
         verdict["failures"].append(
-            f"wall-clock {total_best}s > budget {args.max_seconds}s"
+            f"wall-clock {total}s > budget {family.max_seconds}s"
         )
-    if args.max_rss_mb is not None and gate_rss_mb > args.max_rss_mb:
+    peak = point["peak_rss_mb"]
+    if family.max_rss_mb is not None and peak > family.max_rss_mb:
         verdict["ok"] = False
         verdict["failures"].append(
-            f"peak RSS {gate_rss_mb} MB > budget {args.max_rss_mb} MB"
+            f"peak RSS {peak} MB > budget {family.max_rss_mb} MB"
         )
-    report_out = args.report_out or (
-        args.json.parent / "perf_check_report.json"
-    )
     report_out.write_text(json.dumps(verdict, indent=1) + "\n")
     print(
         f"gate verdict: {'OK' if verdict['ok'] else 'FAIL'} "
-        f"(total {total_best}s, peak RSS {gate_rss_mb} MB) -> {report_out}"
+        f"(total {total}s, peak RSS {peak} MB) -> {report_out}"
     )
-    if not verdict["ok"]:
-        for failure in verdict["failures"]:
-            print(f"  FAIL: {failure}")
-        return 1
+    for failure in verdict["failures"]:
+        print(f"  FAIL: {failure}")
+    return 0 if verdict["ok"] else 1
+
+
+# ---------------------------------------------------------------------------
+# Entry point
+# ---------------------------------------------------------------------------
+def parse_args(argv=None) -> tuple[argparse.Namespace, list[Cell]]:
+    """Parse and validate a command line; returns it with the selected
+    cells (exits on a usage error)."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("family", nargs="?", default="full",
+                        choices=list(FAMILIES),
+                        help="cell family to measure (default: full)")
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="best-of-N timings (ooc cells and sharded "
+                        "runs are single-shot)")
+    parser.add_argument("--label", default=None,
+                        help="trajectory point label (default: the "
+                        "family name)")
+    parser.add_argument("--json", type=pathlib.Path, default=DEFAULT_JSON,
+                        help="trajectory file (default: BENCH_hotpath.json)")
+    parser.add_argument("--no-write", action="store_true",
+                        help="measure and print only")
+    parser.add_argument("--only", default=None, metavar="PREFIXES",
+                        help="restrict to cells whose name starts with "
+                        "one of the comma-separated prefixes")
+    parser.add_argument("--check", action="store_true",
+                        help="run the family's gate against the recorded "
+                        "trajectory instead of recording (exit 1 on "
+                        "failure)")
+    parser.add_argument("--report-out", type=pathlib.Path, default=None,
+                        metavar="PATH",
+                        help="where --check writes its verdict JSON "
+                        "(default: perf_check_report.json next to the "
+                        "trajectory)")
+    parser.add_argument("--workers", type=int, default=None, metavar="N",
+                        help="shard a grid family across N worker "
+                        "processes (shared memmapped graphs; per-cell "
+                        "times come from the workers)")
+    parser.add_argument("--resume-from", type=pathlib.Path, default=None,
+                        metavar="DIR",
+                        help="per-cell checkpoint directory for a grid "
+                        "family: cells recorded there are loaded, the "
+                        "rest run and are checkpointed")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    if args.workers is not None and args.workers < 1:
+        parser.error("--workers must be >= 1")
+    grid = FAMILIES[args.family].measure is measure_grid
+    if (args.workers is not None or args.resume_from is not None) and not grid:
+        parser.error(f"--workers/--resume-from need a grid family (full, "
+                     f"quick, scale/*), not {args.family!r}")
+    if args.check and not args.json.exists():
+        parser.error(f"--check: trajectory {args.json} does not exist")
+    cells = FAMILIES[args.family].cells
+    if args.only:
+        prefixes = tuple(p for p in args.only.split(",") if p)
+        cells = [c for c in cells if c.name.startswith(prefixes)]
+        if not cells:
+            parser.error(f"--only {args.only!r} matches no "
+                         f"{args.family!r} cells")
+    return args, cells
+
+
+def main(argv=None) -> int:
+    args, cells = parse_args(argv)
+    family = FAMILIES[args.family]
+    print(f"perf_report: {args.family} cells={len(cells)} "
+          f"repeats={args.repeats}")
+    measured = family.measure(cells, args)
+    times = measured.times
+    # ru_maxrss is this process's high-water mark (KB on Linux); children
+    # and workers report theirs per cell
+    peak_rss_mb = round(max(
+        [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+         *measured.cell_rss_mb.values()]
+    ), 1)
+    point = {
+        "label": args.label or args.family,
+        # every point since the seed's per-address loop left src/ is
+        # batched; --check and the trajectory schema rely on the field
+        "mode": "batched",
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "family": args.family,
+        "times": times,
+        "peak_rss_mb": peak_rss_mb,
+    }
+    if measured.cell_rss_mb:
+        point["cell_rss_mb"] = measured.cell_rss_mb
+    if measured.details:
+        point["details"] = measured.details
+    print(f"peak RSS: {peak_rss_mb} MB")
+
+    report = load_trajectory(args.json)
+    base_times, base_labels = baseline_times(report)
+    shared = [c for c in cells if c.name in base_times and c.name in times]
+    if shared:
+        point["speedup_vs_baseline"] = {
+            c.name: round(base_times[c.name] / times[c.name], 3)
+            for c in shared
+        }
+        rows_new = row_totals(shared, times)
+        rows_base = row_totals(shared, base_times)
+        point["row_speedup_vs_baseline"] = {
+            row: round(rows_base[row] / rows_new[row], 3) for row in rows_new
+        }
+        labels = sorted({base_labels[c.name] for c in shared})
+        print(f"\nvs baseline point(s) {labels}:")
+        for name, speedup in point["speedup_vs_baseline"].items():
+            print(f"  {name:38s} {speedup:7.2f}x")
+        print("row totals:")
+        for row, speedup in point["row_speedup_vs_baseline"].items():
+            print(f"  {row:38s} {speedup:7.2f}x")
+    else:
+        print("no cells shared with a baseline point; "
+              "skipping speedup comparison")
+
+    if args.check:
+        report_out = args.report_out or (
+            args.json.parent / "perf_check_report.json"
+        )
+        return run_gate(args.family, family, report, point, report_out)
+    if not args.no_write:
+        for cell in cells:
+            report["workloads"].setdefault(cell.name, {
+                "row": cell.row,
+                "algorithm": cell.algorithm,
+                "dataset": cell.dataset,
+                "max_iterations": cell.max_iterations,
+            })
+        report["trajectory"].append(point)
+        args.json.write_text(json.dumps(report, indent=1) + "\n")
+        print(f"\nappended trajectory point {point['label']!r} to {args.json}")
     return 0
 
 

@@ -49,7 +49,8 @@ class _ECSystem(AcceleratorSystem):
         #: memory-path knobs (scale-profile driven; chunk_size None =
         #: whole-tile batches, replay_capacity None =
         #: REPLAY_CAPACITY_DEFAULT, 0 = no memo), mirroring the
-        #: vertex-centric systems
+        #: vertex-centric systems; every edge-centric run is stationary
+        #: (it streams every block every iteration), so it builds a memo
         self.chunk_size = chunk_size
         self.replay_capacity = replay_capacity
 
@@ -74,15 +75,16 @@ class _ECSystem(AcceleratorSystem):
             onchip_bytes=self.onchip_bytes,
         )
         result.dram._burst_bytes = self.dram_config.spec.burst_bytes
-        self.setup(graph)
+        self.setup(graph, self.replay_capacity if engine.stationary else 0)
         for trace in engine.run_iter(max_iterations):
             self._run_iteration(trace, result)
             result.iterations += 1
         self.finish(result)
         return result
 
-    def setup(self, graph: CSRGraph) -> None:
-        """Hook for building on-chip state."""
+    def setup(self, graph: CSRGraph, replay_capacity: int | None) -> None:
+        """Hook for building on-chip state; the memory path gets a
+        replay memo of ``replay_capacity`` (0: none)."""
 
     def finish(self, result: SystemResult) -> None:
         result.useful_bytes += (
@@ -158,7 +160,7 @@ class ECPiccoloSystem(_ECSystem):
         self.fg_tag_bits = fg_tag_bits
         self.path: FineGrainedMemoryPath | None = None
 
-    def setup(self, graph: CSRGraph) -> None:
+    def setup(self, graph: CSRGraph, replay_capacity: int | None) -> None:
         cache = PiccoloCache(
             self.onchip_bytes, ways=self.cache_ways,
             fg_tag_bits=self.fg_tag_bits,
@@ -174,7 +176,7 @@ class ECPiccoloSystem(_ECSystem):
         self.path = FineGrainedMemoryPath(
             cache,
             mshr,
-            replay_capacity=self.replay_capacity,
+            replay_capacity=replay_capacity,
             chunk_size=self.chunk_size,
         )
 

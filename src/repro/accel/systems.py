@@ -67,9 +67,10 @@ class _VCMSystem(AcceleratorSystem):
         self.layout = layout if layout is not None else MemoryLayout()
         #: memory-path knobs (scale-profile driven): chunk_size None
         #: runs whole-tile batches; replay_capacity None means
-        #: REPLAY_CAPACITY_DEFAULT and 0 means no memo.  SPM/PIM
-        #: systems have no cached random path, so they simply ignore
-        #: them.
+        #: REPLAY_CAPACITY_DEFAULT and 0 means no memo.  Only a
+        #: stationary run (one whose iterations repeat their address
+        #: streams, see :meth:`run`) builds a memo.  SPM/PIM systems
+        #: have no cached random path, so they simply ignore them.
         self.chunk_size = chunk_size
         self.replay_capacity = replay_capacity
         #: tile-array backing ("memory"/"disk") plus the disk store's
@@ -83,8 +84,11 @@ class _VCMSystem(AcceleratorSystem):
         width = perfect_tile_width(graph.num_vertices, self.onchip_bytes)
         return min(graph.num_vertices, width * self.tile_scale)
 
-    def setup(self, graph: CSRGraph, tile_width: int) -> None:
-        """Build per-run on-chip state (caches, MSHRs)."""
+    def setup(
+        self, graph: CSRGraph, tile_width: int, replay_capacity: int | None
+    ) -> None:
+        """Build per-run on-chip state (caches, MSHRs); the memory
+        path gets a replay memo of ``replay_capacity`` (0: none)."""
 
     def random_access_phase(self, tile: TileTrace, result: SystemResult) -> dict:
         """Run the tile's random accesses; returns the keyword arguments
@@ -159,7 +163,10 @@ class _VCMSystem(AcceleratorSystem):
             onchip_bytes=self.onchip_bytes,
         )
         result.dram._burst_bytes = self.dram_config.spec.burst_bytes
-        self.setup(graph, width)
+        # a frontier run's streams change every iteration: no memo
+        self.setup(
+            graph, width, self.replay_capacity if engine.stationary else 0
+        )
         for trace in engine.run_iter(max_iterations):
             self._run_iteration(trace, result)
             self.end_iteration(result)
@@ -292,13 +299,13 @@ class GraphDynsCacheSystem(_VCMSystem):
         super().__init__(*args, **kwargs)
         self.cache_ways = cache_ways
 
-    def setup(self, graph, tile_width):
+    def setup(self, graph, tile_width, replay_capacity):
         cache = ConventionalCache(
             self.onchip_bytes, ways=self.cache_ways, line_bytes=64
         )
         self.path = ConventionalMemoryPath(
             cache,
-            replay_capacity=self.replay_capacity,
+            replay_capacity=replay_capacity,
             chunk_size=self.chunk_size,
         )
 
@@ -358,7 +365,7 @@ class _FineGrainedSystem(_VCMSystem):
             fg_tag_bits=self.fg_tag_bits,
         )
 
-    def setup(self, graph, tile_width):
+    def setup(self, graph, tile_width, replay_capacity):
         cache = self.make_cache()
         if isinstance(cache, PiccoloCache):
             if self.way_partition == "naive":
@@ -380,7 +387,7 @@ class _FineGrainedSystem(_VCMSystem):
         self.path = FineGrainedMemoryPath(
             cache,
             mshr,
-            replay_capacity=self.replay_capacity,
+            replay_capacity=replay_capacity,
             chunk_size=self.chunk_size,
         )
 

@@ -63,6 +63,11 @@ class ECIterationTrace:
 class EdgeCentricEngine:
     """Grid-partitioned edge-centric execution of an algorithm spec."""
 
+    #: every iteration streams every block and applies the same
+    #: destinations (see :meth:`_build_grid`), so the address streams
+    #: repeat for every algorithm
+    stationary = True
+
     def __init__(
         self,
         spec: AlgorithmSpec,

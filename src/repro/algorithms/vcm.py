@@ -190,6 +190,14 @@ class VertexCentricEngine:
         self._reduce_ufunc, self._identity = REDUCE_OPS[spec.reduce_name]
 
     @property
+    def stationary(self) -> bool:
+        """True when every iteration repeats the same tile address
+        streams: an algorithm that applies every vertex streams every
+        edge each iteration (PageRank), while a frontier algorithm
+        streams only its active sources' edges."""
+        return self.spec.applies_all_vertices
+
+    @property
     def num_active(self) -> int:
         return int(np.count_nonzero(self.active_mask))
 

@@ -229,6 +229,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``minimum``, so a
+    bad count is a usage error naming its flag, not a traceback."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -247,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure.add_argument("--profile", default="toy", choices=sorted(PROFILES),
                         help="experiment scale profile (default: toy)")
-    figure.add_argument("--chunk-size", type=int, default=None,
+    figure.add_argument("--chunk-size", type=_at_least(1), default=None,
                         metavar="N",
                         help="override the profile's memory-path tile "
                         "chunking (accesses per chunk)")
@@ -260,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tile-store directory for --tile-backing "
                         "disk (default: REPRO_TILE_STORE or a per-"
                         "process temp dir)")
-    figure.add_argument("--workers", type=int, default=None, metavar="N",
+    figure.add_argument("--workers", type=_at_least(0), default=None,
+                        metavar="N",
                         help="shard the figure's grid across N worker "
                         "processes (shared memmapped graphs)")
     figure.add_argument("--resume", action="store_true",
@@ -299,10 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "(checkpoint-store layout; point it at a "
                            "sweep's --checkpoint-dir to serve its "
                            "cells; default: .repro_service)")
-    serve_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
+    serve_cmd.add_argument("--jobs", type=_at_least(1), default=1,
+                           metavar="N",
                            help="background simulation threads "
                            "(default: 1)")
-    serve_cmd.add_argument("--job-workers", type=int, default=0,
+    serve_cmd.add_argument("--job-workers", type=_at_least(0), default=0,
                            metavar="N",
                            help="process-pool width per job via the "
                            "sharded sweep runner (default: 0 = run "

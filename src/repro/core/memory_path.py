@@ -25,10 +25,15 @@ per-address Python calls.  The seed's per-address walk over the
 per-event oracles (``cache.access``, ``mshr.add_read``/``add_write``,
 :meth:`LocalityMonitor.observe`) lives on only as the test reference in
 ``tests/reference_paths.py``.  On top of the engine, an exact replay
-memo (:class:`BatchReplayMemo`) recognises a batch whose (cache state,
-MSHR state, address stream) triple was simulated before -- e.g.
-PageRank re-running identical iterations -- and replays the recorded
-events, counter deltas, and end state instead of re-simulating.
+memo (:class:`BatchReplayMemo`) keeps one record per address stream: a
+batch whose stream was last simulated from the same cache and MSHR
+state replays the recorded events, counter deltas and end state
+instead of re-simulating.  Only stationary runs build a memo -- runs
+whose iterations repeat their streams: PageRank on the vertex-centric
+engine and every edge-centric run -- and they replay from their first
+repeated iteration.  A frontier run (BFS, CC, SSSP, SSWP) follows a
+different stream each iteration, so its path is built with
+``replay_capacity=0`` and never hashes a digest.
 
 Chunked tile streaming (mid/paper profiles): a finite ``chunk_size``
 streams each ``run`` batch through the engine in bounded chunks, so
@@ -51,7 +56,6 @@ which hands the phase the whole tile in one piece.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 
 import numpy as np
 
@@ -60,37 +64,47 @@ from repro.core.collection_mshr import CollectionExtendedMSHR
 from repro.dram.fim_batch import FimOpBatch
 from repro.utils.sorting import run_starts
 
-#: default replay-memo capacity (distinct batches remembered per path);
+#: default replay-memo capacity (address streams remembered per path);
 #: a path built with ``replay_capacity=0`` has no memo
 REPLAY_CAPACITY_DEFAULT = 256
 
 
 class BatchReplayMemo:
-    """Exact replay of previously simulated batches.
+    """Exact replay of previously simulated batches, one record per
+    address stream.
 
-    A batch's outcome is fully determined by (cache state, MSHR state,
-    monitor state, address stream, access type).  The memo keys on a
-    digest of that tuple; on a hit it restores the recorded end state
-    and replays the recorded events/counter deltas instead of
-    re-simulating.  Digests use canonical (rank-based) recency, so the
-    identical iterations of stationary algorithms hit even though the
-    absolute LRU clock advanced.
+    A batch's outcome is fully determined by its address stream (with
+    the access type) and the state it meets: the cache and MSHR, plus
+    the monitor state and bypass watermarks on a monitored path.  The
+    memo keys each record by a digest of the stream and keeps the
+    digest of the state it was recorded under; :meth:`get` returns the
+    record only when both match, and the path then restores the
+    recorded end state and replays the recorded events and counter
+    deltas instead of re-simulating.  A miss records at once
+    (:meth:`put`), replacing the stream's earlier record, so a run whose
+    iterations repeat their streams replays from its first repeat and
+    the memo holds at most one record per stream.  Once it holds
+    ``capacity`` streams it admits no new one: iterations present their
+    streams in the same cyclic order, so evicting the least recently
+    used record would drop each one just before its repeat.  Digests
+    use canonical (rank-based) recency, so identical iterations hit
+    even though the absolute LRU clock advanced.
 
-    A memo holds at least one batch; a path without replay has no memo
-    (``replay_capacity=0``), so it never hashes a digest.
+    A memo holds at least one record; a path without replay has no
+    memo (``replay_capacity=0``), so it never hashes a digest.
     """
 
     def __init__(self, capacity: int = REPLAY_CAPACITY_DEFAULT) -> None:
         if capacity < 1:
             raise ValueError(f"memo capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._memo: OrderedDict[bytes, tuple] = OrderedDict()
-        #: keys seen once -- snapshots are only recorded on the second
-        #: sighting, so one-shot batches (BFS frontiers) never pay the
-        #: snapshot cost or hold memory
-        self._seen: OrderedDict[bytes, None] = OrderedDict()
+        #: stream digest -> (state digest, record)
+        self._records: dict[bytes, tuple[bytes, tuple]] = {}
         self.hits = 0
         self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._records)
 
     def key(self, parts: list[bytes]) -> bytes:
         h = hashlib.blake2b(digest_size=16)
@@ -98,28 +112,21 @@ class BatchReplayMemo:
             h.update(part)
         return h.digest()
 
-    def get(self, key: bytes):
-        rec = self._memo.get(key)
-        if rec is None:
+    def get(self, stream: bytes, state: bytes) -> tuple | None:
+        """The record of ``stream`` if it was recorded under ``state``."""
+        held = self._records.get(stream)
+        if held is None or held[0] != state:
             self.misses += 1
-        else:
-            self.hits += 1
-            self._memo.move_to_end(key)
-        return rec
+            return None
+        self.hits += 1
+        return held[1]
 
-    def should_record(self, key: bytes) -> bool:
-        """True on a key's second (or later) miss."""
-        if key in self._seen:
-            return True
-        self._seen[key] = None
-        if len(self._seen) > 4 * self.capacity:
-            self._seen.popitem(last=False)
-        return False
-
-    def put(self, key: bytes, record: tuple) -> None:
-        self._memo[key] = record
-        if len(self._memo) > self.capacity:
-            self._memo.popitem(last=False)
+    def put(self, stream: bytes, state: bytes, record: tuple) -> None:
+        """Record ``stream``'s outcome under ``state``, replacing the
+        stream's earlier record; a new stream is admitted only while
+        the memo holds fewer than ``capacity``."""
+        if stream in self._records or len(self._records) < self.capacity:
+            self._records[stream] = (state, record)
 
 
 class _RequestAccumulator:
@@ -212,32 +219,25 @@ class ConventionalMemoryPath:
 
     def _run_batch(self, addrs: np.ndarray, rmw: bool) -> None:
         memo = self.memo
-        key = None
         if memo is not None:
-            key = memo.key(
-                [
-                    self.cache.state_digest(),
-                    addrs.tobytes(),
-                    b"w" if rmw else b"r",
-                ]
-            )
-            rec = memo.get(key)
+            stream = memo.key([addrs.tobytes(), b"w" if rmw else b"r"])
+            state = self.cache.state_digest()
+            rec = memo.get(stream, state)
             if rec is not None:
                 ev_addr, ev_is_wb, counters, snap = rec
                 self.cache.state_restore(snap)
                 self.cache.counter_apply(counters)
                 self._requests.append_arrays(ev_addr, ev_is_wb)
                 return
-            if not memo.should_record(key):
-                key = None
-        before = self.cache.counter_vector() if key is not None else None
+            before = self.cache.counter_vector()
         res = self.cache.access_many(addrs, rmw)
         self._requests.append_arrays(res.ev_addr, res.ev_is_wb)
-        if key is not None:
+        if memo is not None:
             after = self.cache.counter_vector()
             delta = tuple(a - b for a, b in zip(after, before))
             memo.put(
-                key,
+                stream,
+                state,
                 (res.ev_addr, res.ev_is_wb, delta, self.cache.state_snapshot()),
             )
 
@@ -398,38 +398,29 @@ class FineGrainedMemoryPath:
 
     def _run_batch(self, addrs: np.ndarray, rmw: bool) -> None:
         memo = self.memo
-        key = None
         if memo is not None:
-            parts = [
-                self.cache.state_digest(),
-                self.mshr.state_digest(),
-                addrs.tobytes(),
-                b"w" if rmw else b"r",
-            ]
+            stream = memo.key([addrs.tobytes(), b"w" if rmw else b"r"])
+            parts = [self.cache.state_digest(), self.mshr.state_digest()]
             if self.monitor is not None:
                 # repro-lint: disable=RL001 -- state_tuple() is ints only
                 parts.append(repr(self.monitor.state_tuple()).encode())
                 parts.append(
-                    # repro-lint: disable=RL001 -- a bool 2-tuple
+                    # repro-lint: disable=RL001 -- two int block addresses
                     repr((self._last_bypass_fill, self._last_bypass_wb)).encode()
                 )
-            key = memo.key(parts)
-            rec = memo.get(key)
+            state = memo.key(parts)
+            rec = memo.get(stream, state)
             if rec is not None:
                 self._replay(rec)
                 return
-            if not memo.should_record(key):
-                key = None
-        before = None
-        ops_before = len(self.fim_ops)
-        if key is not None:
             before = (
                 self.cache.counter_vector(),
                 self.mshr.counter_vector(),
             )
+            ops_before = len(self.fim_ops)
             bypass_chunks_before = len(self._bypass._chunks)
         self._simulate(addrs, rmw)
-        if key is not None:
+        if memo is not None:
             cache_delta = tuple(
                 a - b
                 for a, b in zip(self.cache.counter_vector(), before[0])
@@ -447,7 +438,7 @@ class FineGrainedMemoryPath:
                 self.monitor.state_tuple() if self.monitor is not None else None,
                 (self._last_bypass_fill, self._last_bypass_wb),
             )
-            memo.put(key, record)
+            memo.put(stream, state, record)
 
     def _replay(self, rec: tuple) -> None:
         (

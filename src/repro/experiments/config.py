@@ -97,8 +97,10 @@ class ExperimentScale:
     #: request stream stay O(chunk) instead of O(tile); None streams
     #: whole tiles (the toy default).  Results are identical either way.
     chunk_size: int | None = None
-    #: replay-memo capacity per memory path; None keeps the module
-    #: default (256), 0 disables the memo entirely
+    #: replay-memo capacity (address streams) per memory path; None
+    #: keeps the module default (256), 0 disables the memo entirely.
+    #: Only a stationary run (vertex-centric PageRank, every
+    #: edge-centric run) builds a memo; a frontier run never does.
     replay_capacity: int | None = None
     #: where :class:`~repro.graph.partition.TiledCSR` keeps its sorted
     #: tile arrays: ``"memory"`` (global in-RAM argsort, tiles resident
@@ -159,8 +161,8 @@ PROFILES: dict[str, ExperimentScale] = {
         scale_shift=5,
         chunk_size=1 << 16,
         # A 4 MB cache snapshot is megabytes, and a paper tile spans
-        # ~100 chunks, so the memo would thrash its capacity without
-        # ever replaying; disable it instead of holding the memory.
+        # ~100 chunks, so the memo would hold a snapshot per chunk up
+        # to its capacity, a gigabyte or more; disable it instead.
         replay_capacity=0,
     ),
 }

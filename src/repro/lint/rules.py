@@ -687,7 +687,8 @@ DEFAULT_SCOPES: dict[str, tuple[str, ...]] = {
 DEFAULT_DIGEST_EXTRAS: dict[str, tuple[str, ...]] = {
     # resolve_cell assembles the canonical cell digest
     "src/repro/experiments/runner.py": ("resolve_cell",),
-    # BatchReplayMemo.key + the memo-key part assembly in _run_batch
+    # BatchReplayMemo.key + the stream- and state-key part assembly in
+    # _run_batch
     "src/repro/core/memory_path.py": ("key", "_run_batch"),
 }
 

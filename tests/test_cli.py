@@ -71,6 +71,42 @@ class TestParser:
         assert args.jobs == 4
 
 
+class TestCountFlags:
+    """A bad worker or chunk count is a usage error naming its flag,
+    raised before any dataset or store is touched."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["figure", "fig10", "--workers", "-4"], "--workers"),
+            (["figure", "fig3", "--fast", "--chunk-size", "0"],
+             "--chunk-size"),
+            (["serve", "--jobs", "0"], "--jobs"),
+            (["serve", "--job-workers", "-1"], "--job-workers"),
+        ],
+    )
+    def test_bad_count_is_a_usage_error(
+        self, argv, flag, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_counts_at_their_minimum_parse(self):
+        parser = build_parser()
+        figure = parser.parse_args(
+            ["figure", "fig10", "--workers", "0", "--chunk-size", "1"]
+        )
+        assert (figure.workers, figure.chunk_size) == (0, 1)
+        serve = parser.parse_args(
+            ["serve", "--jobs", "1", "--job-workers", "0"]
+        )
+        assert (serve.jobs, serve.job_workers) == (1, 0)
+
+
 class TestTileBackingCommand:
     def test_fast_figure_runs_disk_backed(self, capsys, tmp_path):
         from repro.experiments.runner import clear_result_cache

@@ -90,8 +90,7 @@ class TestFineGrainedPath:
 
 class TestReplayMemoDisabled:
     """``replay_capacity=0`` must disable the memo *entirely*: no memo
-    object, so no digests, no sighting tracking, no record-then-evict
-    churn."""
+    object, so no digests and no records."""
 
     def test_capacity_below_one_raises(self):
         """A memo holds at least one batch; "no memo" is a path built
@@ -102,12 +101,10 @@ class TestReplayMemoDisabled:
 
     def test_enabled_memo_still_tracks(self):
         memo = BatchReplayMemo(4)
-        key = memo.key([b"x"])
-        assert memo.get(key) is None and memo.misses == 1
-        assert memo.should_record(key) is False  # first sighting
-        assert memo.should_record(key) is True   # second sighting
-        memo.put(key, ("record",))
-        assert memo.get(key) == ("record",) and memo.hits == 1
+        stream, state = memo.key([b"x"]), memo.key([b"s"])
+        assert memo.get(stream, state) is None and memo.misses == 1
+        memo.put(stream, state, ("record",))
+        assert memo.get(stream, state) == ("record",) and memo.hits == 1
 
     def test_paths_with_zero_capacity_have_no_memo(self, mapper):
         conv = ConventionalMemoryPath(
@@ -153,6 +150,50 @@ class TestReplayMemoDisabled:
                 CollectionExtendedMSHR(mapper, num_entries=16),
                 replay_capacity=-1,
             )
+
+
+class TestReplayMemoRecords:
+    """One record per address stream: a path records every memo miss at
+    once, and a record replays only under the state it was recorded in."""
+
+    def test_first_miss_records_and_same_state_replays(self):
+        path = ConventionalMemoryPath(ConventionalCache(1024, ways=2))
+        memo = path.memo
+        batch = np.asarray([0, 64, 128], dtype=np.int64)
+        path.run(batch, rmw=True)  # cold cache: the first miss records
+        assert (memo.hits, memo.misses, len(memo)) == (0, 1, 1)
+        path.run(batch, rmw=True)  # warm cache: misses, replaces
+        assert (memo.hits, memo.misses, len(memo)) == (0, 2, 1)
+        path.run(batch, rmw=True)  # the same warm state: replays
+        assert (memo.hits, memo.misses, len(memo)) == (1, 2, 1)
+
+    def test_another_state_misses_and_replaces_the_record(self):
+        memo = BatchReplayMemo(4)
+        stream, cold, warm = (memo.key([p]) for p in (b"a", b"cold", b"warm"))
+        memo.put(stream, cold, ("cold",))
+        assert memo.get(stream, cold) == ("cold",)
+        assert memo.get(stream, warm) is None
+        memo.put(stream, warm, ("warm",))
+        assert len(memo) == 1
+        assert memo.get(stream, warm) == ("warm",)
+        assert memo.get(stream, cold) is None
+
+    def test_full_memo_keeps_its_streams(self):
+        """Streams repeat in cyclic order, so a full memo keeps the
+        streams it holds (and still replaces their records) instead of
+        evicting one just before its repeat."""
+        memo = BatchReplayMemo(2)
+        a, b, c, state, other = (
+            memo.key([p]) for p in (b"a", b"b", b"c", b"s", b"t")
+        )
+        for stream in (a, b, c):
+            memo.put(stream, state, (stream,))
+        assert len(memo) == 2
+        assert memo.get(c, state) is None
+        assert memo.get(a, state) == (a,)
+        memo.put(a, other, ("a again",))
+        assert memo.get(a, other) == ("a again",)
+        assert memo.get(b, state) == (b,)
 
 
 class TestChunkedStreaming:

@@ -21,15 +21,10 @@ def run_path(addrs, monitor):
     cache = PiccoloCache(4096, ways=8, fg_tag_bits=4)
     mshr = CollectionExtendedMSHR(model.mapper, num_entries=64)
     path = FineGrainedMemoryPath(cache, mshr, locality_monitor=monitor)
-    path.run(addrs, rmw=False)
-    path.flush()
-    ops, bypass_addrs, bypass_writes = path.drain()
-    phase = model.phase(
-        addrs=bypass_addrs if bypass_addrs.size else None,
-        is_write=bypass_writes if bypass_addrs.size else None,
-        fim_ops=ops,
-    )
-    return phase
+    phase = model.open_phase()
+    path.run(addrs, rmw=False, phase=phase)
+    path.flush(phase)
+    return phase.close()
 
 
 def collect_rows():

@@ -6,6 +6,8 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.accel.pipeline import PipelineConfig
+from repro.cache.conventional import ConventionalCache
+from repro.core.memory_path import ConventionalMemoryPath, FineGrainedMemoryPath
 from repro.dram.spec import DRAMConfig, default_config
 from repro.dram.system import DRAMModel, PhaseStats
 
@@ -103,9 +105,13 @@ class SystemResult:
 
 
 class AcceleratorSystem:
-    """Base class: owns the DRAM model and the pipeline configuration."""
+    """Base class: owns the DRAM model and the pipeline configuration,
+    and charges every phase and settles every run the same way."""
 
     name = "base"
+    #: cached random-access memory path (built by the subclass's setup);
+    #: scratchpad, PIM and edge-centric conventional systems have none
+    path: ConventionalMemoryPath | FineGrainedMemoryPath | None = None
 
     def __init__(
         self,
@@ -131,3 +137,49 @@ class AcceleratorSystem:
 
     def run(self, graph, algorithm: str, max_iterations: int = 40) -> SystemResult:
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    def charge(
+        self, result: SystemResult, phase: PhaseStats, compute_ns: float = 0.0
+    ) -> None:
+        """Add one closed phase to ``result``: compute overlaps the
+        phase's memory time, so the pair costs the longer of the two,
+        and the phase's counters merge into ``result.dram``."""
+        result.compute_ns += compute_ns
+        result.memory_ns += phase.time_ns
+        result.total_ns += max(compute_ns, phase.time_ns)
+        phase.time_ns = 0.0  # time already accounted; merge counters
+        result.dram.merge(phase)
+
+    def finish(self, result: SystemResult) -> None:
+        """End of run: write the path's on-chip dirty state back in one
+        last phase and settle the run's counters.
+
+        Streams are always useful data (topology/property bytes
+        consumed).  A cached path adds the words its cache actually
+        requested, its hit/miss counts and its random fill/write-back
+        bytes; a fine-grained path adds its MSHR's FIM-op counts.
+        """
+        result.useful_bytes += result.stream_read_bytes + result.stream_write_bytes
+        if self.path is None:
+            return
+        phase = self.dram.open_phase()
+        self.path.flush(phase)
+        self.charge(result, phase.close())
+        cache = self.path.cache
+        if isinstance(cache, ConventionalCache) and cache.line_bytes > 8:
+            result.useful_bytes += cache.useful_fill_bytes + cache.useful_wb_bytes
+        else:
+            # Fine-grained designs fetch/write only requested words; FIM
+            # offset bursts are protocol overhead, never useful payload.
+            result.useful_bytes += (
+                cache.stats.fill_bytes + cache.stats.writeback_bytes
+            )
+        result.cache_hits = cache.stats.hits
+        result.cache_misses = cache.stats.misses
+        result.cache_accesses = cache.stats.accesses
+        result.random_read_bytes += cache.stats.fill_bytes
+        result.random_write_bytes += cache.stats.writeback_bytes
+        if isinstance(self.path, FineGrainedMemoryPath):
+            result.mshr_ops = self.path.mshr.stats.total_ops
+            result.mshr_forwarded = self.path.mshr.stats.forwarded_reads

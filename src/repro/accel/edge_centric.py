@@ -39,19 +39,16 @@ class _ECSystem(AcceleratorSystem):
         onchip_bytes: int = 4096,
         tile_scale: int = 1,
         layout: MemoryLayout | None = None,
-        chunk_size: int | None = None,
         replay_capacity: int | None = None,
     ) -> None:
         super().__init__(dram_config, pipeline)
         self.onchip_bytes = onchip_bytes
         self.tile_scale = tile_scale
         self.layout = layout if layout is not None else MemoryLayout()
-        #: memory-path knobs (scale-profile driven; chunk_size None =
-        #: whole-tile batches, replay_capacity None =
+        #: memory-path replay memo (scale-profile driven; None =
         #: REPLAY_CAPACITY_DEFAULT, 0 = no memo), mirroring the
         #: vertex-centric systems; every edge-centric run is stationary
         #: (it streams every block every iteration), so it builds a memo
-        self.chunk_size = chunk_size
         self.replay_capacity = replay_capacity
 
     def tile_widths(self, graph: CSRGraph) -> tuple[int, int]:
@@ -86,22 +83,6 @@ class _ECSystem(AcceleratorSystem):
         """Hook for building on-chip state; the memory path gets a
         replay memo of ``replay_capacity`` (0: none)."""
 
-    def finish(self, result: SystemResult) -> None:
-        result.useful_bytes += (
-            result.stream_read_bytes + result.stream_write_bytes
-        )
-
-    def _charge_phase(self, result, compute_ns, **phase_kwargs) -> None:
-        phase = self.dram.phase(**phase_kwargs)
-        self._merge_phase(result, compute_ns, phase)
-
-    def _merge_phase(self, result, compute_ns, phase) -> None:
-        result.compute_ns += compute_ns
-        result.memory_ns += phase.time_ns
-        result.total_ns += max(compute_ns, phase.time_ns)
-        phase.time_ns = 0.0
-        result.dram.merge(phase)
-
 
 class ECConventionalSystem(_ECSystem):
     """Edge-centric with scratchpad tiles and a conventional memory system."""
@@ -118,10 +99,10 @@ class ECConventionalSystem(_ECSystem):
             result.stream_read_bytes += stream_rd
             compute = self.pipeline.compute_ns(block.num_edges, 0)
             result.edges_processed += block.num_edges
-            self._charge_phase(
-                result, compute,
-                stream_read_bytes=self.effective_stream_bytes(stream_rd),
+            phase = self.dram.phase(
+                stream_read_bytes=self.effective_stream_bytes(stream_rd)
             )
+            self.charge(result, phase, compute)
         for apply_dst in trace.apply_dst:
             if apply_dst.size == 0:
                 continue
@@ -132,11 +113,11 @@ class ECConventionalSystem(_ECSystem):
             result.stream_write_bytes += stream_wr
             compute = self.pipeline.compute_ns(0, int(apply_dst.size))
             result.vertex_applies += int(apply_dst.size)
-            self._charge_phase(
-                result, compute,
+            phase = self.dram.phase(
                 stream_read_bytes=self.effective_stream_bytes(stream_rd),
                 stream_write_bytes=stream_wr,
             )
+            self.charge(result, phase, compute)
 
 
 class ECPiccoloSystem(_ECSystem):
@@ -158,7 +139,6 @@ class ECPiccoloSystem(_ECSystem):
         self.cache_ways = cache_ways
         self.mshr_entries = mshr_entries
         self.fg_tag_bits = fg_tag_bits
-        self.path: FineGrainedMemoryPath | None = None
 
     def setup(self, graph: CSRGraph, replay_capacity: int | None) -> None:
         cache = PiccoloCache(
@@ -174,44 +154,26 @@ class ECPiccoloSystem(_ECSystem):
             items_per_op=self.dram_config.fim_items_per_op,
         )
         self.path = FineGrainedMemoryPath(
-            cache,
-            mshr,
-            replay_capacity=replay_capacity,
-            chunk_size=self.chunk_size,
+            cache, mshr, replay_capacity=replay_capacity
         )
-
-    def _charge_random_phase(
-        self, result, compute_ns, run_fn, **stream_kwargs
-    ) -> None:
-        """Run ``run_fn`` (memory-path accesses) and charge the phase:
-        a chunked path drains each chunk into the phase as it goes, the
-        rest of the request stream joins it afterwards."""
-        acc = self.dram.open_phase()
-        self.path.phase_sink = acc
-        try:
-            run_fn()
-        finally:
-            self.path.phase_sink = None
-        fim_ops, addrs, writes = self.path.drain()
-        if len(fim_ops) or addrs.size:
-            acc.add(addrs=addrs, is_write=writes, fim_ops=fim_ops)
-        self._merge_phase(result, compute_ns, acc.close(**stream_kwargs))
 
     def _run_iteration(self, trace, result) -> None:
         layout = self.layout
+        path = self.path
         for block in trace.blocks:
             stream_rd = block.num_edges * EDGE_BYTES
             result.stream_read_bytes += stream_rd
             compute = self.pipeline.compute_ns(block.num_edges, 0)
             result.edges_processed += block.num_edges
-
-            def run_block(block=block):
-                self.path.run(layout.vprop_addrs(block.edge_src), rmw=False)
-                self.path.run(layout.vtemp_addrs(block.edge_dst), rmw=True)
-
-            self._charge_random_phase(
-                result, compute, run_block,
-                stream_read_bytes=self.effective_stream_bytes(stream_rd),
+            phase = self.dram.open_phase()
+            path.run(layout.vprop_addrs(block.edge_src), rmw=False, phase=phase)
+            path.run(layout.vtemp_addrs(block.edge_dst), rmw=True, phase=phase)
+            self.charge(
+                result,
+                phase.close(
+                    stream_read_bytes=self.effective_stream_bytes(stream_rd)
+                ),
+                compute,
             )
         for apply_dst in trace.apply_dst:
             if apply_dst.size == 0:
@@ -222,31 +184,17 @@ class ECPiccoloSystem(_ECSystem):
             result.stream_write_bytes += stream_wr
             compute = self.pipeline.compute_ns(0, int(apply_dst.size))
             result.vertex_applies += int(apply_dst.size)
-
-            def run_apply(apply_dst=apply_dst):
-                self.path.run(layout.vtemp_addrs(apply_dst), rmw=True)
-
-            self._charge_random_phase(
-                result, compute, run_apply,
-                stream_read_bytes=self.effective_stream_bytes(stream_rd),
-                stream_write_bytes=stream_wr,
+            phase = self.dram.open_phase()
+            path.run(layout.vtemp_addrs(apply_dst), rmw=True, phase=phase)
+            self.charge(
+                result,
+                phase.close(
+                    stream_read_bytes=self.effective_stream_bytes(stream_rd),
+                    stream_write_bytes=stream_wr,
+                ),
+                compute,
             )
-        pending = self.path.mshr.flush()
+        # Partially-filled collections are evicted at iteration boundaries.
+        pending = path.mshr.flush()
         if pending:
-            self._charge_phase(result, 0.0, fim_ops=pending)
-
-    def finish(self, result: SystemResult) -> None:
-        self.path.flush()
-        fim_ops, addrs, writes = self.path.drain()
-        if fim_ops or addrs.size:
-            self._charge_phase(
-                result, 0.0, addrs=addrs, is_write=writes, fim_ops=fim_ops
-            )
-        cache = self.path.cache
-        result.cache_hits = cache.stats.hits
-        result.cache_misses = cache.stats.misses
-        result.cache_accesses = cache.stats.accesses
-        result.useful_bytes += (
-            result.stream_read_bytes + result.stream_write_bytes
-            + cache.stats.fill_bytes + cache.stats.writeback_bytes
-        )
+            self.charge(result, self.dram.phase(fim_ops=pending))

@@ -30,8 +30,10 @@ from repro.core.collection_mshr import CollectionExtendedMSHR
 from repro.core.memory_path import ConventionalMemoryPath, FineGrainedMemoryPath
 from repro.core.piccolo_cache import PiccoloCache
 from repro.dram.spec import DRAMConfig
+from repro.dram.system import PhaseAccumulator
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import perfect_tile_width
+from repro.utils import units
 from repro.utils.units import ceil_div
 
 
@@ -42,9 +44,6 @@ class _VCMSystem(AcceleratorSystem):
     default_tile_scale: int = 1
     #: on-chip memory budget in bytes (set per system in __init__)
     onchip_bytes: int = 4096
-    #: cached random-access memory path (built in :meth:`setup`); the
-    #: scratchpad and PIM systems have none
-    path: ConventionalMemoryPath | FineGrainedMemoryPath | None = None
 
     def __init__(
         self,
@@ -53,7 +52,6 @@ class _VCMSystem(AcceleratorSystem):
         onchip_bytes: int | None = None,
         tile_scale: int | None = None,
         layout: MemoryLayout | None = None,
-        chunk_size: int | None = None,
         replay_capacity: int | None = None,
         tile_backing: str = "memory",
         tile_store_root=None,
@@ -65,13 +63,11 @@ class _VCMSystem(AcceleratorSystem):
             tile_scale if tile_scale is not None else self.default_tile_scale
         )
         self.layout = layout if layout is not None else MemoryLayout()
-        #: memory-path knobs (scale-profile driven): chunk_size None
-        #: runs whole-tile batches; replay_capacity None means
+        #: memory-path replay memo (scale-profile driven): None means
         #: REPLAY_CAPACITY_DEFAULT and 0 means no memo.  Only a
         #: stationary run (one whose iterations repeat their address
         #: streams, see :meth:`run`) builds a memo.  SPM/PIM systems
-        #: have no cached random path, so they simply ignore them.
-        self.chunk_size = chunk_size
+        #: have no cached random path, so they simply ignore it.
         self.replay_capacity = replay_capacity
         #: tile-array backing ("memory"/"disk") plus the disk store's
         #: root; bit-identical results either way (see
@@ -90,33 +86,25 @@ class _VCMSystem(AcceleratorSystem):
         """Build per-run on-chip state (caches, MSHRs); the memory
         path gets a replay memo of ``replay_capacity`` (0: none)."""
 
-    def random_access_phase(self, tile: TileTrace, result: SystemResult) -> dict:
-        """Run the tile's random accesses; returns the keyword arguments
-        of the tile phase's last :meth:`repro.dram.system.PhaseAccumulator.add`
-        (addrs, is_write, fim_ops, internal_mask, loose_*_bursts), or an
-        empty dict when there is nothing left to add.  A chunked memory
-        path has already drained every chunk into the phase."""
-        raise NotImplementedError
+    def random_access_phase(
+        self, tile: TileTrace, result: SystemResult, phase: PhaseAccumulator
+    ) -> None:
+        """Run the tile's random Vtemp accesses (reduce, then apply)
+        through the memory path, each chunk's requests into ``phase``.
+        A scratchpad system has no path: its Vtemp never leaves the
+        chip."""
+        if self.path is None:
+            return
+        # addresses are materialised one chunk at a time, on the chunk
+        # boundaries the path uses, so they stay O(chunk) as well
+        chunk = units.CHUNK_ACCESSES
+        for ids in (tile.edge_dst, tile.apply_dst):
+            for lo in range(0, ids.size, chunk):
+                addrs = self.layout.vtemp_addrs(ids[lo:lo + chunk])
+                self.path.run(addrs, rmw=True, phase=phase)
 
     def end_iteration(self, result: SystemResult) -> None:
         """Hook: drain per-iteration state (e.g. MSHR partials)."""
-
-    def finish(self, result: SystemResult) -> None:
-        """Hook: final write-back of on-chip dirty state."""
-
-    # -- random accesses through the memory path --------------------------
-    def _run_random_ids(self, ids: np.ndarray, rmw: bool) -> None:
-        """Feed vertex ids through the path, materialising the address
-        array per chunk (O(chunk) instead of O(tile) temporaries).  The
-        outer split lands on the same chunk boundaries the path would
-        use internally, so the produced streams are identical."""
-        path = self.path
-        chunk = path.chunk_size
-        if chunk is None or ids.size <= chunk:
-            path.run(self.layout.vtemp_addrs(ids), rmw=rmw)
-            return
-        for lo in range(0, ids.size, chunk):
-            path.run(self.layout.vtemp_addrs(ids[lo:lo + chunk]), rmw=rmw)
 
     # -- traffic accounting ----------------------------------------------
     def stream_bytes_for_tile(
@@ -150,7 +138,6 @@ class _VCMSystem(AcceleratorSystem):
         engine = VertexCentricEngine(
             spec,
             width,
-            edge_chunk=self.chunk_size,
             tile_backing=self.tile_backing,
             tile_store_root=self.tile_store_root,
         )
@@ -186,56 +173,21 @@ class _VCMSystem(AcceleratorSystem):
             stream_rd, stream_wr = self.stream_bytes_for_tile(tile, n_active)
             result.stream_read_bytes += stream_rd
             result.stream_write_bytes += stream_wr
-            # a chunked memory path drains each processed chunk into the
-            # tile's phase, so DRAM-phase temporaries stay O(chunk) like
-            # the tile stream itself
-            acc = self.dram.open_phase()
-            path = self.path
-            if path is not None:
-                path.phase_sink = acc
-            try:
-                tail_kwargs = self.random_access_phase(tile, result)
-            finally:
-                if path is not None:
-                    path.phase_sink = None
-            if tail_kwargs:
-                acc.add(**tail_kwargs)
-            phase = acc.close(
-                stream_read_bytes=self.effective_stream_bytes(stream_rd),
-                stream_write_bytes=stream_wr,
-            )
+            phase = self.dram.open_phase()
+            self.random_access_phase(tile, result, phase)
             compute = self.pipeline.compute_ns_for_tile(
                 tile.edge_dst, int(tile.apply_dst.size)
             )
-            result.compute_ns += compute
-            result.memory_ns += phase.time_ns
-            result.total_ns += max(compute, phase.time_ns)
-            phase.time_ns = 0.0  # time already accounted; merge counters
-            result.dram.merge(phase)
+            self.charge(
+                result,
+                phase.close(
+                    stream_read_bytes=self.effective_stream_bytes(stream_rd),
+                    stream_write_bytes=stream_wr,
+                ),
+                compute,
+            )
             result.edges_processed += tile.num_edges
             result.vertex_applies += int(tile.apply_dst.size)
-        # Streams are always useful data (topology/property bytes consumed).
-        # Random-access usefulness is settled by the caches in finish().
-
-    # -- final accounting -------------------------------------------------
-    def settle_useful_bytes(
-        self, result: SystemResult, cache: BaseCache | None
-    ) -> None:
-        result.useful_bytes += result.stream_read_bytes + result.stream_write_bytes
-        if cache is None:
-            return
-        if isinstance(cache, ConventionalCache) and cache.line_bytes > 8:
-            result.useful_bytes += cache.useful_fill_bytes + cache.useful_wb_bytes
-        else:
-            # Fine-grained designs fetch/write only requested words.
-            result.useful_bytes += (
-                cache.stats.fill_bytes + cache.stats.writeback_bytes
-            )
-        result.cache_hits = cache.stats.hits
-        result.cache_misses = cache.stats.misses
-        result.cache_accesses = cache.stats.accesses
-        result.random_read_bytes += cache.stats.fill_bytes
-        result.random_write_bytes += cache.stats.writeback_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +210,11 @@ class GraphicionadoSystem(_VCMSystem):
         writes = tile.changed_dst.size * PROP_BYTES
         return float(reads), float(writes)
 
-    def random_access_phase(self, tile, result):
-        # All random traffic lands in the scratchpad: no DRAM requests.
-        return {}
-
     def _run_iteration(self, trace, result):
         super()._run_iteration(trace, result)
         # The apply sweep also costs compute for untouched vertices.
         extra = sum(t.width - t.apply_dst.size for t in trace.tiles)
         result.compute_ns += extra / self.pipeline.lanes
-
-    def finish(self, result):
-        self.settle_useful_bytes(result, None)
 
 
 class GraphDynsSPMSystem(_VCMSystem):
@@ -277,12 +222,6 @@ class GraphDynsSPMSystem(_VCMSystem):
 
     name = "GraphDyns (SPM)"
     default_tile_scale = 1
-
-    def random_access_phase(self, tile, result):
-        return {}
-
-    def finish(self, result):
-        self.settle_useful_bytes(result, None)
 
 
 # ---------------------------------------------------------------------------
@@ -303,29 +242,7 @@ class GraphDynsCacheSystem(_VCMSystem):
         cache = ConventionalCache(
             self.onchip_bytes, ways=self.cache_ways, line_bytes=64
         )
-        self.path = ConventionalMemoryPath(
-            cache,
-            replay_capacity=replay_capacity,
-            chunk_size=self.chunk_size,
-        )
-
-    def random_access_phase(self, tile, result):
-        self._run_random_ids(tile.edge_dst, rmw=True)
-        if tile.apply_dst.size:
-            self._run_random_ids(tile.apply_dst, rmw=True)
-        addrs, writes = self.path.drain()
-        return {"addrs": addrs, "is_write": writes}
-
-    def finish(self, result):
-        self.path.flush()
-        addrs, writes = self.path.drain()
-        if addrs.size:
-            phase = self.dram.phase(addrs=addrs, is_write=writes)
-            result.memory_ns += phase.time_ns
-            result.total_ns += phase.time_ns
-            phase.time_ns = 0.0
-            result.dram.merge(phase)
-        self.settle_useful_bytes(result, self.path.cache)
+        self.path = ConventionalMemoryPath(cache, replay_capacity=replay_capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -385,44 +302,14 @@ class _FineGrainedSystem(_VCMSystem):
             rank_level=self.rank_level,
         )
         self.path = FineGrainedMemoryPath(
-            cache,
-            mshr,
-            replay_capacity=replay_capacity,
-            chunk_size=self.chunk_size,
+            cache, mshr, replay_capacity=replay_capacity
         )
-
-    def random_access_phase(self, tile, result):
-        self._run_random_ids(tile.edge_dst, rmw=True)
-        if tile.apply_dst.size:
-            self._run_random_ids(tile.apply_dst, rmw=True)
-        fim_ops, addrs, writes = self.path.drain()
-        return {"addrs": addrs, "is_write": writes, "fim_ops": fim_ops}
 
     def end_iteration(self, result):
         # Partially-filled collections are evicted at iteration boundaries.
         pending = self.path.mshr.flush()
         if pending:
-            phase = self.dram.phase(fim_ops=pending)
-            result.memory_ns += phase.time_ns
-            result.total_ns += phase.time_ns
-            phase.time_ns = 0.0
-            result.dram.merge(phase)
-
-    def finish(self, result):
-        self.path.flush()
-        fim_ops, addrs, writes = self.path.drain()
-        if fim_ops or addrs.size:
-            phase = self.dram.phase(
-                addrs=addrs, is_write=writes, fim_ops=fim_ops
-            )
-            result.memory_ns += phase.time_ns
-            result.total_ns += phase.time_ns
-            phase.time_ns = 0.0
-            result.dram.merge(phase)
-        self.settle_useful_bytes(result, self.path.cache)
-        # FIM offset bursts are protocol overhead, never useful payload.
-        result.mshr_ops = self.path.mshr.stats.total_ops
-        result.mshr_forwarded = self.path.mshr.stats.forwarded_reads
+            self.charge(result, self.dram.phase(fim_ops=pending))
 
 
 class NMPSystem(_FineGrainedSystem):
@@ -458,22 +345,20 @@ class PIMSystem(_VCMSystem):
     def choose_tile_width(self, graph):
         return graph.num_vertices  # PIM does not tile
 
-    def random_access_phase(self, tile, result):
-        layout = self.layout
+    def random_access_phase(self, tile, result, phase):
         # HMC-style atomic offload: one non-cacheable command burst per
         # edge (bank RMW executes internally) plus a completion response
         # on the return path (bus-only).
-        addrs = layout.vtemp_addrs(tile.edge_dst)
-        writes = np.ones(addrs.size, dtype=bool)
+        addrs = self.layout.vtemp_addrs(tile.edge_dst)
         result.dram.internal_words += int(addrs.size)  # in-bank RMW
         result.random_write_bytes += addrs.size * 8.0
         # Apply runs near-bank: Vtemp/Vprop reads and writes stay internal.
         result.dram.internal_words += 2 * int(tile.apply_dst.size)
-        return {
-            "addrs": addrs,
-            "is_write": writes,
-            "loose_read_bursts": int(addrs.size),  # completion responses
-        }
+        phase.add(
+            addrs=addrs,
+            is_write=np.ones(addrs.size, dtype=bool),
+            loose_read_bursts=int(addrs.size),  # completion responses
+        )
 
     def stream_bytes_for_tile(self, tile, n_active):
         reads = (
@@ -485,7 +370,7 @@ class PIMSystem(_VCMSystem):
         return float(reads), 0.0
 
     def finish(self, result):
-        self.settle_useful_bytes(result, None)
+        super().finish(result)
         # The per-edge command bursts carry 8 useful bytes of 64.
         result.useful_bytes += result.random_write_bytes
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import TiledCSR
+from repro.utils import units
 
 #: reduce-operator name -> (ufunc used for scatter-reduce, identity value)
 REDUCE_OPS: dict[str, tuple[np.ufunc, float]] = {
@@ -155,14 +156,11 @@ class VertexCentricEngine:
         self,
         spec: AlgorithmSpec,
         tile_width: int | None = None,
-        edge_chunk: int | None = None,
         tile_backing: str = "memory",
         tile_store_root=None,
     ) -> None:
         if tile_width is not None and tile_width < 0:
             raise ValueError("tile_width must be >= 0 (0 or None: one tile)")
-        if edge_chunk is not None and edge_chunk < 1:
-            raise ValueError("edge_chunk must be >= 1")
         self.spec = spec
         self.graph = spec.graph
         width = tile_width if tile_width else self.graph.num_vertices
@@ -181,12 +179,6 @@ class VertexCentricEngine:
         self.active_mask = np.zeros(self.graph.num_vertices, dtype=bool)
         self.active_mask[spec.init_active] = True
         self.iteration = 0
-        #: process/reduce over at most this many edges at a time, keeping
-        #: per-edge float temporaries O(chunk) (paper-scale profiles);
-        #: identical results -- ufunc.at applies updates in element order
-        #: regardless of the split, and every spec's ``process`` is
-        #: elementwise.  None = whole tile.
-        self.edge_chunk = edge_chunk
         self._reduce_ufunc, self._identity = REDUCE_OPS[spec.reduce_name]
 
     @property
@@ -229,20 +221,22 @@ class VertexCentricEngine:
                 )
 
             vtemp = np.full(tile.width, self._identity, dtype=np.float64)
-            # touched destinations as a bitmap over the tile, marked per
-            # chunk so per-edge temporaries stay O(chunk)
+            # touched destinations as a bitmap over the tile.  Process
+            # and reduce run over one chunk of edges at a time, so
+            # per-edge float temporaries stay O(chunk); the results do
+            # not depend on the split -- ufunc.at applies updates in
+            # element order, and every spec's ``process`` is elementwise.
             hit = np.zeros(tile.width, dtype=bool)
-            if e_src.size:
-                chunk = self.edge_chunk or e_src.size
-                for lo in range(0, e_src.size, chunk):
-                    sl = slice(lo, lo + chunk)
-                    contributions = spec.process(
-                        e_w[sl].astype(np.float64), prop_old[e_src[sl]],
-                        e_src[sl],
-                    )
-                    local = e_dst[sl] - tile.dst_lo
-                    self._reduce_ufunc.at(vtemp, local, contributions)
-                    hit[local] = True
+            chunk = units.CHUNK_ACCESSES
+            for lo in range(0, e_src.size, chunk):
+                sl = slice(lo, lo + chunk)
+                contributions = spec.process(
+                    e_w[sl].astype(np.float64), prop_old[e_src[sl]],
+                    e_src[sl],
+                )
+                local = e_dst[sl] - tile.dst_lo
+                self._reduce_ufunc.at(vtemp, local, contributions)
+                hit[local] = True
             touched = range_ids(hit, tile.dst_lo)
 
             if all_active:

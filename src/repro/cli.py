@@ -4,13 +4,12 @@ Commands:
 
 ``list``
     Show every reproducible figure with its paper headline.
-``figure <id> [--fast] [--profile NAME] [--chunk-size N] [--workers N]
-[--resume] [--checkpoint-dir DIR] [--tile-backing memory|disk]``
+``figure <id> [--fast] [--profile NAME] [--workers N] [--resume]
+[--checkpoint-dir DIR] [--tile-backing memory|disk]``
     Regenerate one figure table (e.g. ``fig10``, ``fig19b``).  With
     ``--fast`` the experiment grid is trimmed (fewer datasets and
     iterations) for a quick smoke run.  ``--profile`` selects the
-    experiment scale (``toy`` default, ``mid``, ``paper``) and
-    ``--chunk-size`` overrides the profile's memory-path tile chunking.
+    experiment scale (``toy`` default, ``mid``, ``paper``).
     ``--workers`` shards the figure's grid across worker processes that
     share memmapped graphs; ``--resume`` (with ``--checkpoint-dir``,
     default ``.repro_checkpoints``) skips cells already checkpointed by
@@ -106,8 +105,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     fn, headline, fast_kwargs = FIGURES[key]
     kwargs = dict(fast_kwargs) if args.fast else {}
     scale = get_profile(args.profile)
-    if args.chunk_size is not None:
-        scale = dataclasses.replace(scale, chunk_size=args.chunk_size)
     if args.tile_backing is not None:
         scale = dataclasses.replace(scale, tile_backing=args.tile_backing)
     if args.tile_store_root is not None:
@@ -119,11 +116,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if takes_scale:
         kwargs["scale"] = scale
     elif (
-        args.profile != "toy" or args.chunk_size is not None
-        or args.tile_backing is not None or args.tile_store_root is not None
+        args.profile != "toy" or args.tile_backing is not None
+        or args.tile_store_root is not None
     ):
         print(f"note: {key} does not take a scale profile; ignoring "
-              f"--profile/--chunk-size/--tile-backing", file=sys.stderr)
+              f"--profile/--tile-backing", file=sys.stderr)
     wants_workers = (
         args.workers is not None or args.resume
         or args.checkpoint_dir is not None
@@ -262,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure.add_argument("--profile", default="toy", choices=sorted(PROFILES),
                         help="experiment scale profile (default: toy)")
-    figure.add_argument("--chunk-size", type=_at_least(1), default=None,
-                        metavar="N",
-                        help="override the profile's memory-path tile "
-                        "chunking (accesses per chunk)")
     figure.add_argument("--tile-backing", default=None,
                         choices=("memory", "disk"),
                         help="tile-array backing: disk builds tiles by "

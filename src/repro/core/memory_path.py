@@ -35,22 +35,19 @@ repeated iteration.  A frontier run (BFS, CC, SSSP, SSWP) follows a
 different stream each iteration, so its path is built with
 ``replay_capacity=0`` and never hashes a digest.
 
-Chunked tile streaming (mid/paper profiles): a finite ``chunk_size``
-streams each ``run`` batch through the engine in bounded chunks, so
-per-batch temporaries -- event arrays, memo records -- stay O(chunk)
-instead of O(tile) while the produced counters and event streams remain
-bit-identical to whole-tile execution (the engine is exactly equivalent
-to the per-address reference, which has no batch boundaries, and all
-cross-chunk state carries over).
-
+Chunked tile streaming: ``run`` works through its batch
+:data:`~repro.utils.units.CHUNK_ACCESSES` accesses at a time and hands
+each chunk's DRAM requests to the phase it was given (a
+:class:`repro.dram.system.PhaseAccumulator`) before the next chunk
+starts, and ``flush`` hands over the final write-backs the same way.
+Per-chunk temporaries -- event arrays, memo records, the phase's
+request stream -- therefore stay O(chunk) at any tile size, while the
+produced counters and event streams do not depend on the chunk length
+(the engine is exactly equivalent to the per-address reference, which
+has no batch boundaries, and all cross-chunk state carries over).
 Issued FIM operations accumulate in an array-backed
 :class:`repro.dram.fim_batch.FimOpBatch` (structure-of-arrays), not a
-Python object list.  A chunked path with a ``phase_sink``
-(:class:`repro.dram.system.PhaseAccumulator`) attached drains every
-processed chunk straight into it, so even the *request stream* handed
-to the DRAM phase stays O(chunk) -- the final RSS term at paper scale.
-An unchunked path leaves its stream for the caller's :meth:`drain`,
-which hands the phase the whole tile in one piece.
+Python object list.
 """
 
 from __future__ import annotations
@@ -62,6 +59,8 @@ import numpy as np
 from repro.cache.base import BaseCache
 from repro.core.collection_mshr import CollectionExtendedMSHR
 from repro.dram.fim_batch import FimOpBatch
+from repro.dram.system import PhaseAccumulator
+from repro.utils import units
 from repro.utils.sorting import run_starts
 
 #: default replay-memo capacity (address streams remembered per path);
@@ -130,8 +129,8 @@ class BatchReplayMemo:
 
 
 class _RequestAccumulator:
-    """Ordered DRAM request stream built from array chunks (both paths
-    use it for bursts)."""
+    """Ordered DRAM request stream built from array chunks (the
+    fine-grained path's bypass bursts)."""
 
     def __init__(self) -> None:
         self._chunks: list[tuple[np.ndarray, np.ndarray]] = []
@@ -147,12 +146,6 @@ class _RequestAccumulator:
         writes = np.concatenate([c[1] for c in self._chunks])
         self._chunks = []
         return addrs, writes
-
-
-def _check_chunk_size(chunk_size: int | None) -> int | None:
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return chunk_size
 
 
 def _make_memo(replay_capacity: int | None) -> BatchReplayMemo | None:
@@ -178,46 +171,26 @@ class ConventionalMemoryPath:
         self,
         cache: BaseCache,
         replay_capacity: int | None = None,
-        chunk_size: int | None = None,
     ) -> None:
         self.cache = cache
-        self.chunk_size = _check_chunk_size(chunk_size)
         self.memo = _make_memo(replay_capacity)
-        self._requests = _RequestAccumulator()
-        #: optional PhaseAccumulator: when set, a chunked path drains each
-        #: processed chunk's request stream into it (O(chunk) RSS)
-        self.phase_sink = None
 
-    def run(self, addrs: np.ndarray, rmw: bool) -> None:
-        """Process a batch of 8 B accesses (``rmw`` marks read-modify-write).
-
-        With a finite ``chunk_size`` the batch is streamed in bounded
-        chunks, each drained into the ``phase_sink`` when one is
-        attached: per-chunk temporaries (event arrays, memo records,
-        the phase's request stream) stay O(chunk), and the produced
-        request stream and counters are identical to whole-batch
-        execution (the engine is exactly equivalent to the per-address
-        reference, which has no batch boundaries).  Without a
-        ``chunk_size`` the requests wait for :meth:`drain`.
-        """
+    def run(self, addrs: np.ndarray, rmw: bool, phase: PhaseAccumulator) -> None:
+        """Process a batch of 8 B accesses (``rmw`` marks read-modify-write),
+        one chunk at a time; each chunk's line fills and write-backs go
+        to ``phase`` before the next chunk starts."""
         addrs = np.asarray(addrs, dtype=np.int64)
-        chunk = self.chunk_size
-        if chunk is None:
-            if addrs.size:
-                self._run_batch(addrs, rmw)
-            return
+        chunk = units.CHUNK_ACCESSES
         for start in range(0, addrs.size, chunk):
-            self._run_batch(addrs[start : start + chunk], rmw)
-            self._drain_to_sink()
+            ev_addr, ev_is_wb = self._run_batch(addrs[start : start + chunk], rmw)
+            if ev_addr.size:
+                phase.add(addrs=ev_addr, is_write=ev_is_wb)
 
-    def _drain_to_sink(self) -> None:
-        if self.phase_sink is None:
-            return
-        addrs, writes = self.drain()
-        if addrs.size:
-            self.phase_sink.add(addrs=addrs, is_write=writes)
-
-    def _run_batch(self, addrs: np.ndarray, rmw: bool) -> None:
+    def _run_batch(
+        self, addrs: np.ndarray, rmw: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One chunk through the cache (or the memo): its (address,
+        is-write-back) request arrays."""
         memo = self.memo
         if memo is not None:
             stream = memo.key([addrs.tobytes(), b"w" if rmw else b"r"])
@@ -227,11 +200,9 @@ class ConventionalMemoryPath:
                 ev_addr, ev_is_wb, counters, snap = rec
                 self.cache.state_restore(snap)
                 self.cache.counter_apply(counters)
-                self._requests.append_arrays(ev_addr, ev_is_wb)
-                return
+                return ev_addr, ev_is_wb
             before = self.cache.counter_vector()
         res = self.cache.access_many(addrs, rmw)
-        self._requests.append_arrays(res.ev_addr, res.ev_is_wb)
         if memo is not None:
             after = self.cache.counter_vector()
             delta = tuple(a - b for a, b in zip(after, before))
@@ -240,17 +211,13 @@ class ConventionalMemoryPath:
                 state,
                 (res.ev_addr, res.ev_is_wb, delta, self.cache.state_snapshot()),
             )
+        return res.ev_addr, res.ev_is_wb
 
-    def drain(self) -> tuple[np.ndarray, np.ndarray]:
-        """Take the accumulated DRAM requests (and reset)."""
-        return self._requests.drain()
-
-    def flush(self) -> None:
-        """Write back all dirty state (end of run)."""
+    def flush(self, phase: PhaseAccumulator) -> None:
+        """Write back all dirty state into ``phase`` (end of run)."""
         wb_addrs = _flushed_addrs(self.cache)
-        self._requests.append_arrays(
-            wb_addrs, np.ones(wb_addrs.size, dtype=bool)
-        )
+        if wb_addrs.size:
+            phase.add(addrs=wb_addrs, is_write=np.ones(wb_addrs.size, dtype=bool))
 
 
 class LocalityMonitor:
@@ -350,51 +317,36 @@ class FineGrainedMemoryPath:
         mshr: CollectionExtendedMSHR,
         locality_monitor: LocalityMonitor | None = None,
         replay_capacity: int | None = None,
-        chunk_size: int | None = None,
     ) -> None:
         self.cache = cache
         self.mshr = mshr
         self.monitor = locality_monitor
-        self.chunk_size = _check_chunk_size(chunk_size)
         self.memo = _make_memo(replay_capacity)
+        #: the current chunk's FIM ops and the conventional bursts it
+        #: issued while the locality monitor bypasses
         self.fim_ops = FimOpBatch()
-        #: conventional bursts issued while the locality monitor bypasses
         self._bypass = _RequestAccumulator()
         self._last_bypass_fill = -1
         self._last_bypass_wb = -1
-        #: optional PhaseAccumulator: when set, a chunked path drains each
-        #: processed chunk's FIM ops and bypass bursts into it
-        self.phase_sink = None
 
     # ------------------------------------------------------------------
-    def run(self, addrs: np.ndarray, rmw: bool) -> None:
-        """Process a batch of 8 B accesses through cache + MSHR.
-
-        With a finite ``chunk_size`` the batch is streamed in bounded
-        chunks, each drained into the ``phase_sink`` when one is
-        attached (see :meth:`ConventionalMemoryPath.run`); counters,
-        FIM-op streams, and bypass bursts are identical to whole-batch
-        execution because the engine is exactly equivalent to the
-        per-address reference and all cross-chunk state (cache, MSHR,
-        monitor, burst coalescing watermarks) carries over.  Without a
-        ``chunk_size`` the FIM ops and bursts wait for :meth:`drain`.
-        """
+    def run(self, addrs: np.ndarray, rmw: bool, phase: PhaseAccumulator) -> None:
+        """Process a batch of 8 B accesses through cache + MSHR, one
+        chunk at a time; each chunk's FIM ops and bypass bursts go to
+        ``phase`` before the next chunk starts (cache, MSHR, monitor
+        and burst-coalescing state carry over)."""
         addrs = np.asarray(addrs, dtype=np.int64)
-        chunk = self.chunk_size
-        if chunk is None:
-            if addrs.size:
-                self._run_batch(addrs, rmw)
-            return
+        chunk = units.CHUNK_ACCESSES
         for start in range(0, addrs.size, chunk):
             self._run_batch(addrs[start : start + chunk], rmw)
-            self._drain_to_sink()
+            self._hand_off(phase)
 
-    def _drain_to_sink(self) -> None:
-        if self.phase_sink is None:
-            return
-        ops, addrs, writes = self.drain()
+    def _hand_off(self, phase: PhaseAccumulator) -> None:
+        """Give the accumulated FIM ops and bypass bursts to ``phase``."""
+        ops, self.fim_ops = self.fim_ops, FimOpBatch()
+        addrs, writes = self._bypass.drain()
         if len(ops) or addrs.size:
-            self.phase_sink.add(addrs=addrs, is_write=writes, fim_ops=ops)
+            phase.add(addrs=addrs, is_write=writes, fim_ops=ops)
 
     def _run_batch(self, addrs: np.ndarray, rmw: bool) -> None:
         memo = self.memo
@@ -500,18 +452,13 @@ class FineGrainedMemoryPath:
             self._bypass.append_arrays(blocks[sel], is_wb[sel])
 
     # ------------------------------------------------------------------
-    def drain(self) -> tuple[FimOpBatch, np.ndarray, np.ndarray]:
-        """Take accumulated FIM ops and bypass bursts (and reset)."""
-        ops = self.fim_ops
-        self.fim_ops = FimOpBatch()
-        addrs, writes = self._bypass.drain()
-        return ops, addrs, writes
-
-    def flush(self) -> None:
-        """Drain cache dirty state and pending MSHR entries (end of run)."""
+    def flush(self, phase: PhaseAccumulator) -> None:
+        """Drain cache dirty state and pending MSHR entries into
+        ``phase`` (end of run)."""
         wb_addrs = _flushed_addrs(self.cache)
         if wb_addrs.size:
             self.fim_ops.extend(
                 self.mshr.add_batch(wb_addrs, np.ones(wb_addrs.size, dtype=bool))
             )
         self.fim_ops.extend(self.mshr.flush())
+        self._hand_off(phase)

@@ -14,15 +14,16 @@ regimes the reproduction runs in (:data:`PROFILES`):
     implementation.
 ``mid``
     A ~2^6 reduction: 64 KB caches, 512-entry MSHR rows, 6 fg-tag bits,
-    hundred-thousand-edge graphs.  Large enough that chunked tile
-    streaming and the replay-memo budget matter, small enough for a CI
-    smoke under a wall-clock budget.
+    hundred-thousand-edge graphs.  Large enough that Piccolo tiles span
+    more than one memory-path chunk and the replay-memo budget matters,
+    small enough for a CI smoke under a wall-clock budget.
 ``paper``
     The paper's actual on-chip regime: 4 MB caches, 4.5 MB SPM
     baselines, 4096 MSHR row entries, 8 fg-tag bits (32 KB windows),
     million-edge graphs (``scale_shift=5``).  Runnable on one machine
-    because the memory path streams each tile in bounded chunks
-    (``chunk_size``) instead of materialising whole-tile event arrays.
+    because every profile streams each tile in bounded chunks
+    (:data:`repro.utils.units.CHUNK_ACCESSES`) instead of materialising
+    whole-tile event arrays.
 
 Knob table (dataset ``scale_shift`` of ``None`` keeps each dataset
 spec's default, which is the 2^12 toy reduction):
@@ -35,7 +36,6 @@ baseline SPM      4.5 MB           1.125 KB   72 KB      4.5 MB
 MSHR row entries  4096             64         512        4096
 fg-tag bits       8 (32 KB window) 4 (2 KB)   6 (8 KB)   8 (32 KB)
 graph reduction   --               2^12       2^6        2^5
-tile chunk size   --               whole tile 32768      65536
 replay capacity   --               256        256        0 (off)
 DRAM timing/row   DDR4-2400R       unchanged  unchanged  unchanged
 ================  ===============  =========  =========  ==========
@@ -90,13 +90,6 @@ class ExperimentScale:
     #: dataset size reduction (2**shift); None keeps each dataset spec's
     #: default (the 2^12 toy reduction)
     scale_shift: int | None = None
-    #: memory-path tile chunking: each tile's address stream is
-    #: processed in bounded chunks of this many accesses, and each
-    #: chunk's requests drain straight into the tile's DRAM phase, so
-    #: per-batch temporaries, replay-memo records and the phase's
-    #: request stream stay O(chunk) instead of O(tile); None streams
-    #: whole tiles (the toy default).  Results are identical either way.
-    chunk_size: int | None = None
     #: replay-memo capacity (address streams) per memory path; None
     #: keeps the module default (256), 0 disables the memo entirely.
     #: Only a stationary run (vertex-centric PageRank, every
@@ -149,7 +142,6 @@ PROFILES: dict[str, ExperimentScale] = {
         fg_tag_bits=6,
         mshr_entries=512,
         scale_shift=6,
-        chunk_size=1 << 15,
     ),
     "paper": ExperimentScale(
         name="paper",
@@ -159,9 +151,8 @@ PROFILES: dict[str, ExperimentScale] = {
         fg_tag_bits=8,
         mshr_entries=4096,
         scale_shift=5,
-        chunk_size=1 << 16,
         # A 4 MB cache snapshot is megabytes, and a paper tile spans
-        # ~100 chunks, so the memo would hold a snapshot per chunk up
+        # ~250 chunks, so the memo would hold a snapshot per chunk up
         # to its capacity, a gigabyte or more; disable it instead.
         replay_capacity=0,
     ),

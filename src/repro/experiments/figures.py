@@ -72,7 +72,6 @@ def figure_3(
                 onchip_bytes=scale.baseline_cache_bytes,
                 cache_ways=scale.cache_ways,
                 tile_scale=1,
-                chunk_size=scale.chunk_size,
                 replay_capacity=scale.replay_capacity,
                 tile_backing=scale.tile_backing,
                 tile_store_root=scale.tile_store_root,
@@ -570,7 +569,6 @@ def figure_19a(
             onchip_bytes=scale.piccolo_cache_bytes,
             mshr_entries=scale.mshr_entries,
             fg_tag_bits=scale.fg_tag_bits,
-            chunk_size=scale.chunk_size,
             replay_capacity=scale.replay_capacity,
         ).run(graph, "PR", max_iterations=iters)
         for label, result in (

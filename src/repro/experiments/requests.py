@@ -44,13 +44,12 @@ REQUEST_FIELDS: dict[str, tuple[tuple[type, ...], str]] = {
     "cache_design": ((str,), "Fig. 11 fine-grained cache variant"),
     "max_iterations": ((int,), "iteration cap override"),
     "scale_shift": ((int,), "dataset 2**shift reduction override"),
-    "chunk_size": ((int,), "memory-path tile-chunking override"),
     "tile_scale": ((int,), "tile-width multiple override"),
     "tile_backing": ((str,), 'tile backing: "memory" or "disk"'),
 }
 
 _REQUIRED = ("system", "algorithm", "dataset")
-_POSITIVE = ("max_iterations", "chunk_size", "tile_scale")
+_POSITIVE = ("max_iterations", "tile_scale")
 
 
 def _check_registries(payload: Mapping[str, Any]) -> None:
@@ -150,7 +149,6 @@ def resolve_request(payload: object) -> ResolvedCell:
         scale=payload.get("profile", "toy"),
         max_iterations=payload.get("max_iterations"),
         scale_shift=payload.get("scale_shift"),
-        chunk_size=payload.get("chunk_size"),
         cache_design=payload.get("cache_design"),
         tile_scale=payload.get("tile_scale"),
         tile_backing=payload.get("tile_backing"),

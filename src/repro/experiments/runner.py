@@ -34,12 +34,14 @@ _SPM_SYSTEMS = ("Graphicionado", "GraphDyns (SPM)")
 
 #: make_system kwargs excluded from the canonical cell digest.
 #: ``cache_factory`` is excluded because ``cache_design`` already names
-#: it canonically; the tile-store knobs are excluded because disk-backed
-#: tiles are bit-identical to in-memory ones (pinned by the tilestore
-#: differential suite), so backing is an execution detail -- memo hits
-#: and sweep checkpoints are deliberately shared across backings.
+#: it canonically.  The others change how a cell runs, never its
+#: result: disk-backed tiles are bit-identical to in-memory ones (pinned
+#: by the tilestore differential suite), and the replay memo is exact
+#: (tests/test_stationary_replay.py), so memo hits and sweep checkpoints
+#: are deliberately shared across them.
 _NON_SEMANTIC_KEYS = (
     "cache_factory",
+    "replay_capacity",
     "tile_backing",
     "tile_store_root",
 )
@@ -136,7 +138,6 @@ class CellSpec:
     tile_scale: int | None = None
     max_iterations: int | None = None
     scale_shift: int | None = None
-    chunk_size: int | None = None
     cache_design: str | None = None
     #: tile-array backing override (``"memory"``/``"disk"``); None takes
     #: the profile's ``tile_backing``.  Not part of the cell digest:
@@ -230,7 +231,6 @@ def resolve_cell(spec: CellSpec) -> ResolvedCell:
         tile_scale_for(spec.system, spec.algorithm, spec.dataset)
         if scale.name == "toy" else None
     )
-    chunk = spec.chunk_size if spec.chunk_size is not None else scale.chunk_size
     kwargs: dict = dict(
         dram_config=spec.dram_config,
         pipeline=spec.pipeline,
@@ -239,7 +239,6 @@ def resolve_cell(spec: CellSpec) -> ResolvedCell:
             spec.tile_scale if spec.tile_scale is not None
             else tuned or scale.tile_scales.get(spec.system, 1)
         ),
-        chunk_size=chunk,
         replay_capacity=scale.replay_capacity,
         tile_backing=(
             spec.tile_backing if spec.tile_backing is not None
@@ -331,7 +330,6 @@ def run_system(
     tile_scale: int | None = None,
     max_iterations: int | None = None,
     scale_shift: int | None = None,
-    chunk_size: int | None = None,
     cache_design: str | None = None,
     tile_backing: str | None = None,
     **system_kwargs,
@@ -340,8 +338,8 @@ def run_system(
 
     ``scale`` selects the experiment profile, either as an
     :class:`ExperimentScale` or by name (``"toy"`` / ``"mid"`` /
-    ``"paper"``); ``scale_shift`` and ``chunk_size`` override the
-    profile's dataset reduction and memory-path chunking per call.
+    ``"paper"``); ``scale_shift`` overrides the profile's dataset
+    reduction per call.
     ``cache_design`` substitutes a Fig. 11 fine-grained cache by
     registry name (see :class:`CellSpec`); ``tile_backing`` overrides
     the profile's tile-array backing (``"memory"``/``"disk"``, results
@@ -357,7 +355,6 @@ def run_system(
         tile_scale=tile_scale,
         max_iterations=max_iterations,
         scale_shift=scale_shift,
-        chunk_size=chunk_size,
         cache_design=cache_design,
         tile_backing=tile_backing,
         system_kwargs=tuple(sorted(system_kwargs.items())),

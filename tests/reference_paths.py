@@ -13,12 +13,41 @@ module holds that walk, once:
 
 ``tests/test_batched_equivalence.py`` compares the engines against them,
 and ``benchmarks/bench_perf_hotpath.py`` runs whole systems on them.
+:class:`RequestLog` stands in for the DRAM phase a path hands its
+requests to, so a test can compare the request streams themselves.
 """
 
 import numpy as np
 
 from repro.cache.base import BatchResult
 from repro.core.memory_path import ConventionalMemoryPath, FineGrainedMemoryPath
+from repro.dram.fim_batch import FimOpBatch
+
+
+class RequestLog:
+    """A phase stand-in that keeps, in order, every FIM op and burst a
+    path hands it, and counts the hand-offs."""
+
+    def __init__(self):
+        self.fim_ops = FimOpBatch()
+        self.addrs = []
+        self.writes = []
+        self.adds = 0
+
+    def add(self, addrs=None, is_write=None, fim_ops=None):
+        self.adds += 1
+        if fim_ops is not None:
+            self.fim_ops.extend(fim_ops)
+        if addrs is not None:
+            self.addrs += np.asarray(addrs).tolist()
+            self.writes += np.asarray(is_write).tolist()
+
+    def take(self):
+        """(FIM ops, burst addresses, write flags) received since the
+        last take, as plain lists."""
+        taken = (self.fim_ops.to_ops(), self.addrs, self.writes)
+        self.fim_ops, self.addrs, self.writes = FimOpBatch(), [], []
+        return taken
 
 
 def scalar_batch(cache, addrs, is_write):
@@ -56,7 +85,7 @@ class ReferenceConventionalPath(ConventionalMemoryPath):
 
     def _run_batch(self, addrs, rmw):
         res = scalar_batch(self.cache, addrs, rmw)
-        self._requests.append_arrays(res.ev_addr, res.ev_is_wb)
+        return res.ev_addr, res.ev_is_wb
 
 
 class ReferenceFineGrainedPath(FineGrainedMemoryPath):
@@ -98,7 +127,8 @@ class ReferenceFineGrainedPath(FineGrainedMemoryPath):
                 np.asarray(writes, dtype=bool),
             )
 
-    def flush(self):
+    def flush(self, phase):
         for wb_addr, _ in self.cache.flush():
             self.fim_ops.extend(self.mshr.add_write(wb_addr))
         self.fim_ops.extend(self.mshr.flush())
+        self._hand_off(phase)

@@ -10,6 +10,7 @@ compare everything observable.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from repro.core.memory_path import (
 from repro.core.piccolo_cache import PiccoloCache
 from repro.dram.address import AddressMapper
 from repro.dram.spec import DEVICES, DRAMConfig
+from repro.utils import units
 
 from reference_paths import (
     ReferenceConventionalPath,
     ReferenceFineGrainedPath,
+    RequestLog,
     scalar_batch,
 )
 
@@ -414,13 +417,6 @@ def test_mshr_add_batch_matches_scalar(addrs, seed, wb_seed):
     assert batched.flush() == scalar.flush()
 
 
-def drain_all(path):
-    """Drain a path: its FIM ops (fine-grained paths only), then its
-    bursts."""
-    *ops, addrs, writes = path.drain()
-    return (*ops, addrs.tolist(), writes.tolist())
-
-
 @pytest.mark.parametrize(
     "kind",
     ["piccolo-lru", "piccolo-rrip", "conventional"]
@@ -441,14 +437,15 @@ def test_fine_grained_path_batched_matches_scalar(kind, monitor, addrs, seed, rm
 
     path_b = build(FineGrainedMemoryPath)
     path_s = build(ReferenceFineGrainedPath)
+    log_b, log_s = RequestLog(), RequestLog()
     chunks = split_chunks(addrs, seed)
     for chunk in chunks:
-        path_b.run(chunk, rmw)
-        path_s.run(chunk, rmw)
-    path_b.flush()
-    path_s.flush()
-    ops_b, addr_b, wr_b = drain_all(path_b)
-    ops_s, addr_s, wr_s = drain_all(path_s)
+        path_b.run(chunk, rmw, log_b)
+        path_s.run(chunk, rmw, log_s)
+    path_b.flush(log_b)
+    path_s.flush(log_s)
+    ops_b, addr_b, wr_b = log_b.take()
+    ops_s, addr_s, wr_s = log_s.take()
     assert ops_b == ops_s
     assert addr_b == addr_s
     assert wr_b == wr_s
@@ -461,15 +458,13 @@ def test_fine_grained_path_batched_matches_scalar(kind, monitor, addrs, seed, rm
 def test_conventional_path_batched_matches_scalar(addrs, seed, rmw):
     path_b = ConventionalMemoryPath(ConventionalCache(1024, ways=2))
     path_s = ReferenceConventionalPath(ConventionalCache(1024, ways=2))
+    log_b, log_s = RequestLog(), RequestLog()
     for chunk in split_chunks(addrs, seed):
-        path_b.run(chunk, rmw)
-        path_s.run(chunk, rmw)
-    path_b.flush()
-    path_s.flush()
-    a_b, w_b = path_b.drain()
-    a_s, w_s = path_s.drain()
-    np.testing.assert_array_equal(a_b, a_s)
-    np.testing.assert_array_equal(w_b, w_s)
+        path_b.run(chunk, rmw, log_b)
+        path_s.run(chunk, rmw, log_s)
+    path_b.flush(log_b)
+    path_s.flush(log_s)
+    assert log_b.take() == log_s.take()
     assert cache_signature(path_b.cache) == cache_signature(path_s.cache)
 
 
@@ -510,18 +505,19 @@ def assert_memo_transparent(path_kind, make_cache, chunks, rounds):
     Returns the memo."""
     with_memo = build_memo_path(path_kind, make_cache(), 64)
     without = build_memo_path(path_kind, make_cache(), 0)
+    log_with, log_without = RequestLog(), RequestLog()
     for _ in range(rounds):
         for chunk in chunks:
-            with_memo.run(chunk, True)
-            without.run(chunk, True)
-    assert drain_all(with_memo) == drain_all(without)
+            with_memo.run(chunk, True, log_with)
+            without.run(chunk, True, log_without)
+    assert log_with.take() == log_without.take()
     assert cache_signature(with_memo.cache) == cache_signature(without.cache)
     if path_kind == "monitor":
         # a replay must restore the state the next batch is keyed on
         assert bypass_state(with_memo) == bypass_state(without)
-    with_memo.flush()
-    without.flush()
-    assert drain_all(with_memo) == drain_all(without)
+    with_memo.flush(log_with)
+    without.flush(log_without)
+    assert log_with.take() == log_without.take()
     # the flush settles the useful-byte counters of every line still
     # resident, so this also checks the touched/dirty masks a replay
     # restored
@@ -576,12 +572,27 @@ def test_replay_memo_replays_repeated_rounds(path_kind, kind):
 
 
 # ---------------------------------------------------------------------------
-# Chunked tile streaming: a finite chunk_size must be invisible in the
-# produced counters, fill/write-back sequences, and FIM-op streams --
-# including chunk sizes that don't divide the batch evenly, and across
-# repeated rounds where the replay memo kicks in.
+# Chunked tile streaming: the chunk length (units.CHUNK_ACCESSES) must be
+# invisible in the produced counters, fill/write-back sequences, and
+# FIM-op streams -- including lengths that don't divide the batch evenly,
+# and across repeated rounds where the replay memo kicks in.  Each case
+# sets the constant and compares against one chunk longer than the
+# stream (WHOLE, also the last case).
 # ---------------------------------------------------------------------------
-CHUNK_SIZES = [1, 7, 64, 1 << 20]
+#: a chunk longer than any stream here: the whole stream in one chunk
+WHOLE = 1 << 20
+CHUNK_SIZES = [1, 7, 64, WHOLE]
+
+
+def run_chunked(path, chunk, batches, rmw):
+    """Run ``batches`` through ``path`` and flush it, ``chunk`` accesses
+    at a time; returns the requests it handed over."""
+    log = RequestLog()
+    with mock.patch.object(units, "CHUNK_ACCESSES", chunk):
+        for batch in batches:
+            path.run(batch, rmw, log)
+        path.flush(log)
+    return log.take()
 
 
 @pytest.mark.parametrize(
@@ -596,23 +607,19 @@ def test_chunked_fine_grained_path_matches_whole_tile(
 ):
     mapper = make_mapper()
 
-    def build(chunk):
+    def build():
         cache = CACHE_FACTORIES[kind]()
         mshr = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=4)
         mon = LocalityMonitor(window=8, threshold=0.5) if monitor else None
-        return FineGrainedMemoryPath(
-            cache, mshr, locality_monitor=mon, chunk_size=chunk
-        )
+        return FineGrainedMemoryPath(cache, mshr, locality_monitor=mon)
 
-    chunked = build(chunk_size)
-    whole = build(None)
-    stream = np.asarray(addrs, dtype=np.int64)
-    for _ in range(2):  # second round exercises memo + chunk interplay
-        chunked.run(stream, rmw)
-        whole.run(stream, rmw)
-    chunked.flush()
-    whole.flush()
-    assert drain_all(chunked) == drain_all(whole)
+    chunked = build()
+    whole = build()
+    # a second round exercises memo + chunk interplay
+    rounds = [np.asarray(addrs, dtype=np.int64)] * 2
+    assert run_chunked(chunked, chunk_size, rounds, rmw) == run_chunked(
+        whole, WHOLE, rounds, rmw
+    )
     assert cache_signature(chunked.cache) == cache_signature(whole.cache)
     assert vars(chunked.mshr.stats) == vars(whole.mshr.stats)
 
@@ -621,20 +628,12 @@ def test_chunked_fine_grained_path_matches_whole_tile(
 @settings(max_examples=15, deadline=None)
 @given(addrs=addr_streams, rmw=rmw_flags)
 def test_chunked_conventional_path_matches_whole_tile(chunk_size, addrs, rmw):
-    chunked = ConventionalMemoryPath(
-        ConventionalCache(1024, ways=2), chunk_size=chunk_size
-    )
+    chunked = ConventionalMemoryPath(ConventionalCache(1024, ways=2))
     whole = ConventionalMemoryPath(ConventionalCache(1024, ways=2))
-    stream = np.asarray(addrs, dtype=np.int64)
-    for _ in range(2):
-        chunked.run(stream, rmw)
-        whole.run(stream, rmw)
-    chunked.flush()
-    whole.flush()
-    a_c, w_c = chunked.drain()
-    a_w, w_w = whole.drain()
-    np.testing.assert_array_equal(a_c, a_w)
-    np.testing.assert_array_equal(w_c, w_w)
+    rounds = [np.asarray(addrs, dtype=np.int64)] * 2
+    assert run_chunked(chunked, chunk_size, rounds, rmw) == run_chunked(
+        whole, WHOLE, rounds, rmw
+    )
     assert cache_signature(chunked.cache) == cache_signature(whole.cache)
 
 
@@ -647,18 +646,16 @@ def test_chunked_matches_scalar_loop_directly(chunk_size):
     rng = np.random.default_rng(13)
     stream = rng.integers(0, 1 << 12, 500).astype(np.int64) * 8
 
-    def build(path_cls, chunk):
+    def build(path_cls):
         cache = PiccoloCache(1024, ways=4, fg_tag_bits=4)
         mshr = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=4)
-        return path_cls(cache, mshr, chunk_size=chunk)
+        return path_cls(cache, mshr)
 
-    chunked = build(FineGrainedMemoryPath, chunk_size)
-    scalar = build(ReferenceFineGrainedPath, None)
-    chunked.run(stream, True)
-    scalar.run(stream, True)
-    chunked.flush()
-    scalar.flush()
-    assert drain_all(chunked) == drain_all(scalar)
+    chunked = build(FineGrainedMemoryPath)
+    scalar = build(ReferenceFineGrainedPath)
+    assert run_chunked(chunked, chunk_size, [stream], True) == run_chunked(
+        scalar, WHOLE, [stream], True
+    )
     assert cache_signature(chunked.cache) == cache_signature(scalar.cache)
     assert vars(chunked.mshr.stats) == vars(scalar.mshr.stats)
 
@@ -697,13 +694,14 @@ def test_bypass_segments_batched_matches_scalar(kind):
     stream = np.concatenate([seq, rand, seq + (1 << 16), rand])
     path_b = build(FineGrainedMemoryPath)
     path_s = build(ReferenceFineGrainedPath)
+    log_b, log_s = RequestLog(), RequestLog()
     for chunk in np.split(stream, [100, 300, 420, 600]):
-        path_b.run(chunk, True)
-        path_s.run(chunk, True)
-    path_b.flush()
-    path_s.flush()
-    out_b = drain_all(path_b)
-    assert out_b == drain_all(path_s)
+        path_b.run(chunk, True, log_b)
+        path_s.run(chunk, True, log_s)
+    path_b.flush(log_b)
+    path_s.flush(log_s)
+    out_b = log_b.take()
+    assert out_b == log_s.take()
     # the sequential phases must actually have produced bypass bursts
     assert len(out_b[1]) > 0
     assert cache_signature(path_b.cache) == cache_signature(path_s.cache)

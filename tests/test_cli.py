@@ -21,15 +21,13 @@ class TestParser:
 
     def test_figure_profile_flags_parse(self):
         args = build_parser().parse_args(
-            ["figure", "fig10", "--profile", "mid", "--chunk-size", "1024"]
+            ["figure", "fig10", "--profile", "mid"]
         )
         assert args.profile == "mid"
-        assert args.chunk_size == 1024
 
     def test_figure_profile_defaults_to_toy(self):
         args = build_parser().parse_args(["figure", "fig10"])
         assert args.profile == "toy"
-        assert args.chunk_size is None
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(SystemExit):
@@ -72,15 +70,14 @@ class TestParser:
 
 
 class TestCountFlags:
-    """A bad worker or chunk count is a usage error naming its flag,
-    raised before any dataset or store is touched."""
+    """A bad worker count is a usage error naming its flag, raised
+    before any dataset or store is touched."""
 
     @pytest.mark.parametrize(
         "argv, flag",
         [
             (["figure", "fig10", "--workers", "-4"], "--workers"),
-            (["figure", "fig3", "--fast", "--chunk-size", "0"],
-             "--chunk-size"),
+            (["figure", "fig3", "--fast", "--workers", "-1"], "--workers"),
             (["serve", "--jobs", "0"], "--jobs"),
             (["serve", "--job-workers", "-1"], "--job-workers"),
         ],
@@ -95,12 +92,21 @@ class TestCountFlags:
         assert f"argument {flag}: must be >= " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_chunk_size_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        """Every profile runs one chunk length, so ``--chunk-size`` is
+        no option: passing it is a usage error naming it."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig10", "--profile", "mid", "--chunk-size", "1024"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --chunk-size 1024" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_counts_at_their_minimum_parse(self):
         parser = build_parser()
-        figure = parser.parse_args(
-            ["figure", "fig10", "--workers", "0", "--chunk-size", "1"]
-        )
-        assert (figure.workers, figure.chunk_size) == (0, 1)
+        figure = parser.parse_args(["figure", "fig10", "--workers", "0"])
+        assert figure.workers == 0
         serve = parser.parse_args(
             ["serve", "--jobs", "1", "--job-workers", "0"]
         )
@@ -163,7 +169,8 @@ class TestProfilesCommand:
             assert column in out
         assert "piccolo_cache_bytes" in out
         assert "4194304" in out  # the paper profile's 4 MB cache
-        assert "chunk_size" in out
+        assert "replay_capacity" in out
+        assert "chunk_size" not in out  # one chunk length for every profile
 
     def test_profile_note_for_scale_free_figures(self, capsys):
         # fig9 (the FPGA microbench) has no scale dimension; a non-toy

@@ -42,6 +42,21 @@ class TestECPiccolo:
         assert result.dram.fim_gathers > 0
         assert result.cache_accesses > 0
 
+    def test_settles_mshr_and_random_traffic(self, graph):
+        """EC Piccolo settles its counters as the vertex-centric systems
+        do: every FIM op its MSHR issued reaches DRAM, and its random
+        bytes are its cache's fill and write-back bytes."""
+        system = ECPiccoloSystem(
+            onchip_bytes=1024, mshr_entries=64, fg_tag_bits=4
+        )
+        result = system.run(graph, "PR", max_iterations=2)
+        fim_ops = result.dram.fim_gathers + result.dram.fim_scatters
+        assert result.mshr_ops == fim_ops > 0
+        mshr, cache = system.path.mshr, system.path.cache
+        assert result.mshr_forwarded == mshr.stats.forwarded_reads
+        assert result.random_read_bytes == cache.stats.fill_bytes > 0
+        assert result.random_write_bytes == cache.stats.writeback_bytes > 0
+
     def test_wins_when_onchip_capacity_is_scarce(self):
         """The paper's Fig. 19a regime: at full scale the conventional EC
         grid reload (~ P x |V|) dominates.  At our 2^12-scaled size that

@@ -28,6 +28,8 @@ from repro.dram.spec import default_config
 from repro.dram.system import DRAMModel, FimOp
 from repro.graph.datasets import load_dataset
 
+from reference_paths import RequestLog
+
 
 @pytest.fixture(scope="module")
 def fim_ops():
@@ -44,12 +46,13 @@ def fim_ops():
     )
     path = FineGrainedMemoryPath(cache, mshr)
     layout = MemoryLayout()
+    log = RequestLog()
     for trace in engine.run_iter(6):
         for tile in trace.tiles:
             if tile.edge_dst.size:
-                path.run(layout.vtemp_addrs(tile.edge_dst), rmw=True)
-    path.flush()
-    ops, _, _ = path.drain()
+                path.run(layout.vtemp_addrs(tile.edge_dst), rmw=True, phase=log)
+    path.flush(log)
+    ops, _, _ = log.take()
     return config, ops
 
 

@@ -28,7 +28,10 @@ from repro.dram.address import AddressMapper
 from repro.dram.fim_batch import FimOp, FimOpBatch
 from repro.dram.spec import DEVICES, DRAMConfig
 from repro.dram.system import DEFAULT_SCHEDULER_WINDOW, DRAMModel, PhaseStats
+from repro.utils import units
 from repro.utils.units import ceil_div
+
+from reference_paths import RequestLog
 
 
 def make_config(channels=2, ranks=2):
@@ -583,77 +586,78 @@ class TestProducersEmitBatches:
         assert isinstance(mshr.flush(), FimOpBatch)
 
     def test_path_drain_returns_batch(self, mapper):
+        """The path hands its phase FIM ops as FimOpBatch arrays, which
+        phase() takes without conversion."""
         path = FineGrainedMemoryPath(
             PiccoloCache(1024, ways=2, fg_tag_bits=4),
             CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=8),
         )
-        path.run(np.arange(64, dtype=np.int64) * 8, rmw=True)
-        path.flush()
-        ops, addrs, writes = path.drain()
-        assert isinstance(ops, FimOpBatch)
-        assert len(ops) > 0
-        # a drained batch feeds phase() without conversion
-        model = DRAMModel(make_config(channels=1, ranks=1))
-        stats = model.phase(fim_ops=ops)
-        assert stats.fim_gathers + stats.fim_scatters == len(ops)
+        handed = []
 
-    def test_path_streams_into_sink(self, mapper):
-        """With a phase_sink attached, chunks drain immediately: the
-        path holds no whole-tile FIM batch, and the accumulated phase
-        equals the whole-tile evaluation."""
+        class Phase:
+            def add(self, fim_ops=None, **_bursts):
+                handed.append(fim_ops)
+
+        path.run(np.arange(64, dtype=np.int64) * 8, rmw=True, phase=Phase())
+        path.flush(Phase())
+        assert handed
+        assert all(isinstance(ops, FimOpBatch) for ops in handed)
+        model = DRAMModel(make_config(channels=1, ranks=1))
+        for ops in handed:
+            stats = model.phase(fim_ops=ops)
+            assert stats.fim_gathers + stats.fim_scatters == len(ops) > 0
+
+    def test_path_streams_into_sink(self, mapper, monkeypatch):
+        """The path hands every chunk to its phase as it goes: it holds
+        no stream-long FIM batch, and the phase fed chunk by chunk
+        equals the stream evaluated in one piece."""
         model = DRAMModel(make_config(channels=1, ranks=1))
 
         def build():
             return FineGrainedMemoryPath(
                 PiccoloCache(1024, ways=2, fg_tag_bits=4),
                 CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=8),
-                chunk_size=64,
                 replay_capacity=0,
             )
 
         rng = np.random.default_rng(11)
         stream = (rng.integers(0, 1 << 13, 2000) * 8).astype(np.int64)
 
-        whole = build()
-        whole.run(stream, rmw=True)
-        ops, addrs, writes = whole.drain()
+        monkeypatch.setattr(units, "CHUNK_ACCESSES", stream.size)
+        log = RequestLog()
+        build().run(stream, rmw=True, phase=log)
+        ops, addrs, writes = log.take()
         expected = model.phase(
-            addrs=addrs if addrs.size else None,
-            is_write=writes if addrs.size else None,
+            addrs=np.asarray(addrs, dtype=np.int64),
+            is_write=np.asarray(writes, dtype=bool),
             fim_ops=ops,
         )
 
+        monkeypatch.setattr(units, "CHUNK_ACCESSES", 64)
         streamed = build()
         acc = model.open_phase()
-        streamed.phase_sink = acc
-        streamed.run(stream, rmw=True)
-        streamed.phase_sink = None
-        assert len(streamed.fim_ops) == 0  # everything drained per chunk
-        tail_ops, tail_addrs, _ = streamed.drain()
-        assert len(tail_ops) == 0 and tail_addrs.size == 0
+        streamed.run(stream, rmw=True, phase=acc)
+        assert len(streamed.fim_ops) == 0  # every chunk handed over
         assert vars(acc.close()) == vars(expected)
 
 
 # ---------------------------------------------------------------------------
-# Across profiles: streamed vs whole-tile phase at system level
+# Streamed vs one-piece tile phases at system level
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("system", ["Piccolo", "NMP", "GraphDyns (Cache)"])
-def test_system_streamed_phase_matches_whole(system):
-    """A chunked memory path drains every chunk into the tile's phase;
-    an unchunked one hands the phase its whole tile in one add."""
-    from repro.experiments.config import ExperimentScale
+def test_system_streamed_phase_matches_whole(system, monkeypatch):
+    """256-access chunks feed each tile's phase in many adds; a chunk
+    longer than any tile feeds it one add per access stream."""
     from repro.experiments.runner import clear_result_cache, run_system
 
     results = {}
-    for chunk_size in (256, None):
+    for chunk in (256, 1 << 20):
+        monkeypatch.setattr(units, "CHUNK_ACCESSES", chunk)
         clear_result_cache()
-        scale = ExperimentScale(
-            name=f"chunk-{chunk_size}", chunk_size=chunk_size
-        )
-        r = run_system(system, "PR", "TW", scale=scale, max_iterations=2)
-        results[chunk_size] = (
+        r = run_system(system, "PR", "TW", max_iterations=2)
+        results[chunk] = (
             r.total_ns, r.memory_ns, r.compute_ns,
             vars(r.dram), r.cache_hits, r.cache_misses, r.mshr_ops,
         )
     clear_result_cache()
-    assert results[256] == results[None]
+    assert results[256] == results[1 << 20]

@@ -14,6 +14,9 @@ from repro.core.memory_path import (
 from repro.core.piccolo_cache import PiccoloCache
 from repro.dram.address import AddressMapper
 from repro.dram.spec import DEVICES, DRAMConfig
+from repro.utils import units
+
+from reference_paths import RequestLog
 
 
 @pytest.fixture
@@ -26,34 +29,40 @@ def mapper():
 class TestConventionalPath:
     def test_misses_become_line_reads(self):
         path = ConventionalMemoryPath(ConventionalCache(1024, ways=2))
-        path.run(np.asarray([0, 8, 64, 128]), rmw=False)
-        addrs, writes = path.drain()
+        log = RequestLog()
+        path.run(np.asarray([0, 8, 64, 128]), rmw=False, phase=log)
+        _, addrs, writes = log.take()
         # 0 and 8 share a line: 3 fills.
-        assert addrs.tolist() == [0, 64, 128]
-        assert not writes.any()
+        assert addrs == [0, 64, 128]
+        assert not any(writes)
 
     def test_rmw_generates_writebacks_on_eviction(self):
         path = ConventionalMemoryPath(ConventionalCache(64, ways=1))
-        path.run(np.asarray([0]), rmw=True)
-        path.run(np.asarray([4096]), rmw=False)
-        addrs, writes = path.drain()
-        assert (0 in addrs.tolist()) and writes.sum() == 1
+        log = RequestLog()
+        path.run(np.asarray([0]), rmw=True, phase=log)
+        path.run(np.asarray([4096]), rmw=False, phase=log)
+        _, addrs, writes = log.take()
+        assert (0 in addrs) and sum(writes) == 1
 
     def test_drain_resets(self):
+        """A path drains each chunk's requests into the phase of the
+        ``run`` that made them: a later run hands over none of them,
+        and a run whose accesses all hit hands over nothing."""
         path = ConventionalMemoryPath(ConventionalCache(1024, ways=2))
-        path.run(np.asarray([0]), rmw=False)
-        path.drain()
-        addrs, _ = path.drain()
-        assert addrs.size == 0
+        first, second = RequestLog(), RequestLog()
+        path.run(np.asarray([0]), rmw=False, phase=first)
+        path.run(np.asarray([0]), rmw=False, phase=second)
+        assert first.take()[1] == [0]
+        assert second.adds == 0
 
     def test_flush_emits_dirty_lines(self):
         path = ConventionalMemoryPath(ConventionalCache(1024, ways=2))
-        path.run(np.asarray([0]), rmw=True)
-        path.drain()
-        path.flush()
-        addrs, writes = path.drain()
-        assert addrs.tolist() == [0]
-        assert writes.tolist() == [True]
+        run_log, flush_log = RequestLog(), RequestLog()
+        path.run(np.asarray([0]), rmw=True, phase=run_log)
+        path.flush(flush_log)
+        _, addrs, writes = flush_log.take()
+        assert addrs == [0]
+        assert writes == [True]
 
 
 class TestFineGrainedPath:
@@ -64,26 +73,28 @@ class TestFineGrainedPath:
 
     def test_eight_misses_one_gather(self, mapper):
         path = self.make_path(mapper)
-        path.run(np.arange(8, dtype=np.int64) * 8, rmw=False)
-        ops, addrs, _ = path.drain()
+        log = RequestLog()
+        path.run(np.arange(8, dtype=np.int64) * 8, rmw=False, phase=log)
+        ops, addrs, _ = log.take()
         assert len(ops) == 1
         assert ops[0].items == 8
-        assert addrs.size == 0
+        assert addrs == []
 
     def test_flush_drains_cache_and_mshr(self, mapper):
         path = self.make_path(mapper)
-        path.run(np.asarray([0, 8, 16]), rmw=True)
-        path.flush()
-        ops, _, _ = path.drain()
+        log = RequestLog()
+        path.run(np.asarray([0, 8, 16]), rmw=True, phase=log)
+        path.flush(log)
+        ops, _, _ = log.take()
         # Dirty sectors become scatter offsets; pending gathers issue too.
         kinds = {op.is_scatter for op in ops}
         assert kinds == {False, True}
 
     def test_hits_generate_no_ops(self, mapper):
         path = self.make_path(mapper)
-        addrs = np.asarray([0, 0, 0, 0])
-        path.run(addrs, rmw=False)
-        ops, _, _ = path.drain()
+        log = RequestLog()
+        path.run(np.asarray([0, 0, 0, 0]), rmw=False, phase=log)
+        ops, _, _ = log.take()
         assert ops == []
         assert path.cache.stats.hits == 3
 
@@ -135,7 +146,7 @@ class TestReplayMemoDisabled:
             CollectionExtendedMSHR(mapper, num_entries=16),
             replay_capacity=0,
         )
-        path.run(np.arange(32, dtype=np.int64) * 8, rmw=True)
+        path.run(np.arange(32, dtype=np.int64) * 8, rmw=True, phase=RequestLog())
         assert CountingCache.digest_calls == 0
 
     def test_paths_reject_negative_capacity(self, mapper):
@@ -160,11 +171,12 @@ class TestReplayMemoRecords:
         path = ConventionalMemoryPath(ConventionalCache(1024, ways=2))
         memo = path.memo
         batch = np.asarray([0, 64, 128], dtype=np.int64)
-        path.run(batch, rmw=True)  # cold cache: the first miss records
+        log = RequestLog()
+        path.run(batch, rmw=True, phase=log)  # cold cache: the first miss records
         assert (memo.hits, memo.misses, len(memo)) == (0, 1, 1)
-        path.run(batch, rmw=True)  # warm cache: misses, replaces
+        path.run(batch, rmw=True, phase=log)  # warm cache: misses, replaces
         assert (memo.hits, memo.misses, len(memo)) == (0, 2, 1)
-        path.run(batch, rmw=True)  # the same warm state: replays
+        path.run(batch, rmw=True, phase=log)  # the same warm state: replays
         assert (memo.hits, memo.misses, len(memo)) == (1, 2, 1)
 
     def test_another_state_misses_and_replaces_the_record(self):
@@ -197,62 +209,56 @@ class TestReplayMemoRecords:
 
 
 class TestChunkedStreaming:
-    def test_chunk_size_validation(self, mapper):
-        with pytest.raises(ValueError):
-            ConventionalMemoryPath(
-                ConventionalCache(1024, ways=2), chunk_size=0
-            )
-        with pytest.raises(ValueError):
-            FineGrainedMemoryPath(
-                PiccoloCache(1024, ways=2, fg_tag_bits=4),
-                CollectionExtendedMSHR(mapper, num_entries=16),
-                chunk_size=-1,
-            )
-
-    def test_chunked_requests_identical(self, mapper):
+    def test_chunked_requests_identical(self, mapper, monkeypatch):
         rng = np.random.default_rng(3)
         stream = rng.integers(0, 1 << 12, 400).astype(np.int64) * 8
 
         def run(chunk):
+            monkeypatch.setattr(units, "CHUNK_ACCESSES", chunk)
             path = FineGrainedMemoryPath(
                 PiccoloCache(1024, ways=2, fg_tag_bits=4),
                 CollectionExtendedMSHR(mapper, num_entries=16),
-                chunk_size=chunk,
             )
-            path.run(stream, rmw=True)
-            path.flush()
-            ops, addrs, writes = path.drain()
-            return ops, addrs.tolist(), writes.tolist()
+            log = RequestLog()
+            path.run(stream, rmw=True, phase=log)
+            path.flush(log)
+            return log.take()
 
-        assert run(None) == run(64) == run(33)
+        # one chunk longer than the stream, then chunks that do and do
+        # not divide it
+        assert run(1 << 20) == run(64) == run(33) == run(7)
 
-    def test_chunked_batch_temporaries_stay_bounded(self, mapper):
+    def test_chunked_batch_temporaries_stay_bounded(self, mapper, monkeypatch):
         """Peak allocation during a hit-heavy run must scale with the
-        chunk, not the tile: the whole point of chunked streaming."""
+        chunk, not the stream: the whole point of chunked streaming."""
         import tracemalloc
 
         # 8 resident words: everything after the first pass hits, so
-        # the measured peak is the engine's per-batch temporaries.
+        # the measured peak is the engine's per-chunk temporaries.
         stream = np.tile(np.arange(8, dtype=np.int64) * 8, 32768)
 
         def peak(chunk):
+            monkeypatch.setattr(units, "CHUNK_ACCESSES", chunk)
             path = FineGrainedMemoryPath(
                 PiccoloCache(1024, ways=2, fg_tag_bits=4),
                 CollectionExtendedMSHR(mapper, num_entries=16),
                 replay_capacity=0,  # measure the engine, not the memo
-                chunk_size=chunk,
             )
             tracemalloc.start()
             tracemalloc.reset_peak()
-            path.run(stream, rmw=False)
+            path.run(stream, rmw=False, phase=RequestLog())
             _, peak_bytes = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             return peak_bytes
 
-        whole = peak(None)
-        chunked = peak(1024)
-        # whole-tile holds O(256k)-element temporaries; chunked holds
-        # O(1k).  Require a decisive gap, not an exact model.
+        chunk = 4096
+        whole = peak(stream.size)
+        chunked = peak(chunk)
+        # temporaries cost a few dozen bytes per access of the chunk: a
+        # stream-long chunk holds O(256k)-element arrays, a 4k-access
+        # chunk O(4k).  Require a bound in the chunk length and a
+        # decisive gap, not an exact model.
+        assert chunked < 128 * chunk, (chunk, chunked, whole)
         assert chunked < whole / 10, (whole, chunked)
 
 
@@ -275,10 +281,11 @@ class TestLocalityMonitor:
         mshr = CollectionExtendedMSHR(mapper, num_entries=16)
         monitor = LocalityMonitor(window=8, threshold=0.5)
         path = FineGrainedMemoryPath(cache, mshr, locality_monitor=monitor)
+        log = RequestLog()
         # Long sequential run: after the window, fills become 64 B bursts.
-        path.run(np.arange(256, dtype=np.int64) * 8 + (1 << 20), rmw=False)
-        ops, addrs, writes = path.drain()
-        assert addrs.size > 0  # bypass bursts were issued
+        path.run(np.arange(256, dtype=np.int64) * 8 + (1 << 20), rmw=False, phase=log)
+        _, addrs, _ = log.take()
+        assert addrs  # bypass bursts were issued
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from repro.experiments.runner import (
     run_system,
     speedup_table,
 )
+from repro.utils import units
 
 
 class TestRunSystem:
@@ -132,7 +133,6 @@ class TestScaleProfiles:
         assert paper.spm_bytes == 4_718_592  # 4.5 MB
         assert paper.mshr_entries == 4096
         assert paper.fg_tag_bits == 8
-        assert paper.chunk_size is not None  # paper scale must chunk
         assert paper.replay_capacity == 0
 
     def test_get_profile_resolves_names_and_passthrough(self):
@@ -156,12 +156,17 @@ class TestScaleProfiles:
         by_default = run_system("Piccolo", "PR", "UU", max_iterations=1)
         assert by_name is by_default  # identical cell -> memoised hit
 
-    def test_chunked_run_is_bit_identical(self):
+    def test_chunked_run_is_bit_identical(self, monkeypatch):
+        """64-access chunks against one chunk longer than any tile."""
+        runs = []
+        for chunk in (1 << 20, 64):
+            monkeypatch.setattr(units, "CHUNK_ACCESSES", chunk)
+            clear_result_cache()
+            runs.append(run_system("Piccolo", "PR", "UU", max_iterations=1))
         clear_result_cache()
-        whole = run_system("Piccolo", "PR", "UU", max_iterations=1)
-        chunked = run_system("Piccolo", "PR", "UU", max_iterations=1,
-                             chunk_size=64)
+        whole, chunked = runs
         assert whole is not chunked
+        assert whole.to_record() == chunked.to_record()
         assert whole.total_ns == chunked.total_ns
         assert whole.cache_hits == chunked.cache_hits
         assert whole.cache_misses == chunked.cache_misses
@@ -173,7 +178,7 @@ class TestScaleProfiles:
         clear_result_cache()
         tiny = dataclasses.replace(
             PROFILES["toy"], name="tiny", scale_shift=14,
-            piccolo_cache_bytes=512, cache_ways=4, chunk_size=128,
+            piccolo_cache_bytes=512, cache_ways=4,
         )
         result = run_system("Piccolo", "PR", "UU", scale=tiny,
                             max_iterations=1)
@@ -201,6 +206,25 @@ class TestTileBacking:
         )
         digests = {resolve_cell(s).digest for s in (base, disk, store)}
         assert len(digests) == 1 and None not in digests
+
+    def test_replay_capacity_is_not_part_of_the_cell_digest(self):
+        """The replay memo is exact (tests/test_stationary_replay.py),
+        so its capacity is an execution detail like the backing; a
+        capacity that changes results, the cache size, still splits."""
+        from repro.experiments.runner import CellSpec, resolve_cell
+
+        def digest(**knobs):
+            scale = dataclasses.replace(PROFILES["toy"], **knobs)
+            return resolve_cell(
+                CellSpec(system="Piccolo", algorithm="PR", dataset="UU",
+                         scale=scale)
+            ).digest
+
+        base = digest()
+        assert base is not None
+        assert digest(replay_capacity=0) == base
+        assert digest(replay_capacity=8) == base
+        assert digest(piccolo_cache_bytes=2048) != base
 
     def test_disk_backed_run_is_bit_identical(self, tmp_path):
         clear_result_cache()

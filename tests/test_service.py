@@ -111,6 +111,7 @@ class TestResolveRequest:
             {**CONFIG, "system": "GraphDyns (Cache)", "cache_design": "Amoeba"},
             "fine-grained cache system",
         ),
+        ({**CONFIG, "chunk_size": 1024}, "unknown config key.*chunk_size"),
     ])
     def test_bad_configs_raise_self_describing_errors(
         self, payload, fragment
@@ -339,6 +340,12 @@ class TestStdlibHTTP:
             base, "/experiments", json.dumps({"seed": 1}).encode()
         )
         assert code == 400 and "unknown config key" in payload["error"]
+        # one chunk length serves every profile: no request sets it
+        code, payload = _http(
+            base, "/experiments",
+            json.dumps({**CONFIG, "chunk_size": 1024}).encode(),
+        )
+        assert code == 400 and "['chunk_size']" in payload["error"]
         assert _http(base, "/experiments/zzz")[0] == 400         # bad digest
         assert _http(base, "/experiments/" + "0" * 32)[0] == 404
         assert _http(base, "/nope")[0] == 404

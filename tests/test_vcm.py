@@ -13,6 +13,7 @@ from repro.algorithms.sswp import reference_sswp
 from repro.algorithms.vcm import VertexCentricEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi
+from repro.utils import units
 
 
 def run_engine(graph, algorithm, tile_width=None, iterations=64, **kwargs):
@@ -170,12 +171,15 @@ class TestTraces:
 
 class TestTouchedDst:
     """``touched_dst`` is read off a range bitmap; it must equal
-    ``np.unique`` of the tile's traversed destinations, dtype included."""
+    ``np.unique`` of the tile's traversed destinations, dtype included,
+    and neither it nor the properties may depend on the edge chunk."""
 
     @pytest.mark.parametrize("backing", ["memory", "disk"])
     @pytest.mark.parametrize("width", [1, 7, "V", "V+5"])
     @pytest.mark.parametrize("algorithm", ["PR", "BFS", "SSSP"])
-    def test_matches_unique_edge_dst(self, algorithm, width, backing, tmp_path):
+    def test_matches_unique_edge_dst(
+        self, algorithm, width, backing, tmp_path, monkeypatch
+    ):
         one = np.zeros(1, dtype=np.int64)
         graphs = (
             erdos_renyi(40, avg_degree=4.0, seed=3),
@@ -185,21 +189,29 @@ class TestTouchedDst:
         for graph in graphs:
             n = graph.num_vertices
             tile_width = {"V": n, "V+5": n + 5}.get(width, width)
-            for edge_chunk in (None, 3):
+            outcomes = []
+            # one chunk longer than any tile, then 3-edge chunks
+            for chunk in (1 << 20, 3):
+                monkeypatch.setattr(units, "CHUNK_ACCESSES", chunk)
                 engine = VertexCentricEngine(
                     make_algorithm(algorithm, graph),
                     tile_width,
-                    edge_chunk=edge_chunk,
                     tile_backing=backing,
                     tile_store_root=tmp_path,
                 )
                 traces = engine.run(6)
                 assert traces
-                for tile in (t for trace in traces for t in trace.tiles):
+                tiles = [t for trace in traces for t in trace.tiles]
+                for tile in tiles:
                     assert tile.touched_dst.dtype == np.int64
                     assert np.array_equal(
                         tile.touched_dst, np.unique(tile.edge_dst)
                     )
+                outcomes.append((
+                    engine.prop.tolist(),
+                    [t.touched_dst.tolist() for t in tiles],
+                ))
+            assert outcomes[0] == outcomes[1]
 
 
 class TestTileWidth:

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.accel import edge_centric, systems
+from repro.accel import systems
 from repro.cache.variants import FIG11_DESIGNS, FIG11_VARIANTS
 from repro.experiments.runner import clear_result_cache, run_system
 
@@ -47,9 +47,6 @@ def paths(reference: bool):
             )
             patch.setattr(
                 systems, "FineGrainedMemoryPath", ReferenceFineGrainedPath
-            )
-            patch.setattr(
-                edge_centric, "FineGrainedMemoryPath", ReferenceFineGrainedPath
             )
         yield
 

@@ -12,6 +12,8 @@ GraphDyns (Cache)  conventional 64 B cache, tuned tile width
 NMP                fine-grained cache + MSHR, rank-level gathers
 PIM                no on-chip locality; per-edge in-memory atomics
 Piccolo            Piccolo-cache + collection-extended MSHR + FIM
+EC Conventional    edge-centric grid, scratchpad source/dest tiles
+EC Piccolo         edge-centric grid over Piccolo's cache and MSHR
 ================== ==============================================
 """
 

@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Callable
 
+import numpy as np
+
+from repro.accel.layout import MemoryLayout
 from repro.accel.pipeline import PipelineConfig
+from repro.algorithms import make_algorithm
+from repro.algorithms.vcm import AlgorithmSpec
 from repro.cache.conventional import ConventionalCache
 from repro.core.memory_path import ConventionalMemoryPath, FineGrainedMemoryPath
 from repro.dram.spec import DRAMConfig, default_config
-from repro.dram.system import DRAMModel, PhaseStats
+from repro.dram.system import DRAMModel, PhaseAccumulator, PhaseStats
+from repro.graph.csr import CSRGraph
+from repro.utils import units
 
 
 @dataclass
@@ -105,10 +113,27 @@ class SystemResult:
 
 
 class AcceleratorSystem:
-    """Base class: owns the DRAM model and the pipeline configuration,
-    and charges every phase and settles every run the same way."""
+    """The skeleton every system shares: one constructor, one run loop,
+    and one way to charge a phase and settle a run.
+
+    A run builds the system's functional engine over tiles of
+    :meth:`choose_tile_width`, builds the on-chip state in
+    :meth:`setup`, charges each iteration trace in
+    :meth:`_run_iteration`, drains per-iteration state in
+    :meth:`end_iteration` and settles in :meth:`finish`.  The
+    vertex-centric and edge-centric families differ only in those hooks.
+    """
 
     name = "base"
+    #: the :class:`~repro.experiments.config.ExperimentScale` field that
+    #: sizes this system's on-chip memory
+    onchip_field = "baseline_cache_bytes"
+    #: further profile fields the constructor takes as same-named kwargs
+    scale_fields: tuple[str, ...] = ()
+    #: multiple of the base tile width when a profile names none
+    default_tile_scale = 1
+    #: on-chip memory budget in bytes (set per instance in __init__)
+    onchip_bytes = 4096
     #: cached random-access memory path (built by the subclass's setup);
     #: scratchpad, PIM and edge-centric conventional systems have none
     path: ConventionalMemoryPath | FineGrainedMemoryPath | None = None
@@ -117,10 +142,34 @@ class AcceleratorSystem:
         self,
         dram_config: DRAMConfig | None = None,
         pipeline: PipelineConfig | None = None,
+        onchip_bytes: int | None = None,
+        tile_scale: int | None = None,
+        layout: MemoryLayout | None = None,
+        replay_capacity: int | None = None,
+        tile_backing: str = "memory",
+        tile_store_root=None,
     ) -> None:
         self.dram_config = dram_config if dram_config is not None else default_config()
         self.pipeline = pipeline if pipeline is not None else PipelineConfig()
         self.dram = DRAMModel(self.dram_config)
+        if onchip_bytes is not None:
+            self.onchip_bytes = onchip_bytes
+        self.tile_scale = (
+            tile_scale if tile_scale is not None else self.default_tile_scale
+        )
+        self.layout = layout if layout is not None else MemoryLayout()
+        #: memory-path replay memo (scale-profile driven): None means
+        #: REPLAY_CAPACITY_DEFAULT and 0 means no memo.  Only a
+        #: stationary run (one whose iterations repeat their address
+        #: streams, see :meth:`run`) builds a memo.  Systems without a
+        #: cached random path simply ignore it.
+        self.replay_capacity = replay_capacity
+        #: tile-array backing ("memory"/"disk") plus the disk store's
+        #: root; bit-identical results either way (see
+        #: :mod:`repro.graph.tilestore`).  Edge-centric grids are built
+        #: in memory and ignore it.
+        self.tile_backing = tile_backing
+        self.tile_store_root = tile_store_root
 
     # ------------------------------------------------------------------
     def _stream_scale(self) -> float:
@@ -135,8 +184,79 @@ class AcceleratorSystem:
         scale = self._stream_scale()
         return nbytes / scale if scale < 1.0 else nbytes
 
-    def run(self, graph, algorithm: str, max_iterations: int = 40) -> SystemResult:
+    # -- hooks ----------------------------------------------------------
+    def choose_tile_width(self, graph: CSRGraph) -> int:
+        """Tile width in vertices when the run names none."""
         raise NotImplementedError
+
+    def make_engine(self, spec: AlgorithmSpec, tile_width: int):
+        """The functional engine whose iteration traces the run charges;
+        it exposes ``num_tiles``, ``stationary`` and ``run_iter``."""
+        raise NotImplementedError
+
+    def setup(
+        self, graph: CSRGraph, tile_width: int, replay_capacity: int | None
+    ) -> None:
+        """Build per-run on-chip state (caches, MSHRs); the memory
+        path gets a replay memo of ``replay_capacity`` (0: none)."""
+
+    def _run_iteration(self, trace, result: SystemResult) -> None:
+        """Charge one iteration trace's phases to ``result``."""
+        raise NotImplementedError
+
+    def end_iteration(self, result: SystemResult) -> None:
+        """Hook: drain per-iteration state (e.g. MSHR partials)."""
+
+    def run_path(
+        self,
+        ids: np.ndarray,
+        to_addrs: Callable[[np.ndarray], np.ndarray],
+        rmw: bool,
+        phase: PhaseAccumulator,
+    ) -> None:
+        """Run the random accesses to ``to_addrs(ids)`` through the
+        memory path, each chunk's requests into ``phase``.  Addresses
+        are materialised one chunk at a time, on the chunk boundaries
+        the path uses, so they stay O(chunk) as well."""
+        chunk = units.CHUNK_ACCESSES
+        for lo in range(0, ids.size, chunk):
+            self.path.run(to_addrs(ids[lo:lo + chunk]), rmw=rmw, phase=phase)
+
+    # -- main loop --------------------------------------------------------
+    def run(
+        self,
+        graph: CSRGraph,
+        algorithm: str,
+        max_iterations: int = 40,
+        tile_width: int | None = None,
+    ) -> SystemResult:
+        spec = make_algorithm(algorithm, graph)
+        if tile_width is not None and tile_width < 1:
+            raise ValueError(f"tile_width must be >= 1, got {tile_width}")
+        width = (
+            tile_width if tile_width is not None
+            else self.choose_tile_width(graph)
+        )
+        engine = self.make_engine(spec, width)
+        result = SystemResult(
+            system=self.name,
+            algorithm=algorithm,
+            dataset=graph.name,
+            tile_width=width,
+            num_tiles=engine.num_tiles,
+            onchip_bytes=self.onchip_bytes,
+        )
+        result.dram._burst_bytes = self.dram_config.spec.burst_bytes
+        # a frontier run's streams change every iteration: no memo
+        self.setup(
+            graph, width, self.replay_capacity if engine.stationary else 0
+        )
+        for trace in engine.run_iter(max_iterations):
+            self._run_iteration(trace, result)
+            self.end_iteration(result)
+            result.iterations += 1
+        self.finish(result)
+        return result
 
     # ------------------------------------------------------------------
     def charge(

@@ -1,10 +1,12 @@
-"""The six vertex-centric accelerator systems of Fig. 10.
+"""The accelerator systems: the six vertex-centric systems of Fig. 10
+and the two edge-centric systems of Fig. 19a.
 
-All systems share one skeleton: the functional VCM engine produces
-per-tile traces; the system charges the prefetcher streams (topology,
-sequential properties, apply streams) and runs the random temporary-
-property accesses through its particular on-chip structure; the DRAM
-phase evaluator turns the resulting physical requests into time.
+All systems share one skeleton (:class:`~repro.accel.base.AcceleratorSystem`):
+a functional engine produces per-tile or per-block traces; the system
+charges the prefetcher streams (topology, sequential properties, apply
+streams) and runs the random property accesses through its particular
+on-chip structure; the DRAM phase evaluator turns the resulting physical
+requests into time.
 
 See the module docstring of :mod:`repro.accel` for the one-line
 characterisation of each system.
@@ -15,21 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accel.base import AcceleratorSystem, SystemResult
-from repro.accel.layout import (
-    EDGE_BYTES,
-    MemoryLayout,
-    PROP_BYTES,
-    PTR_BYTES,
-)
-from repro.accel.pipeline import PipelineConfig
-from repro.algorithms import make_algorithm
+from repro.accel.layout import EDGE_BYTES, PROP_BYTES, PTR_BYTES
+from repro.algorithms.ecm import ECIterationTrace, EdgeCentricEngine
 from repro.algorithms.vcm import IterationTrace, TileTrace, VertexCentricEngine
 from repro.cache.base import BaseCache
 from repro.cache.conventional import ConventionalCache
 from repro.core.collection_mshr import CollectionExtendedMSHR
 from repro.core.memory_path import ConventionalMemoryPath, FineGrainedMemoryPath
 from repro.core.piccolo_cache import PiccoloCache
-from repro.dram.spec import DRAMConfig
 from repro.dram.system import PhaseAccumulator
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import perfect_tile_width
@@ -38,53 +33,20 @@ from repro.utils.units import ceil_div
 
 
 class _VCMSystem(AcceleratorSystem):
-    """Skeleton shared by all vertex-centric systems."""
+    """Vertex-centric systems: destination tiles of the VCM engine, each
+    charged as one phase."""
 
-    #: default multiple of the perfect tile width (1 = perfect tiling)
-    default_tile_scale: int = 1
-    #: on-chip memory budget in bytes (set per system in __init__)
-    onchip_bytes: int = 4096
-
-    def __init__(
-        self,
-        dram_config: DRAMConfig | None = None,
-        pipeline: PipelineConfig | None = None,
-        onchip_bytes: int | None = None,
-        tile_scale: int | None = None,
-        layout: MemoryLayout | None = None,
-        replay_capacity: int | None = None,
-        tile_backing: str = "memory",
-        tile_store_root=None,
-    ) -> None:
-        super().__init__(dram_config, pipeline)
-        if onchip_bytes is not None:
-            self.onchip_bytes = onchip_bytes
-        self.tile_scale = (
-            tile_scale if tile_scale is not None else self.default_tile_scale
-        )
-        self.layout = layout if layout is not None else MemoryLayout()
-        #: memory-path replay memo (scale-profile driven): None means
-        #: REPLAY_CAPACITY_DEFAULT and 0 means no memo.  Only a
-        #: stationary run (one whose iterations repeat their address
-        #: streams, see :meth:`run`) builds a memo.  SPM/PIM systems
-        #: have no cached random path, so they simply ignore it.
-        self.replay_capacity = replay_capacity
-        #: tile-array backing ("memory"/"disk") plus the disk store's
-        #: root; bit-identical results either way (see
-        #: :mod:`repro.graph.tilestore`)
-        self.tile_backing = tile_backing
-        self.tile_store_root = tile_store_root
-
-    # -- hooks ----------------------------------------------------------
     def choose_tile_width(self, graph: CSRGraph) -> int:
         width = perfect_tile_width(graph.num_vertices, self.onchip_bytes)
         return min(graph.num_vertices, width * self.tile_scale)
 
-    def setup(
-        self, graph: CSRGraph, tile_width: int, replay_capacity: int | None
-    ) -> None:
-        """Build per-run on-chip state (caches, MSHRs); the memory
-        path gets a replay memo of ``replay_capacity`` (0: none)."""
+    def make_engine(self, spec, tile_width: int) -> VertexCentricEngine:
+        return VertexCentricEngine(
+            spec,
+            tile_width,
+            tile_backing=self.tile_backing,
+            tile_store_root=self.tile_store_root,
+        )
 
     def random_access_phase(
         self, tile: TileTrace, result: SystemResult, phase: PhaseAccumulator
@@ -95,16 +57,8 @@ class _VCMSystem(AcceleratorSystem):
         chip."""
         if self.path is None:
             return
-        # addresses are materialised one chunk at a time, on the chunk
-        # boundaries the path uses, so they stay O(chunk) as well
-        chunk = units.CHUNK_ACCESSES
         for ids in (tile.edge_dst, tile.apply_dst):
-            for lo in range(0, ids.size, chunk):
-                addrs = self.layout.vtemp_addrs(ids[lo:lo + chunk])
-                self.path.run(addrs, rmw=True, phase=phase)
-
-    def end_iteration(self, result: SystemResult) -> None:
-        """Hook: drain per-iteration state (e.g. MSHR partials)."""
+            self.run_path(ids, self.layout.vtemp_addrs, True, phase)
 
     # -- traffic accounting ----------------------------------------------
     def stream_bytes_for_tile(
@@ -119,47 +73,6 @@ class _VCMSystem(AcceleratorSystem):
         )
         writes = tile.changed_dst.size * PROP_BYTES  # apply writes Vprop[v]
         return float(reads), float(writes)
-
-    # -- main loop --------------------------------------------------------
-    def run(
-        self,
-        graph: CSRGraph,
-        algorithm: str,
-        max_iterations: int = 40,
-        tile_width: int | None = None,
-    ) -> SystemResult:
-        spec = make_algorithm(algorithm, graph)
-        if tile_width is not None and tile_width < 1:
-            raise ValueError(f"tile_width must be >= 1, got {tile_width}")
-        width = (
-            tile_width if tile_width is not None
-            else self.choose_tile_width(graph)
-        )
-        engine = VertexCentricEngine(
-            spec,
-            width,
-            tile_backing=self.tile_backing,
-            tile_store_root=self.tile_store_root,
-        )
-        result = SystemResult(
-            system=self.name,
-            algorithm=algorithm,
-            dataset=graph.name,
-            tile_width=width,
-            num_tiles=engine.tiled.num_tiles,
-            onchip_bytes=self.onchip_bytes,
-        )
-        result.dram._burst_bytes = self.dram_config.spec.burst_bytes
-        # a frontier run's streams change every iteration: no memo
-        self.setup(
-            graph, width, self.replay_capacity if engine.stationary else 0
-        )
-        for trace in engine.run_iter(max_iterations):
-            self._run_iteration(trace, result)
-            self.end_iteration(result)
-            result.iterations += 1
-        self.finish(result)
-        return result
 
     def _run_iteration(self, trace: IterationTrace, result: SystemResult) -> None:
         n_active = trace.active_vertices
@@ -198,7 +111,7 @@ class GraphicionadoSystem(_VCMSystem):
     apply sweep over every vertex of the tile regardless of activity."""
 
     name = "Graphicionado"
-    default_tile_scale = 1
+    onchip_field = "spm_bytes"
 
     def stream_bytes_for_tile(self, tile, n_active):
         reads = (
@@ -221,7 +134,7 @@ class GraphDynsSPMSystem(_VCMSystem):
     """GraphDyns with scratchpad (Sec. VII-A): perfect tiling, sparse apply."""
 
     name = "GraphDyns (SPM)"
-    default_tile_scale = 1
+    onchip_field = "spm_bytes"
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +145,7 @@ class GraphDynsCacheSystem(_VCMSystem):
     reference baseline; all speedups are normalised to it)."""
 
     name = "GraphDyns (Cache)"
+    scale_fields = ("cache_ways",)
     default_tile_scale = 2
 
     def __init__(self, *args, cache_ways: int = 8, **kwargs) -> None:
@@ -246,12 +160,14 @@ class GraphDynsCacheSystem(_VCMSystem):
 
 
 # ---------------------------------------------------------------------------
-# Fine-grained memory systems (NMP and Piccolo)
+# Fine-grained memory systems (NMP, Piccolo and EC Piccolo)
 # ---------------------------------------------------------------------------
-class _FineGrainedSystem(_VCMSystem):
-    """Shared logic for systems built on the collection-extended MSHR."""
+class _FineGrainedSystem(AcceleratorSystem):
+    """Shared logic for systems built on the collection-extended MSHR:
+    the cache and MSHR of :meth:`setup` and the iteration-end flush."""
 
     rank_level = False
+    scale_fields = ("cache_ways", "mshr_entries", "fg_tag_bits")
     default_tile_scale = 8
 
     def __init__(
@@ -312,7 +228,7 @@ class _FineGrainedSystem(_VCMSystem):
             self.charge(result, self.dram.phase(fim_ops=pending))
 
 
-class NMPSystem(_FineGrainedSystem):
+class NMPSystem(_FineGrainedSystem, _VCMSystem):
     """Near-memory processing baseline: the buffer chip on the DIMM does
     the scatter/gather, so internal accesses serialise at rank level
     (Sec. VII-A, similar to AxDIMM)."""
@@ -322,13 +238,12 @@ class NMPSystem(_FineGrainedSystem):
     default_tile_scale = 4
 
 
-class PiccoloSystem(_FineGrainedSystem):
+class PiccoloSystem(_FineGrainedSystem, _VCMSystem):
     """The full Piccolo system: Piccolo-cache + collection-extended MSHR
     + in-bank FIM scatter/gather."""
 
     name = "Piccolo"
-    rank_level = False
-    default_tile_scale = 8
+    onchip_field = "piccolo_cache_bytes"
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +263,20 @@ class PIMSystem(_VCMSystem):
     def random_access_phase(self, tile, result, phase):
         # HMC-style atomic offload: one non-cacheable command burst per
         # edge (bank RMW executes internally) plus a completion response
-        # on the return path (bus-only).
-        addrs = self.layout.vtemp_addrs(tile.edge_dst)
-        result.dram.internal_words += int(addrs.size)  # in-bank RMW
-        result.random_write_bytes += addrs.size * 8.0
+        # on the return path (bus-only), added one chunk at a time.
+        edges = tile.edge_dst.size
+        result.dram.internal_words += edges  # in-bank RMW
+        result.random_write_bytes += edges * 8.0
         # Apply runs near-bank: Vtemp/Vprop reads and writes stay internal.
         result.dram.internal_words += 2 * int(tile.apply_dst.size)
-        phase.add(
-            addrs=addrs,
-            is_write=np.ones(addrs.size, dtype=bool),
-            loose_read_bursts=int(addrs.size),  # completion responses
-        )
+        chunk = units.CHUNK_ACCESSES
+        for lo in range(0, edges, chunk):
+            addrs = self.layout.vtemp_addrs(tile.edge_dst[lo:lo + chunk])
+            phase.add(
+                addrs=addrs,
+                is_write=np.ones(addrs.size, dtype=bool),
+                loose_read_bursts=int(addrs.size),  # completion responses
+            )
 
     def stream_bytes_for_tile(self, tile, n_active):
         reads = (
@@ -375,13 +293,95 @@ class PIMSystem(_VCMSystem):
         result.useful_bytes += result.random_write_bytes
 
 
-SYSTEMS: dict[str, type[_VCMSystem]] = {
+# ---------------------------------------------------------------------------
+# Edge-centric systems (Sec. VII-H, Fig. 19a)
+# ---------------------------------------------------------------------------
+class _ECSystem(AcceleratorSystem):
+    """Edge-centric systems (ForeGraph/Fabgraph-style): the engine streams
+    the edge list in grid blocks while the current source-property tile
+    and destination-temporary tile stay on chip.  Every block is one
+    phase, and so is every destination column's apply."""
+
+    def choose_tile_width(self, graph: CSRGraph) -> int:
+        """Source and destination tile width: each tile gets half of
+        the on-chip budget."""
+        half = max(1, self.onchip_bytes // 2 // PROP_BYTES)
+        return min(graph.num_vertices, half * self.tile_scale)
+
+    def make_engine(self, spec, tile_width: int) -> EdgeCentricEngine:
+        return EdgeCentricEngine(spec, tile_width, tile_width)
+
+    def _run_iteration(
+        self, trace: ECIterationTrace, result: SystemResult
+    ) -> None:
+        layout, path = self.layout, self.path
+        for block in trace.blocks:
+            stream_rd = block.num_edges * EDGE_BYTES
+            if path is None:
+                # scratchpad tiles: every block reloads its source tile
+                stream_rd += (block.src_hi - block.src_lo) * PROP_BYTES
+            result.stream_read_bytes += stream_rd
+            result.edges_processed += block.num_edges
+            phase = self.dram.open_phase()
+            if path is not None:
+                self.run_path(block.edge_src, layout.vprop_addrs, False, phase)
+                self.run_path(block.edge_dst, layout.vtemp_addrs, True, phase)
+            self.charge(
+                result,
+                phase.close(
+                    stream_read_bytes=self.effective_stream_bytes(stream_rd)
+                ),
+                self.pipeline.compute_ns(block.num_edges, 0),
+            )
+        for apply_dst in trace.apply_dst:
+            if apply_dst.size == 0:
+                continue
+            # Column settle: apply reads and writes the tile's Vprop.
+            stream_bytes = apply_dst.size * PROP_BYTES
+            result.stream_read_bytes += stream_bytes
+            result.stream_write_bytes += stream_bytes
+            result.vertex_applies += int(apply_dst.size)
+            phase = self.dram.open_phase()
+            if path is not None:
+                self.run_path(apply_dst, layout.vtemp_addrs, True, phase)
+            self.charge(
+                result,
+                phase.close(
+                    stream_read_bytes=self.effective_stream_bytes(stream_bytes),
+                    stream_write_bytes=stream_bytes,
+                ),
+                self.pipeline.compute_ns(0, int(apply_dst.size)),
+            )
+
+
+class ECConventionalSystem(_ECSystem):
+    """Edge-centric with scratchpad tiles and a conventional memory
+    system: every block pass reloads its source tile sequentially, every
+    column pass settles its destination tile -- the repetition cost of
+    the grid."""
+
+    name = "EC Conventional"
+
+
+class ECPiccoloSystem(_FineGrainedSystem, _ECSystem):
+    """Edge-centric on Piccolo: the Piccolo cache and collection-extended
+    MSHR over much larger blocks turn both the source reads and the
+    destination updates into fine-grained random accesses served by FIM
+    gathers."""
+
+    name = "EC Piccolo"
+    onchip_field = "piccolo_cache_bytes"
+
+
+SYSTEMS: dict[str, type[AcceleratorSystem]] = {
     "Graphicionado": GraphicionadoSystem,
     "GraphDyns (SPM)": GraphDynsSPMSystem,
     "GraphDyns (Cache)": GraphDynsCacheSystem,
     "NMP": NMPSystem,
     "PIM": PIMSystem,
     "Piccolo": PiccoloSystem,
+    "EC Conventional": ECConventionalSystem,
+    "EC Piccolo": ECPiccoloSystem,
 }
 
 #: the systems built on the collection-extended MSHR, the only ones
@@ -390,7 +390,7 @@ FINE_GRAINED_SYSTEMS = tuple(
     name for name, cls in SYSTEMS.items() if issubclass(cls, _FineGrainedSystem)
 )
 
-#: paper ordering of the Fig. 10 bars
+#: paper ordering of the Fig. 10 bars (the vertex-centric systems)
 SYSTEM_ORDER = (
     "Graphicionado",
     "GraphDyns (SPM)",
@@ -401,7 +401,7 @@ SYSTEM_ORDER = (
 )
 
 
-def make_system(name: str, **kwargs) -> _VCMSystem:
+def make_system(name: str, **kwargs) -> AcceleratorSystem:
     """Instantiate a named system with keyword overrides."""
     try:
         cls = SYSTEMS[name]

@@ -135,6 +135,11 @@ class EdgeCentricEngine:
             columns.append(range_ids(column_hit[lo:hi], lo))
         return blocks, columns
 
+    @property
+    def num_tiles(self) -> int:
+        """Destination tiles: the grid's columns."""
+        return self.num_dst_tiles
+
     def _dst_range(self, q_idx: int) -> tuple[int, int]:
         lo = q_idx * self.dst_tile_width
         return lo, min(lo + self.dst_tile_width, self.graph.num_vertices)

@@ -87,10 +87,6 @@ class AlgorithmSpec:
             raise ValueError("init_prop must have one entry per vertex")
         self.init_active = np.asarray(self.init_active, dtype=np.int64)
 
-    @property
-    def reduce_identity(self) -> float:
-        return REDUCE_OPS[self.reduce_name][1]
-
 
 @dataclass
 class TileTrace:
@@ -180,6 +176,10 @@ class VertexCentricEngine:
         self.active_mask[spec.init_active] = True
         self.iteration = 0
         self._reduce_ufunc, self._identity = REDUCE_OPS[spec.reduce_name]
+
+    @property
+    def num_tiles(self) -> int:
+        return self.tiled.num_tiles
 
     @property
     def stationary(self) -> bool:

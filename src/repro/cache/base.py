@@ -58,15 +58,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    @property
-    def unuseful_fill_fraction(self) -> float:
-        """Fraction of fetched bytes never requested (Fig. 3's red bars,
-        upper bound: a fetched word may be requested later)."""
-        if self.fill_bytes == 0:
-            return 0.0
-        useful = min(self.requested_bytes, self.fill_bytes)
-        return 1.0 - useful / self.fill_bytes
-
     def reset(self) -> None:
         self.accesses = self.hits = self.misses = self.evictions = 0
         self.writeback_bytes = self.fill_bytes = self.requested_bytes = 0

@@ -136,9 +136,3 @@ class EngineStats:
             return 0.0
         return self.total_latency / self.finished_requests
 
-    def bus_utilisation(self, channel: int) -> float:
-        """Fraction of cycles the channel's data bus carried beats."""
-        if not self.cycles:
-            return 0.0
-        return self.data_bus_clocks.get(channel, 0) / self.cycles
-

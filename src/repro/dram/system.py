@@ -27,8 +27,7 @@ accesses) plus the offset/data bursts, but only move
 ``offset_bursts + data_bursts`` bursts on the off-chip bus instead of
 eight -- the 4x bandwidth gain.  NMP-style rank-level gathers save the
 same off-chip bursts but serialise their internal reads on the rank's
-shared data path.  Fully internal accesses (the PIM baseline) occupy banks
-without touching the bus.
+shared data path.
 """
 
 from __future__ import annotations
@@ -76,12 +75,9 @@ class PhaseStats:
 
     _burst_bytes: int = field(default=64, repr=False)
 
-    def merge(self, other: "PhaseStats", overlap: bool = False) -> None:
-        """Accumulate ``other``; phases are sequential unless ``overlap``."""
-        if overlap:
-            self.time_ns = max(self.time_ns, other.time_ns)
-        else:
-            self.time_ns += other.time_ns
+    def merge(self, other: "PhaseStats") -> None:
+        """Accumulate ``other``, a phase that ran after this one."""
+        self.time_ns += other.time_ns
         self.bus_busy_ns += other.bus_busy_ns
         self.acts += other.acts
         self.read_bursts += other.read_bursts
@@ -134,9 +130,7 @@ class DRAMModel:
         fim_ops: FimOpBatch | list[FimOp] | None = None,
         stream_read_bytes: float = 0.0,
         stream_write_bytes: float = 0.0,
-        internal_mask: np.ndarray | None = None,
         loose_read_bursts: int = 0,
-        loose_write_bursts: int = 0,
     ) -> PhaseStats:
         """Evaluate one phase of memory work handed over in one piece.
 
@@ -150,9 +144,7 @@ class DRAMModel:
             addrs=addrs,
             is_write=is_write,
             fim_ops=fim_ops,
-            internal_mask=internal_mask,
             loose_read_bursts=loose_read_bursts,
-            loose_write_bursts=loose_write_bursts,
         )
         return acc.close(
             stream_read_bytes=stream_read_bytes,
@@ -395,14 +387,6 @@ class _EpisodeStream:
         return chosen.bank_busy, chosen.episodes
 
 
-def _check_mask(mask, n: int, name: str) -> None:
-    """Reject a per-request mask that is not parallel to ``addrs``."""
-    if mask is not None and np.shape(mask) != (n,):
-        raise ValueError(
-            f"{name} has shape {np.shape(mask)}; addrs has {n} entries"
-        )
-
-
 class PhaseAccumulator:
     """The DRAM phase evaluator (:meth:`DRAMModel.open_phase`).
 
@@ -433,9 +417,7 @@ class PhaseAccumulator:
         addrs: np.ndarray | None = None,
         is_write: np.ndarray | None = None,
         fim_ops: FimOpBatch | list[FimOp] | None = None,
-        internal_mask: np.ndarray | None = None,
         loose_read_bursts: int = 0,
-        loose_write_bursts: int = 0,
     ) -> None:
         """Accumulate one chunk of phase work.
 
@@ -445,48 +427,39 @@ class PhaseAccumulator:
             fim_ops: scatter/gather operations (already row-grouped by the
                 collection-extended MSHR), as a :class:`FimOpBatch` (the
                 array fast path) or a plain list of :class:`FimOp`.
-            internal_mask: bool array parallel to ``addrs`` marking
-                requests served entirely inside memory (PIM baseline; no
-                bus traffic).
-            loose_read_bursts / loose_write_bursts: bus-only bursts with no
-                bank work (e.g. the PIM baseline's per-atomic response
-                transactions), spread evenly over channels.
+            loose_read_bursts: bus-only read bursts with no bank work
+                (the PIM baseline's per-atomic response transactions),
+                spread evenly over channels.
 
         Raises:
-            ValueError: ``is_write`` or ``internal_mask`` is not as long
-                as ``addrs``.
+            ValueError: ``is_write`` is not as long as ``addrs``.
         """
         if self._closed:
             raise RuntimeError("PhaseAccumulator already closed")
         model = self._model
-        spec = model.spec
         stats = self.stats
         n = 0 if addrs is None else len(addrs)
-        _check_mask(is_write, n, "is_write")
-        _check_mask(internal_mask, n, "internal_mask")
+        if is_write is not None and np.shape(is_write) != (n,):
+            raise ValueError(
+                f"is_write has shape {np.shape(is_write)}; addrs has {n} "
+                f"entries"
+            )
         if n:
             addrs = np.asarray(addrs, dtype=np.int64)
             if is_write is None:
                 is_write = np.zeros(n, dtype=bool)
             else:
                 is_write = np.asarray(is_write, dtype=bool)
-            if internal_mask is None:
-                internal_mask = np.zeros(n, dtype=bool)
-            else:
-                internal_mask = np.asarray(internal_mask, dtype=bool)
             if self._bursts is None:
                 self._bursts = _EpisodeStream(model)
             bank, row = model.mapper.bank_key_many(addrs)
             cost = np.full(n, model._col_cost, dtype=np.float64)
             self._bursts.feed(bank, row, cost)
-            external = ~internal_mask
-            stats.read_bursts += int(np.count_nonzero(~is_write & external))
-            stats.write_bursts += int(np.count_nonzero(is_write & external))
-            stats.internal_words += int(
-                np.count_nonzero(internal_mask)
-            ) * (spec.burst_bytes // 8)
+            writes = int(np.count_nonzero(is_write))
+            stats.read_bursts += n - writes
+            stats.write_bursts += writes
             channel = model.mapper.channel_of_many(addrs)
-            np.add.at(self._bursts.bus_busy, channel[external], spec.tBURST)
+            np.add.at(self._bursts.bus_busy, channel, model.spec.tBURST)
         if fim_ops is not None and len(fim_ops):
             batch = (
                 fim_ops if isinstance(fim_ops, FimOpBatch)
@@ -499,8 +472,7 @@ class PhaseAccumulator:
             )
             self._fim.feed(bank, row, cost)
         stats.read_bursts += int(loose_read_bursts)
-        stats.write_bursts += int(loose_write_bursts)
-        self._loose_bursts += int(loose_read_bursts) + int(loose_write_bursts)
+        self._loose_bursts += int(loose_read_bursts)
 
     def close(
         self,

@@ -74,20 +74,3 @@ class SRAMModel:
 
     def leakage_energy_nj(self, duration_ns: float) -> float:
         return self.leakage_w * duration_ns  # W * ns = nJ
-
-
-def cache_energy_model(
-    data_bytes: int,
-    tag_bits: int,
-    ways_probed: float = 8.0,
-) -> tuple[SRAMModel, SRAMModel]:
-    """(data array, tag array) SRAM models for one cache design.
-
-    Mirrors the paper's method of modelling the fg-tag array as a small
-    separate 8-way array and summing data + tag (+ MSHR) energies.
-    """
-    tag_bytes = max(64, tag_bits // 8)
-    return (
-        SRAMModel(data_bytes, ways_probed=ways_probed, access_bytes=64),
-        SRAMModel(tag_bytes, ways_probed=ways_probed, access_bytes=8),
-    )

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.accel.edge_centric import ECConventionalSystem, ECPiccoloSystem
 from repro.accel.pipeline import PipelineConfig
-from repro.accel.systems import SYSTEM_ORDER, make_system
+from repro.accel.systems import SYSTEM_ORDER
 from repro.algorithms import ALGORITHM_ORDER
 from repro.cache.variants import FIG11_DESIGNS
 from repro.dram.spec import DEVICES, DRAMConfig
 from repro.energy.accel_energy import system_energy
+from repro.experiments import parallel
 from repro.experiments.config import DEFAULT_SCALE, ExperimentScale
-from repro.experiments.runner import CellSpec, run_system
+from repro.experiments.runner import CellSpec
 from repro.graph.datasets import REAL_WORLD, SYNTHETIC, load_dataset
 from repro.olap.queries import query_speedups
 from repro.utils.stats import geometric_mean
@@ -27,33 +27,31 @@ from repro.validate import microbench
 BASELINE = "GraphDyns (Cache)"
 
 
-def _sweep(
-    specs: list[CellSpec],
+def _run_grid(
+    cells: dict,
     *,
     workers: int | None,
     resume: bool,
     checkpoint_dir=None,
-) -> None:
-    """Pre-run a figure's grid through the parallel sweep orchestrator.
+) -> dict:
+    """Run a figure's cells -- a dict from row key to :class:`CellSpec`
+    -- through one :func:`parallel.run_cells` call and map each key to
+    its :class:`~repro.accel.base.SystemResult`.
 
-    Every figure keeps its serial row-building loop (the plotting order
-    and derived columns live there); this helper runs the same cells
-    first -- sharded across workers and/or restored from checkpoints --
-    and installs the results into the runner memo, so the serial loop
-    becomes pure memo lookups.  Results are bit-identical either way
-    because workers run exactly the same resolved cells.
+    Up to one worker runs the cells serially in this process, through
+    the result memo; more shard them across worker processes.  With a
+    ``checkpoint_dir`` every cell is checkpointed, and ``resume`` (whose
+    directory defaults to :data:`parallel.DEFAULT_CHECKPOINT_DIR`)
+    loads finished cells instead of simulating them.  Results are
+    bit-identical either way.
     """
-    if not specs:
-        return
-    if workers in (None, 0, 1) and not resume and checkpoint_dir is None:
-        return
-    from repro.experiments import parallel
-
     if resume and checkpoint_dir is None:
         checkpoint_dir = parallel.DEFAULT_CHECKPOINT_DIR
-    parallel.run_cells(
-        specs, workers=workers, resume=resume, checkpoint_dir=checkpoint_dir
+    outcomes = parallel.run_cells(
+        cells.values(), workers=workers, resume=resume,
+        checkpoint_dir=checkpoint_dir,
     )
+    return {key: outcome.result for key, outcome in zip(cells, outcomes)}
 
 
 # ---------------------------------------------------------------------------
@@ -62,33 +60,37 @@ def _sweep(
 def figure_3(
     datasets: Sequence[str] = ("TW", "SW", "FS"),
     scale: ExperimentScale = DEFAULT_SCALE,
+    *,
+    workers: int | None = None,
+    resume: bool = False,
+    checkpoint_dir=None,
 ) -> list[dict]:
-    rows = []
+    # Perfect tiling is tile scale 1; a tile scale of |V| is one tile.
+    cells = {}
     for dataset in datasets:
-        graph = load_dataset(dataset, scale.scale_shift)
-        for mode in ("Non-Tiling", "Perfect Tiling"):
-            system = make_system(
-                BASELINE,
-                onchip_bytes=scale.baseline_cache_bytes,
-                cache_ways=scale.cache_ways,
-                tile_scale=1,
-                replay_capacity=scale.replay_capacity,
-                tile_backing=scale.tile_backing,
-                tile_store_root=scale.tile_store_root,
+        vertices = load_dataset(dataset, scale.scale_shift).num_vertices
+        for mode, tile_scale in (
+            ("Non-Tiling", vertices), ("Perfect Tiling", 1),
+        ):
+            cells[dataset, mode] = CellSpec(
+                BASELINE, "BFS", dataset, scale=scale, tile_scale=tile_scale
             )
-            width = graph.num_vertices if mode == "Non-Tiling" else None
-            result = system.run(graph, "BFS", tile_width=width)
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "mode": mode,
-                    "useful_pct": 100.0 * result.useful_fraction,
-                    "unuseful_pct": 100.0 * (1 - result.useful_fraction),
-                    "read_transactions": result.dram.read_bursts,
-                    "write_transactions": result.dram.write_bursts,
-                    "cache_hit_rate": result.cache_hit_rate,
-                }
-            )
+    results = _run_grid(
+        cells, workers=workers, resume=resume, checkpoint_dir=checkpoint_dir
+    )
+    rows = []
+    for (dataset, mode), result in results.items():
+        rows.append(
+            {
+                "dataset": dataset,
+                "mode": mode,
+                "useful_pct": 100.0 * result.useful_fraction,
+                "unuseful_pct": 100.0 * (1 - result.useful_fraction),
+                "read_transactions": result.dram.read_bursts,
+                "write_transactions": result.dram.write_bursts,
+                "cache_hit_rate": result.cache_hit_rate,
+            }
+        )
     return rows
 
 
@@ -121,24 +123,21 @@ def figure_10(
     resume: bool = False,
     checkpoint_dir=None,
 ) -> list[dict]:
-    _sweep(
-        [
-            CellSpec(system=s, algorithm=a, dataset=d, scale=scale)
+    results = _run_grid(
+        {
+            (a, d, s): CellSpec(s, a, d, scale=scale)
             for a in algorithms for d in datasets
             for s in dict.fromkeys((BASELINE, *systems))
-        ],
+        },
         workers=workers, resume=resume, checkpoint_dir=checkpoint_dir,
     )
     rows = []
     speedups_by_system: dict[str, list[float]] = {s: [] for s in systems}
     for algorithm in algorithms:
         for dataset in datasets:
-            base = run_system(BASELINE, algorithm, dataset, scale=scale)
+            base = results[algorithm, dataset, BASELINE]
             for system in systems:
-                result = (
-                    base if system == BASELINE
-                    else run_system(system, algorithm, dataset, scale=scale)
-                )
+                result = results[algorithm, dataset, system]
                 speedup = base.total_ns / result.total_ns
                 speedups_by_system[system].append(speedup)
                 rows.append(
@@ -177,29 +176,25 @@ def figure_11(
     checkpoint_dir=None,
 ) -> list[dict]:
     designs = tuple(designs)
-    _sweep(
-        [
-            CellSpec(system=BASELINE, algorithm=a, dataset=d, scale=scale)
-            for a in algorithms for d in datasets
-        ] + [
-            CellSpec(
-                system="Piccolo", algorithm=a, dataset=d, scale=scale,
-                cache_design=design,
-            )
-            for a in algorithms for d in datasets for design in designs
-        ],
-        workers=workers, resume=resume, checkpoint_dir=checkpoint_dir,
+    cells = {
+        (a, d, None): CellSpec(BASELINE, a, d, scale=scale)
+        for a in algorithms for d in datasets
+    }
+    cells.update(
+        ((a, d, design), CellSpec("Piccolo", a, d, scale=scale,
+                                  cache_design=design))
+        for a in algorithms for d in datasets for design in designs
+    )
+    results = _run_grid(
+        cells, workers=workers, resume=resume, checkpoint_dir=checkpoint_dir
     )
     rows = []
     speedups: dict[str, list[float]] = {d: [] for d in designs}
     for algorithm in algorithms:
         for dataset in datasets:
-            base = run_system(BASELINE, algorithm, dataset, scale=scale)
+            base = results[algorithm, dataset, None]
             for design in designs:
-                result = run_system(
-                    "Piccolo", algorithm, dataset, scale=scale,
-                    cache_design=design,
-                )
+                result = results[algorithm, dataset, design]
                 speedup = base.total_ns / result.total_ns
                 speedups[design].append(speedup)
                 rows.append(
@@ -234,21 +229,21 @@ def figure_12(
     resume: bool = False,
     checkpoint_dir=None,
 ) -> list[dict]:
-    _sweep(
-        [
-            CellSpec(system=s, algorithm=a, dataset=d, scale=scale)
+    results = _run_grid(
+        {
+            (a, d, s): CellSpec(s, a, d, scale=scale)
             for a in algorithms for d in datasets
             for s in (BASELINE, "Piccolo")
-        ],
+        },
         workers=workers, resume=resume, checkpoint_dir=checkpoint_dir,
     )
     rows = []
     for algorithm in algorithms:
         for dataset in datasets:
-            base = run_system(BASELINE, algorithm, dataset, scale=scale)
-            picc = run_system("Piccolo", algorithm, dataset, scale=scale)
+            base = results[algorithm, dataset, BASELINE]
             base_total = base.dram.read_bursts + base.dram.write_bursts
-            for name, result in ((BASELINE, base), ("Piccolo", picc)):
+            for name in (BASELINE, "Piccolo"):
+                result = results[algorithm, dataset, name]
                 rows.append(
                     {
                         "algorithm": algorithm,
@@ -277,28 +272,23 @@ def figure_13(
     resume: bool = False,
     checkpoint_dir=None,
 ) -> list[dict]:
-    _sweep(
-        [
-            CellSpec(system=s, algorithm=a, dataset=d, scale=scale)
+    results = _run_grid(
+        {
+            (a, d, s): CellSpec(s, a, d, scale=scale)
             for a in algorithms for d in datasets for s in systems
-        ],
+        },
         workers=workers, resume=resume, checkpoint_dir=checkpoint_dir,
     )
-    rows = []
-    for algorithm in algorithms:
-        for dataset in datasets:
-            for system in systems:
-                result = run_system(system, algorithm, dataset, scale=scale)
-                rows.append(
-                    {
-                        "algorithm": algorithm,
-                        "dataset": dataset,
-                        "system": system,
-                        "offchip_gbps": result.offchip_bandwidth_gbps,
-                        "internal_gbps": result.internal_bandwidth_gbps,
-                    }
-                )
-    return rows
+    return [
+        {
+            "algorithm": algorithm,
+            "dataset": dataset,
+            "system": system,
+            "offchip_gbps": result.offchip_bandwidth_gbps,
+            "internal_gbps": result.internal_bandwidth_gbps,
+        }
+        for (algorithm, dataset, system), result in results.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -313,22 +303,23 @@ def figure_14(
     resume: bool = False,
     checkpoint_dir=None,
 ) -> list[dict]:
-    _sweep(
-        [
-            CellSpec(system=s, algorithm=a, dataset=d, scale=scale)
+    results = _run_grid(
+        {
+            (a, d, s): CellSpec(s, a, d, scale=scale)
             for a in algorithms for d in datasets
             for s in (BASELINE, "Piccolo")
-        ],
+        },
         workers=workers, resume=resume, checkpoint_dir=checkpoint_dir,
     )
     rows = []
     config = scale.dram()
     for algorithm in algorithms:
         for dataset in datasets:
-            base = run_system(BASELINE, algorithm, dataset, scale=scale)
-            picc = run_system("Piccolo", algorithm, dataset, scale=scale)
-            e_base = system_energy(base, config)
-            e_picc = system_energy(picc, config, sequential_way_search=True)
+            e_base = system_energy(results[algorithm, dataset, BASELINE], config)
+            e_picc = system_energy(
+                results[algorithm, dataset, "Piccolo"], config,
+                sequential_way_search=True,
+            )
             for name, bd in ((BASELINE, e_base), ("Piccolo", e_picc)):
                 row = {
                     "algorithm": algorithm,
@@ -365,37 +356,28 @@ def figure_15(
     resume: bool = False,
     checkpoint_dir=None,
 ) -> list[dict]:
-    _sweep(
-        [
-            CellSpec(
-                system=s, algorithm=a, dataset=dataset, scale=scale,
+    results = _run_grid(
+        {
+            (a, label, s): CellSpec(
+                s, a, dataset, scale=scale,
                 dram_config=DRAMConfig(
                     spec=DEVICES[device], channels=1, ranks=4
                 ),
             )
-            for a in algorithms for _, device in MEMORY_TYPES
+            for a in algorithms for label, device in MEMORY_TYPES
             for s in (BASELINE, "Piccolo")
-        ],
+        },
         workers=workers, resume=resume, checkpoint_dir=checkpoint_dir,
     )
-    rows = []
-    for algorithm in algorithms:
-        for label, device in MEMORY_TYPES:
-            config = DRAMConfig(spec=DEVICES[device], channels=1, ranks=4)
-            for system in (BASELINE, "Piccolo"):
-                result = run_system(
-                    system, algorithm, dataset, scale=scale,
-                    dram_config=config,
-                )
-                rows.append(
-                    {
-                        "algorithm": algorithm,
-                        "memory": label,
-                        "system": system,
-                        "cycles": result.cycles,
-                    }
-                )
-    return rows
+    return [
+        {
+            "algorithm": algorithm,
+            "memory": label,
+            "system": system,
+            "cycles": result.cycles,
+        }
+        for (algorithm, label, system), result in results.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +392,10 @@ def figure_16(
     resume: bool = False,
     checkpoint_dir=None,
 ) -> list[dict]:
-    _sweep(
-        [
-            CellSpec(
-                system=s, algorithm=a, dataset=dataset, scale=scale,
+    results = _run_grid(
+        {
+            (a, channels, ranks, s): CellSpec(
+                s, a, dataset, scale=scale,
                 dram_config=DRAMConfig(
                     spec=DEVICES["DDR4_2400_x16"],
                     channels=channels, ranks=ranks,
@@ -422,32 +404,19 @@ def figure_16(
             for a in algorithms
             for channels in (1, 2) for ranks in (1, 2, 4)
             for s in (BASELINE, "Piccolo")
-        ],
+        },
         workers=workers, resume=resume, checkpoint_dir=checkpoint_dir,
     )
-    rows = []
-    for algorithm in algorithms:
-        for channels in (1, 2):
-            for ranks in (1, 2, 4):
-                config = DRAMConfig(
-                    spec=DEVICES["DDR4_2400_x16"],
-                    channels=channels, ranks=ranks,
-                )
-                for system in (BASELINE, "Piccolo"):
-                    result = run_system(
-                        system, algorithm, dataset, scale=scale,
-                        dram_config=config,
-                    )
-                    rows.append(
-                        {
-                            "algorithm": algorithm,
-                            "channels": channels,
-                            "ranks": ranks,
-                            "system": system,
-                            "cycles": result.cycles,
-                        }
-                    )
-    return rows
+    return [
+        {
+            "algorithm": algorithm,
+            "channels": channels,
+            "ranks": ranks,
+            "system": system,
+            "cycles": result.cycles,
+        }
+        for (algorithm, channels, ranks, system), result in results.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -463,36 +432,27 @@ def figure_17(
     resume: bool = False,
     checkpoint_dir=None,
 ) -> list[dict]:
-    _sweep(
-        [
-            CellSpec(
-                system=s, algorithm=a, dataset=dataset, scale=scale,
-                tile_scale=scale_factor,
+    results = _run_grid(
+        {
+            (a, scale_factor, s): CellSpec(
+                s, a, dataset, scale=scale, tile_scale=scale_factor,
             )
             for a in algorithms for scale_factor in scales
             for s in (BASELINE, "Piccolo")
-        ],
+        },
         workers=workers, resume=resume, checkpoint_dir=checkpoint_dir,
     )
     rows = []
-    for algorithm in algorithms:
-        base_ns = None
-        for scale_factor in scales:
-            for system in (BASELINE, "Piccolo"):
-                result = run_system(
-                    system, algorithm, dataset, scale=scale,
-                    tile_scale=scale_factor,
-                )
-                if system == BASELINE and scale_factor == scales[0]:
-                    base_ns = result.total_ns
-                rows.append(
-                    {
-                        "algorithm": algorithm,
-                        "scale": scale_factor,
-                        "system": system,
-                        "norm_cycles": result.total_ns / base_ns,
-                    }
-                )
+    for (algorithm, scale_factor, system), result in results.items():
+        base_ns = results[algorithm, scales[0], BASELINE].total_ns
+        rows.append(
+            {
+                "algorithm": algorithm,
+                "scale": scale_factor,
+                "system": system,
+                "norm_cycles": result.total_ns / base_ns,
+            }
+        )
     return rows
 
 
@@ -510,29 +470,24 @@ def figure_18(
     resume: bool = False,
     checkpoint_dir=None,
 ) -> list[dict]:
-    _sweep(
-        [
-            CellSpec(system=s, algorithm="PR", dataset=d, scale=scale)
+    results = _run_grid(
+        {
+            (d, s): CellSpec(s, "PR", d, scale=scale)
             for d in datasets for s in dict.fromkeys((BASELINE, *systems))
-        ],
+        },
         workers=workers, resume=resume, checkpoint_dir=checkpoint_dir,
     )
-    rows = []
-    for dataset in datasets:
-        base = run_system(BASELINE, "PR", dataset, scale=scale)
-        for system in systems:
-            result = (
-                base if system == BASELINE
-                else run_system(system, "PR", dataset, scale=scale)
-            )
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "system": system,
-                    "speedup": base.total_ns / result.total_ns,
-                }
-            )
-    return rows
+    return [
+        {
+            "dataset": dataset,
+            "system": system,
+            "speedup": (
+                results[dataset, BASELINE].total_ns
+                / results[dataset, system].total_ns
+            ),
+        }
+        for dataset in datasets for system in systems
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -546,45 +501,29 @@ def figure_19a(
     resume: bool = False,
     checkpoint_dir=None,
 ) -> list[dict]:
-    # Only the vertex-centric half of the grid goes through run_system;
-    # the edge-centric systems are constructed inline below and run
-    # serially either way.
-    _sweep(
-        [
-            CellSpec(system=s, algorithm="PR", dataset=d, scale=scale)
-            for d in datasets for s in (BASELINE, "Piccolo")
-        ],
+    bars = (
+        ("VC Conven.", BASELINE),
+        ("VC Piccolo", "Piccolo"),
+        ("EC Conven.", "EC Conventional"),
+        ("EC Piccolo", "EC Piccolo"),
+    )
+    results = _run_grid(
+        {
+            (d, label): CellSpec(system, "PR", d, scale=scale)
+            for d in datasets for label, system in bars
+        },
         workers=workers, resume=resume, checkpoint_dir=checkpoint_dir,
     )
-    rows = []
-    for dataset in datasets:
-        graph = load_dataset(dataset, scale.scale_shift)
-        iters = scale.iterations_for("PR")
-        vc_base = run_system(BASELINE, "PR", dataset, scale=scale)
-        vc_picc = run_system("Piccolo", "PR", dataset, scale=scale)
-        ec_base = ECConventionalSystem(
-            onchip_bytes=scale.baseline_cache_bytes
-        ).run(graph, "PR", max_iterations=iters)
-        ec_picc = ECPiccoloSystem(
-            onchip_bytes=scale.piccolo_cache_bytes,
-            mshr_entries=scale.mshr_entries,
-            fg_tag_bits=scale.fg_tag_bits,
-            replay_capacity=scale.replay_capacity,
-        ).run(graph, "PR", max_iterations=iters)
-        for label, result in (
-            ("VC Conven.", vc_base),
-            ("VC Piccolo", vc_picc),
-            ("EC Conven.", ec_base),
-            ("EC Piccolo", ec_picc),
-        ):
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "system": label,
-                    "speedup": vc_base.total_ns / result.total_ns,
-                }
-            )
-    return rows
+    return [
+        {
+            "dataset": dataset,
+            "system": label,
+            "speedup": (
+                results[dataset, "VC Conven."].total_ns / result.total_ns
+            ),
+        }
+        for (dataset, label), result in results.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -613,45 +552,35 @@ def figure_20a(
         ("x4", DEVICES["DDR4_2400_x4"], {"offset_bits": 11}),
         ("HBM", DEVICES["HBM2_2000"], {"long_burst_fim": True}),
     )
-    specs = []
-    for algorithm in algorithms:
-        for _, device, enhancement in cases:
-            base_cfg = DRAMConfig(spec=device, channels=1, ranks=4)
-            enh_cfg = DRAMConfig(spec=device, channels=1, ranks=4,
-                                 **enhancement)
-            specs += [
-                CellSpec(system=BASELINE, algorithm=algorithm,
-                         dataset=dataset, scale=scale, dram_config=base_cfg),
-                CellSpec(system="Piccolo", algorithm=algorithm,
-                         dataset=dataset, scale=scale, dram_config=base_cfg),
-                CellSpec(system="Piccolo", algorithm=algorithm,
-                         dataset=dataset, scale=scale, dram_config=enh_cfg),
-            ]
-    _sweep(specs, workers=workers, resume=resume,
-           checkpoint_dir=checkpoint_dir)
-    rows = []
+    cells = {}
     for algorithm in algorithms:
         for label, device, enhancement in cases:
             base_cfg = DRAMConfig(spec=device, channels=1, ranks=4)
-            enh_cfg = DRAMConfig(spec=device, channels=1, ranks=4, **enhancement)
-            base = run_system(BASELINE, algorithm, dataset, scale=scale,
-                              dram_config=base_cfg)
-            picc = run_system("Piccolo", algorithm, dataset, scale=scale,
-                              dram_config=base_cfg)
-            enh = run_system("Piccolo", algorithm, dataset, scale=scale,
-                             dram_config=enh_cfg)
-            for system, result in (
-                (BASELINE, base), ("Piccolo", picc), ("Piccolo enhanced", enh),
+            enh_cfg = DRAMConfig(spec=device, channels=1, ranks=4,
+                                 **enhancement)
+            for system, name, config in (
+                (BASELINE, BASELINE, base_cfg),
+                ("Piccolo", "Piccolo", base_cfg),
+                ("Piccolo", "Piccolo enhanced", enh_cfg),
             ):
-                rows.append(
-                    {
-                        "algorithm": algorithm,
-                        "memory": label,
-                        "system": system,
-                        "speedup": base.total_ns / result.total_ns,
-                    }
+                cells[algorithm, label, name] = CellSpec(
+                    system, algorithm, dataset, scale=scale,
+                    dram_config=config,
                 )
-    return rows
+    results = _run_grid(
+        cells, workers=workers, resume=resume, checkpoint_dir=checkpoint_dir
+    )
+    return [
+        {
+            "algorithm": algorithm,
+            "memory": label,
+            "system": name,
+            "speedup": (
+                results[algorithm, label, BASELINE].total_ns / result.total_ns
+            ),
+        }
+        for (algorithm, label, name), result in results.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -665,30 +594,27 @@ def figure_20b(
     resume: bool = False,
     checkpoint_dir=None,
 ) -> list[dict]:
-    _sweep(
-        [
-            CellSpec(system="Piccolo", algorithm="PR", dataset=d,
-                     scale=scale, pipeline=pipe)
-            for d in datasets
-            for pipe in (None, PipelineConfig(prefetch=False))
-        ],
+    results = _run_grid(
+        {
+            (d, prefetch): CellSpec(
+                "Piccolo", "PR", d, scale=scale,
+                pipeline=None if prefetch else PipelineConfig(prefetch=False),
+            )
+            for d in datasets for prefetch in (True, False)
+        },
         workers=workers, resume=resume, checkpoint_dir=checkpoint_dir,
     )
-    rows = []
-    for dataset in datasets:
-        with_pf = run_system("Piccolo", "PR", dataset, scale=scale)
-        without = run_system(
-            "Piccolo", "PR", dataset, scale=scale,
-            pipeline=PipelineConfig(prefetch=False),
-        )
-        rows.append(
-            {
-                "dataset": dataset,
-                "norm_perf_with": 1.0,
-                "norm_perf_without": with_pf.total_ns / without.total_ns,
-            }
-        )
-    return rows
+    return [
+        {
+            "dataset": dataset,
+            "norm_perf_with": 1.0,
+            "norm_perf_without": (
+                results[dataset, True].total_ns
+                / results[dataset, False].total_ns
+            ),
+        }
+        for dataset in datasets
+    ]
 
 
 # ---------------------------------------------------------------------------

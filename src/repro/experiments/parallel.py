@@ -1,9 +1,10 @@
 """Process-pool sweep orchestrator with shared graphs and checkpoints.
 
-Every figure sweep is an embarrassingly parallel grid over
-(system, algorithm, dataset) cells; :func:`run_cells` shards a list of
+Every figure is an embarrassingly parallel grid over
+(system, algorithm, dataset) cells, run through one :func:`run_cells`
+call (:mod:`repro.experiments.figures`); it shards a list of
 :class:`~repro.experiments.runner.CellSpec` across worker processes and
-gives each sweep three properties the serial loop lacks:
+gives each sweep three properties a plain serial loop lacks:
 
 **One graph copy per machine.**  The parent materialises each distinct
 (dataset, shift) once as a memmap directory
@@ -280,7 +281,7 @@ def run_cells(
 
     Returns one :class:`CellOutcome` per input spec, in input order.
     Every completed result is also installed into the runner's result
-    memo, so serial figure loops after a sweep hit the memo.
+    memo, so later serial runs of the same cells hit the memo.
     """
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires a checkpoint_dir")

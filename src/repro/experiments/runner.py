@@ -18,19 +18,12 @@ from dataclasses import dataclass
 
 from repro.accel.base import SystemResult
 from repro.accel.pipeline import PipelineConfig
-from repro.accel.systems import (
-    FINE_GRAINED_SYSTEMS,
-    SYSTEMS,
-    SYSTEM_ORDER,
-    make_system,
-)
+from repro.accel.systems import SYSTEMS, SYSTEM_ORDER, make_system
 from repro.dram.spec import DRAMConfig
 from repro.experiments.config import DEFAULT_SCALE, ExperimentScale, get_profile
 from repro.experiments.tuning import tile_scale_for
 from repro.graph.datasets import load_dataset, resolve_shift
 from repro.utils.stats import geometric_mean
-
-_SPM_SYSTEMS = ("Graphicionado", "GraphDyns (SPM)")
 
 #: make_system kwargs excluded from the canonical cell digest.
 #: ``cache_factory`` is excluded because ``cache_design`` already names
@@ -99,8 +92,8 @@ def install_result(digest: str, result: SystemResult) -> None:
     """Seed the result memo with an externally produced run.
 
     The parallel sweep runner installs worker/checkpoint results here so
-    the figures' serial loops afterwards hit the memo instead of
-    re-simulating.
+    later serial runs of the same cells (``run_system``, another figure
+    sharing them) hit the memo instead of re-simulating.
     """
     _RESULT_CACHE.put(digest, result)
 
@@ -205,28 +198,26 @@ def _digest_parts(parts: list[bytes]) -> str:
 def resolve_cell(spec: CellSpec) -> ResolvedCell:
     """Resolve a :class:`CellSpec` against its scale profile.
 
-    This is the kwarg assembly that used to live inline in
-    :func:`run_system`: capacities and iteration caps come from the
-    profile, the toy tuning table supplies tuned tile scales, and
-    per-spec overrides win over profile values.  The resolved cell
-    carries everything a worker needs -- no module-global state.
+    Capacities and iteration caps come from the profile -- each system
+    class names the profile fields its constructor takes
+    (``onchip_field``, ``scale_fields``) -- the toy tuning table
+    supplies tuned tile scales, and per-spec overrides win over profile
+    values.  The resolved cell carries everything a worker needs -- no
+    module-global state.
     """
     scale = get_profile(spec.scale)
-    if spec.system not in SYSTEMS:
+    try:
+        cls = SYSTEMS[spec.system]
+    except KeyError:
         raise KeyError(
             f"unknown system {spec.system!r}; available: {sorted(SYSTEMS)}"
-        )
+        ) from None
     shift = (
         spec.scale_shift if spec.scale_shift is not None else scale.scale_shift
     )
     shift = resolve_shift(spec.dataset, shift)
-    onchip = (
-        scale.spm_bytes if spec.system in _SPM_SYSTEMS
-        else scale.piccolo_cache_bytes if spec.system == "Piccolo"
-        else scale.baseline_cache_bytes
-    )
     # The offline tuning table was swept at toy scale; other profiles
-    # fall back to the per-system defaults until swept.
+    # fall back to the profile's, then the class's, default until swept.
     tuned = (
         tile_scale_for(spec.system, spec.algorithm, spec.dataset)
         if scale.name == "toy" else None
@@ -234,10 +225,11 @@ def resolve_cell(spec: CellSpec) -> ResolvedCell:
     kwargs: dict = dict(
         dram_config=spec.dram_config,
         pipeline=spec.pipeline,
-        onchip_bytes=onchip,
+        onchip_bytes=getattr(scale, cls.onchip_field),
         tile_scale=(
             spec.tile_scale if spec.tile_scale is not None
-            else tuned or scale.tile_scales.get(spec.system, 1)
+            else tuned
+            or scale.tile_scales.get(spec.system, cls.default_tile_scale)
         ),
         replay_capacity=scale.replay_capacity,
         tile_backing=(
@@ -246,12 +238,7 @@ def resolve_cell(spec: CellSpec) -> ResolvedCell:
         ),
         tile_store_root=scale.tile_store_root,
     )
-    if spec.system in FINE_GRAINED_SYSTEMS:
-        kwargs["mshr_entries"] = scale.mshr_entries
-        kwargs["fg_tag_bits"] = scale.fg_tag_bits
-        kwargs["cache_ways"] = scale.cache_ways
-    elif spec.system == "GraphDyns (Cache)":
-        kwargs["cache_ways"] = scale.cache_ways
+    kwargs.update({name: getattr(scale, name) for name in cls.scale_fields})
     kwargs.update(dict(spec.system_kwargs))
     if spec.cache_design is not None:
         from repro.cache.variants import fig11_cache_factory

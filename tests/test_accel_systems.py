@@ -4,7 +4,9 @@ import pytest
 
 from repro.accel.pipeline import PipelineConfig
 from repro.accel.systems import SYSTEM_ORDER, SYSTEMS, make_system
+from repro.dram.system import PhaseAccumulator
 from repro.graph.generators import rmat
+from repro.utils import units
 
 CACHE_BYTES = 2048
 MSHR_KW = dict(mshr_entries=32, fg_tag_bits=4)
@@ -138,3 +140,31 @@ class TestTileWidthControl:
     def test_pim_never_tiles(self, graph):
         r = run("PIM", graph, tile_scale=4)
         assert r.num_tiles == 1
+
+
+class TestPIMChunks:
+    """PIM streams its per-edge commands into the phase one chunk at a
+    time, and the phase does not depend on where the chunks fall."""
+
+    def test_no_add_exceeds_a_chunk(self, graph, monkeypatch):
+        sizes = []
+        real_add = PhaseAccumulator.add
+
+        def add(self, addrs=None, **kwargs):
+            sizes.append(0 if addrs is None else len(addrs))
+            return real_add(self, addrs=addrs, **kwargs)
+
+        monkeypatch.setattr(PhaseAccumulator, "add", add)
+        monkeypatch.setattr(units, "CHUNK_ACCESSES", 1000)
+        run("PIM", graph, iters=1)
+        assert max(sizes) == 1000
+        assert sum(sizes) == graph.num_edges
+
+    def test_chunk_longer_than_the_tile_gives_the_same_record(
+        self, graph, monkeypatch
+    ):
+        records = []
+        for chunk in (1000, 1 << 30):
+            monkeypatch.setattr(units, "CHUNK_ACCESSES", chunk)
+            records.append(run("PIM", graph).to_record())
+        assert records[0] == records[1]

@@ -51,14 +51,6 @@ class TestBasicTiming:
         assert stats.write_bursts == 50
         assert stats.read_bursts == 0
 
-    def test_internal_requests_skip_bus(self, model):
-        addrs = random_block_addrs(100, 1 << 20)
-        internal = np.ones(100, dtype=bool)
-        stats = model.phase(addrs=addrs, internal_mask=internal)
-        assert stats.read_bursts == 0
-        assert stats.internal_words == 100 * 8
-        assert stats.time_ns > 0  # bank time still paid
-
 
 class TestStreams:
     def test_stream_bandwidth_near_peak(self, model):
@@ -172,12 +164,6 @@ class TestPhaseStatsMerge:
         a.merge(b)
         assert a.time_ns == 15.0
         assert a.read_bursts == 3
-
-    def test_overlap_merge_takes_max(self):
-        a = PhaseStats(time_ns=10.0)
-        b = PhaseStats(time_ns=25.0)
-        a.merge(b, overlap=True)
-        assert a.time_ns == 25.0
 
     def test_byte_properties_follow_burst_size(self):
         s = PhaseStats(read_bursts=4, _burst_bytes=32)

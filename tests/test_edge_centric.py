@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.accel.edge_centric import ECConventionalSystem, ECPiccoloSystem
+from repro.accel.systems import ECConventionalSystem, ECPiccoloSystem
+from repro.experiments.config import DEFAULT_SCALE as TOY
+from repro.experiments.runner import clear_result_cache, run_system
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import community_graph, rmat
 
 
@@ -99,4 +102,27 @@ class TestECPiccolo:
                                  mshr_entries=32, fg_tag_bits=4)
         wide = ECPiccoloSystem(onchip_bytes=2048, tile_scale=8,
                                mshr_entries=32, fg_tag_bits=4)
-        assert wide.tile_widths(graph)[0] > narrow.tile_widths(graph)[0]
+        assert wide.choose_tile_width(graph) > narrow.choose_tile_width(graph)
+
+
+@pytest.mark.parametrize("system,build", [
+    ("EC Conventional",
+     lambda: ECConventionalSystem(onchip_bytes=TOY.baseline_cache_bytes)),
+    ("EC Piccolo",
+     lambda: ECPiccoloSystem(
+         onchip_bytes=TOY.piccolo_cache_bytes,
+         mshr_entries=TOY.mshr_entries,
+         fg_tag_bits=TOY.fg_tag_bits,
+         replay_capacity=TOY.replay_capacity,
+     )),
+])
+def test_cell_equals_the_inline_fig19a_build(system, build):
+    """An edge-centric cell resolves to the system Fig. 19a built inline
+    before the edge-centric systems were registered: the profile's
+    on-chip budget and MSHR knobs, the class's tile scale."""
+    clear_result_cache()
+    cell = run_system(system, "PR", "UU")
+    inline = build().run(
+        load_dataset("UU"), "PR", max_iterations=TOY.iterations_for("PR")
+    )
+    assert cell.to_record() == inline.to_record()

@@ -201,9 +201,7 @@ def reference_phase(
     fim_ops: FimOpBatch | None = None,
     stream_read_bytes: float = 0.0,
     stream_write_bytes: float = 0.0,
-    internal_mask: np.ndarray | None = None,
     loose_read_bursts: int = 0,
-    loose_write_bursts: int = 0,
 ) -> PhaseStats:
     """The one-shot whole-array phase walk that ``DRAMModel.phase`` ran
     before it became one ``PhaseAccumulator`` add, preserved as the
@@ -221,10 +219,6 @@ def reference_phase(
             is_write = np.zeros(addrs.size, dtype=bool)
         else:
             is_write = np.asarray(is_write, dtype=bool)
-        if internal_mask is None:
-            internal_mask = np.zeros(addrs.size, dtype=bool)
-        else:
-            internal_mask = np.asarray(internal_mask, dtype=bool)
         bank, row = model.mapper.bank_key_many(addrs)
         channel = model.mapper.channel_of_many(addrs)
         order = window_order(model, bank, row)
@@ -232,13 +226,9 @@ def reference_phase(
             bank, row = bank[order], row[order]
         cost = np.full(addrs.size, model._col_cost, dtype=np.float64)
         accumulate_episodes(model, bank, row, cost, bank_busy, stats)
-        external = ~internal_mask
-        stats.read_bursts += int(np.count_nonzero(~is_write & external))
-        stats.write_bursts += int(np.count_nonzero(is_write & external))
-        stats.internal_words += int(
-            np.count_nonzero(internal_mask)
-        ) * (spec.burst_bytes // 8)
-        np.add.at(bus_busy, channel[external], spec.tBURST)
+        stats.read_bursts += int(np.count_nonzero(~is_write))
+        stats.write_bursts += int(np.count_nonzero(is_write))
+        np.add.at(bus_busy, channel, spec.tBURST)
 
     if fim_ops is not None and len(fim_ops):
         fim_bank, fim_row, cost = model._fim_charge(
@@ -251,13 +241,9 @@ def reference_phase(
             )
         accumulate_episodes(model, fim_bank, fim_row, cost, bank_busy, stats)
 
-    if loose_read_bursts or loose_write_bursts:
-        bus_busy += (
-            (loose_read_bursts + loose_write_bursts)
-            * spec.tBURST / config.channels
-        )
+    if loose_read_bursts:
+        bus_busy += loose_read_bursts * spec.tBURST / config.channels
         stats.read_bursts += loose_read_bursts
-        stats.write_bursts += loose_write_bursts
 
     stream_bursts_rd = ceil_div(int(stream_read_bytes), spec.burst_bytes)
     stream_bursts_wr = ceil_div(int(stream_write_bytes), spec.burst_bytes)
@@ -356,11 +342,10 @@ def test_phase_list_and_batch_agree(tuples):
 
 
 def random_bursts(seed, n, span):
-    """``n`` burst addresses over ``span`` blocks, with write and
-    internal masks."""
+    """``n`` burst addresses over ``span`` blocks, with a write mask."""
     rng = np.random.default_rng(seed)
     addrs = (rng.integers(0, span, n) * 64).astype(np.int64)
-    return addrs, rng.random(n) < 0.4, rng.random(n) < 0.1
+    return addrs, rng.random(n) < 0.4
 
 
 windows = st.sampled_from([1, 4, DEFAULT_SCHEDULER_WINDOW])
@@ -375,20 +360,18 @@ stream_pairs = st.tuples(stream_bytes, stream_bytes)
     n=st.integers(0, 400),
     span=spans,
     window=windows,
-    loose=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    loose=st.integers(0, 9),
     streams=stream_pairs,
 )
 def test_phase_matches_reference_on_burst_phases(
     seed, n, span, window, loose, streams
 ):
     model = DRAMModel(make_config(), scheduler_window=window)
-    addrs, writes, internal = random_bursts(seed, n, span)
+    addrs, writes = random_bursts(seed, n, span)
     kwargs = dict(
         addrs=addrs,
         is_write=writes,
-        internal_mask=internal,
-        loose_read_bursts=loose[0],
-        loose_write_bursts=loose[1],
+        loose_read_bursts=loose,
         stream_read_bytes=streams[0],
         stream_write_bytes=streams[1],
     )
@@ -426,7 +409,7 @@ def test_phase_matches_reference_counters_on_mixed_phases(
     arrays at close instead of sharing one array, so only its integer
     counters are pinned to the one-shot walk."""
     model = DRAMModel(make_config())
-    addrs, writes, _ = random_bursts(seed, n, span)
+    addrs, writes = random_bursts(seed, n, span)
     kwargs = dict(addrs=addrs, is_write=writes, fim_ops=to_batch(tuples))
     got = model.phase(**kwargs)
     expected = reference_phase(model, **kwargs)
@@ -434,7 +417,7 @@ def test_phase_matches_reference_counters_on_mixed_phases(
         assert getattr(got, name) == getattr(expected, name), name
 
 
-@pytest.mark.parametrize("name", ["is_write", "internal_mask"])
+@pytest.mark.parametrize("name", ["is_write"])
 def test_phase_rejects_mask_length_mismatch(name):
     model = DRAMModel(make_config())
     addrs = np.arange(5, dtype=np.int64) * 64
@@ -518,17 +501,13 @@ def test_streamed_burst_phase_bitwise_identical(seed, n):
     rng = np.random.default_rng(seed)
     addrs = (rng.integers(0, 1 << 20, n) * 64).astype(np.int64)
     writes = rng.random(n) < 0.4
-    internal = rng.random(n) < 0.1
     whole = model.phase(
-        addrs=addrs, is_write=writes, internal_mask=internal,
-        loose_read_bursts=5, stream_read_bytes=1e5,
+        addrs=addrs, is_write=writes, loose_read_bursts=5,
+        stream_read_bytes=1e5,
     )
     acc = model.open_phase()
     for lo, hi in split_spans(n, seed + 1):
-        acc.add(
-            addrs=addrs[lo:hi], is_write=writes[lo:hi],
-            internal_mask=internal[lo:hi],
-        )
+        acc.add(addrs=addrs[lo:hi], is_write=writes[lo:hi])
     acc.add(loose_read_bursts=5)
     assert vars(acc.close(stream_read_bytes=1e5)) == vars(whole)
 

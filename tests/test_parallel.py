@@ -395,6 +395,66 @@ class TestRunCells:
         assert calls == [spec.scale_shift]
 
 
+class TestFigureGrids:
+    """A figure runs its cells through one ``run_cells`` grid, so every
+    figure shards, checkpoints and resumes, the edge-centric bars and
+    Fig. 3's two tiling modes included."""
+
+    def test_fig19a_shards_checkpoints_and_resumes(self, tmp_path,
+                                                   monkeypatch):
+        from repro.experiments import figures
+
+        serial = figures.figure_19a(datasets=("UU",))
+        clear_result_cache()
+        sharded = figures.figure_19a(
+            datasets=("UU",), workers=2, checkpoint_dir=tmp_path
+        )
+        assert sharded == serial
+        store = parallel.SweepCheckpointStore(tmp_path)
+        systems = sorted(
+            json.loads(store.json_path(d).read_text())["cell"]["system"]
+            for d in store.digests()
+        )
+        assert systems == sorted(
+            ["GraphDyns (Cache)", "Piccolo", "EC Conventional", "EC Piccolo"]
+        )
+
+        ran = []
+        real = runner.run_resolved
+        monkeypatch.setattr(
+            runner, "run_resolved",
+            lambda cell: (ran.append(cell.system), real(cell))[1],
+        )
+        clear_result_cache()
+        resumed = figures.figure_19a(
+            datasets=("UU",), workers=2, resume=True, checkpoint_dir=tmp_path
+        )
+        assert ran == []  # every cell loaded from its checkpoint
+        assert resumed == serial
+
+    def test_fig3_checkpoints_and_resumes(self, tmp_path, monkeypatch):
+        from repro.experiments import figures
+
+        serial = figures.figure_3(datasets=("SW",))
+        clear_result_cache()
+        assert figures.figure_3(
+            datasets=("SW",), checkpoint_dir=tmp_path
+        ) == serial
+        assert len(parallel.SweepCheckpointStore(tmp_path)) == 2
+
+        ran = []
+        real = runner.run_resolved
+        monkeypatch.setattr(
+            runner, "run_resolved",
+            lambda cell: (ran.append(cell.system), real(cell))[1],
+        )
+        clear_result_cache()
+        assert figures.figure_3(
+            datasets=("SW",), workers=2, resume=True, checkpoint_dir=tmp_path
+        ) == serial
+        assert ran == []
+
+
 KILL_SCRIPT = """\
 import sys, time
 sys.path.insert(0, {src!r})

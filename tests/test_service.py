@@ -112,6 +112,10 @@ class TestResolveRequest:
             "fine-grained cache system",
         ),
         ({**CONFIG, "chunk_size": 1024}, "unknown config key.*chunk_size"),
+        (
+            {**CONFIG, "system": "EC Conventional", "cache_design": "Amoeba"},
+            "fine-grained cache system",
+        ),
     ])
     def test_bad_configs_raise_self_describing_errors(
         self, payload, fragment
@@ -123,6 +127,15 @@ class TestResolveRequest:
         # the schema must never grow a key that JSON cannot carry
         for types, _description in REQUEST_FIELDS.values():
             assert set(types) <= {str, int}
+
+    @pytest.mark.parametrize("system", ["EC Conventional", "EC Piccolo"])
+    def test_edge_centric_request_resolves(self, system):
+        cell = resolve_request({**CONFIG, "system": system})
+        spec = CellSpec(
+            system=system, algorithm="PR", dataset="UU", max_iterations=2
+        )
+        assert cell.digest is not None
+        assert cell.digest == resolve_cell(spec).digest
 
     def test_cache_design_request_resolves(self):
         cell = resolve_request({**CONFIG, "cache_design": "Piccolo (LRU)"})

@@ -11,8 +11,7 @@ a memo-less run's.
 import pytest
 
 from repro.accel import systems
-from repro.accel.edge_centric import ECPiccoloSystem
-from repro.accel.systems import make_system
+from repro.accel.systems import ECPiccoloSystem, make_system
 from repro.cache.conventional import ConventionalCache
 from repro.core.piccolo_cache import PiccoloCache
 from repro.experiments.runner import CellSpec, resolve_cell

@@ -4,16 +4,21 @@
 Sweeps power-of-two tile-scale factors for every tiled system on every
 (algorithm, dataset) cell the figures use, mirroring the paper's
 exhaustive tile-width search (Sec. VII-A), and writes the winners as a
-Python literal.  Runtime is some minutes; results are deterministic.
+Python literal.  Each candidate is the toy-profile cell at that tile
+scale (:func:`repro.experiments.runner.resolve_cell`), swept by
+:func:`repro.accel.tuner.tune_tile_scale`.  Runtime is some minutes;
+results are deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 
 from repro.accel.systems import make_system
-from repro.experiments.config import DEFAULT_SCALE
+from repro.accel.tuner import tune_tile_scale
+from repro.experiments.runner import CellSpec, resolve_cell
 from repro.graph.datasets import load_dataset, REAL_WORLD, SYNTHETIC
 
 OUT_PATH = "src/repro/experiments/tuning_table.py"
@@ -30,18 +35,12 @@ def probe_iterations(algorithm: str) -> int:
     return 2 if algorithm == "PR" else 6
 
 
-def system_kwargs(system: str) -> dict:
-    scale = DEFAULT_SCALE
-    kwargs: dict = {"onchip_bytes": scale.baseline_cache_bytes}
-    if system in ("Piccolo", "NMP"):
-        kwargs.update(
-            mshr_entries=scale.mshr_entries,
-            fg_tag_bits=scale.fg_tag_bits,
-            cache_ways=scale.cache_ways,
-        )
-        if system == "Piccolo":
-            kwargs["onchip_bytes"] = scale.piccolo_cache_bytes
-    return kwargs
+def candidate(system: str, algorithm: str, dataset: str, tile_scale: int):
+    """The toy-profile cell's system at ``tile_scale``."""
+    cell = resolve_cell(
+        CellSpec(system, algorithm, dataset, tile_scale=tile_scale)
+    )
+    return make_system(system, **cell.make_kwargs)
 
 
 def main() -> None:
@@ -57,14 +56,13 @@ def main() -> None:
     t_start = time.time()
     for system in TUNABLE:
         for algo, dataset, _ in cells:
-            graph = load_dataset(dataset)
-            iters = probe_iterations(algo)
-            timings: dict[int, float] = {}
-            for scale in SCALES:
-                accel = make_system(system, tile_scale=scale, **system_kwargs(system))
-                result = accel.run(graph, algo, max_iterations=iters)
-                timings[scale] = result.total_ns
-            best = min(timings, key=timings.get)
+            best, _timings = tune_tile_scale(
+                functools.partial(candidate, system, algo, dataset),
+                load_dataset(dataset),
+                algo,
+                scales=SCALES,
+                probe_iterations=probe_iterations(algo),
+            )
             table[(system, algo, dataset)] = best
             print(
                 f"[{time.time() - t_start:7.1f}s] {system:18s} {algo:4s} "

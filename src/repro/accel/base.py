@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -13,9 +13,13 @@ from repro.accel.pipeline import PipelineConfig
 from repro.algorithms import make_algorithm
 from repro.algorithms.vcm import AlgorithmSpec
 from repro.cache.conventional import ConventionalCache
-from repro.core.memory_path import ConventionalMemoryPath, FineGrainedMemoryPath
+from repro.core.memory_path import (
+    ConventionalMemoryPath,
+    FineGrainedMemoryPath,
+    counter_delta,
+)
 from repro.dram.spec import DRAMConfig, default_config
-from repro.dram.system import DRAMModel, PhaseAccumulator, PhaseStats
+from repro.dram.system import DRAMModel, PhaseAccumulator, PhaseStats, RandomSide
 from repro.graph.csr import CSRGraph
 from repro.utils import units
 
@@ -122,6 +126,9 @@ class AcceleratorSystem:
     :meth:`_run_iteration`, drains per-iteration state in
     :meth:`end_iteration` and settles in :meth:`finish`.  The
     vertex-centric and edge-centric families differ only in those hooks.
+    Every phase they open goes through :meth:`phase_stats`, which is
+    what lets a stationary run fast-forward its repeated iterations
+    (see :meth:`run`).
     """
 
     name = "base"
@@ -170,6 +177,12 @@ class AcceleratorSystem:
         #: in memory and ignore it.
         self.tile_backing = tile_backing
         self.tile_store_root = tile_store_root
+        #: the iteration fast-forward of a stationary run (see :meth:`run`):
+        #: the random sides of the phases the current iteration opened,
+        #: while it is recorded, and the sides of the recording still to
+        #: charge, while it is fast-forwarded
+        self._recording: list[RandomSide] | None = None
+        self._replaying: Iterator[RandomSide] | None = None
 
     # ------------------------------------------------------------------
     def _stream_scale(self) -> float:
@@ -217,7 +230,10 @@ class AcceleratorSystem:
         """Run the random accesses to ``to_addrs(ids)`` through the
         memory path, each chunk's requests into ``phase``.  Addresses
         are materialised one chunk at a time, on the chunk boundaries
-        the path uses, so they stay O(chunk) as well."""
+        the path uses, so they stay O(chunk) as well.  A system without
+        a path keeps these accesses on chip."""
+        if self.path is None:
+            return
         chunk = units.CHUNK_ACCESSES
         for lo in range(0, ids.size, chunk):
             self.path.run(to_addrs(ids[lo:lo + chunk]), rmw=rmw, phase=phase)
@@ -251,12 +267,107 @@ class AcceleratorSystem:
         self.setup(
             graph, width, self.replay_capacity if engine.stationary else 0
         )
+        # A stationary run repeats its address streams every iteration,
+        # so once an iteration ends in the memory state it started in,
+        # so does every later one: each is charged from that iteration's
+        # recording (see phase_stats) instead of simulated.
+        state = self.state_digest() if engine.stationary else None
+        fixed_point: tuple[list[RandomSide], tuple[int, ...]] | None = None
         for trace in engine.run_iter(max_iterations):
-            self._run_iteration(trace, result)
-            self.end_iteration(result)
+            if fixed_point is not None:
+                self._fast_forward(trace, result, *fixed_point)
+            elif state is None:
+                self._run_iteration(trace, result)
+                self.end_iteration(result)
+            else:
+                before = self.counter_vector()
+                self._recording = []
+                self._run_iteration(trace, result)
+                self.end_iteration(result)
+                sides, self._recording = self._recording, None
+                start, state = state, self.state_digest()
+                if state == start:
+                    delta = counter_delta(self.counter_vector(), before)
+                    fixed_point = (sides, delta)
             result.iterations += 1
         self.finish(result)
         return result
+
+    def _fast_forward(
+        self,
+        trace,
+        result: SystemResult,
+        sides: list[RandomSide],
+        delta: tuple[int, ...],
+    ) -> None:
+        """Charge a repeat of the recorded iteration: every phase closes
+        its recorded random side over this trace's stream bytes, and the
+        memory path, already in the state the repeat would end in, takes
+        the recorded counter deltas.
+
+        Raises:
+            RuntimeError: the iteration opened fewer phases than its
+                recording (:meth:`phase_stats` raises on more).
+        """
+        self._replaying = iter(sides)
+        self._run_iteration(trace, result)
+        self.end_iteration(result)
+        unused = sum(1 for _ in self._replaying)
+        self._replaying = None
+        if unused:
+            raise RuntimeError(
+                f"a fast-forwarded iteration opened {len(sides) - unused} "
+                f"phases; its recording has {len(sides)}"
+            )
+        self.counter_apply(delta)
+
+    def state_digest(self) -> bytes:
+        """Digest of the memory state an iteration starts from: the
+        path's, and empty for a system without one."""
+        return b"" if self.path is None else self.path.state_digest()
+
+    def counter_vector(self) -> tuple[int, ...]:
+        """The memory path's counters (empty without a path)."""
+        return () if self.path is None else self.path.counter_vector()
+
+    def counter_apply(self, delta: tuple[int, ...]) -> None:
+        if self.path is not None:
+            self.path.counter_apply(delta)
+
+    def phase_stats(
+        self,
+        fill: Callable[[PhaseAccumulator], None],
+        stream_read_bytes: float = 0.0,
+        stream_write_bytes: float = 0.0,
+    ) -> PhaseStats:
+        """One phase: ``fill(phase)`` hands a fresh phase its random
+        requests, and the phase closes over the stream bytes.  While an
+        iteration is recorded, the phase's random side joins the
+        recording; while one is fast-forwarded, the recording's next
+        side closes over the stream bytes instead and ``fill`` does not
+        run.
+
+        Raises:
+            RuntimeError: a fast-forwarded iteration opens more phases
+                than its recording.
+        """
+        if self._replaying is not None:
+            side = next(self._replaying, None)
+            if side is None:
+                raise RuntimeError(
+                    "a fast-forwarded iteration opened more phases than "
+                    "its recording"
+                )
+            return side.close(stream_read_bytes, stream_write_bytes)
+        phase = self.dram.open_phase()
+        fill(phase)
+        stats = phase.close(
+            stream_read_bytes=stream_read_bytes,
+            stream_write_bytes=stream_write_bytes,
+        )
+        if self._recording is not None:
+            self._recording.append(phase.random_side)
+        return stats
 
     # ------------------------------------------------------------------
     def charge(
@@ -283,9 +394,7 @@ class AcceleratorSystem:
         result.useful_bytes += result.stream_read_bytes + result.stream_write_bytes
         if self.path is None:
             return
-        phase = self.dram.open_phase()
-        self.path.flush(phase)
-        self.charge(result, phase.close())
+        self.charge(result, self.phase_stats(self.path.flush))
         cache = self.path.cache
         if isinstance(cache, ConventionalCache) and cache.line_bytes > 8:
             result.useful_bytes += cache.useful_fill_bytes + cache.useful_wb_bytes

@@ -14,11 +14,13 @@ characterisation of each system.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.accel.base import AcceleratorSystem, SystemResult
 from repro.accel.layout import EDGE_BYTES, PROP_BYTES, PTR_BYTES
-from repro.algorithms.ecm import ECIterationTrace, EdgeCentricEngine
+from repro.algorithms.ecm import BlockTrace, ECIterationTrace, EdgeCentricEngine
 from repro.algorithms.vcm import IterationTrace, TileTrace, VertexCentricEngine
 from repro.cache.base import BaseCache
 from repro.cache.conventional import ConventionalCache
@@ -49,14 +51,12 @@ class _VCMSystem(AcceleratorSystem):
         )
 
     def random_access_phase(
-        self, tile: TileTrace, result: SystemResult, phase: PhaseAccumulator
+        self, tile: TileTrace, phase: PhaseAccumulator
     ) -> None:
         """Run the tile's random Vtemp accesses (reduce, then apply)
         through the memory path, each chunk's requests into ``phase``.
         A scratchpad system has no path: its Vtemp never leaves the
         chip."""
-        if self.path is None:
-            return
         for ids in (tile.edge_dst, tile.apply_dst):
             self.run_path(ids, self.layout.vtemp_addrs, True, phase)
 
@@ -86,16 +86,15 @@ class _VCMSystem(AcceleratorSystem):
             stream_rd, stream_wr = self.stream_bytes_for_tile(tile, n_active)
             result.stream_read_bytes += stream_rd
             result.stream_write_bytes += stream_wr
-            phase = self.dram.open_phase()
-            self.random_access_phase(tile, result, phase)
             compute = self.pipeline.compute_ns_for_tile(
                 tile.edge_dst, int(tile.apply_dst.size)
             )
             self.charge(
                 result,
-                phase.close(
-                    stream_read_bytes=self.effective_stream_bytes(stream_rd),
-                    stream_write_bytes=stream_wr,
+                self.phase_stats(
+                    partial(self.random_access_phase, tile),
+                    self.effective_stream_bytes(stream_rd),
+                    stream_wr,
                 ),
                 compute,
             )
@@ -222,10 +221,12 @@ class _FineGrainedSystem(AcceleratorSystem):
         )
 
     def end_iteration(self, result):
-        # Partially-filled collections are evicted at iteration boundaries.
-        pending = self.path.mshr.flush()
-        if pending:
-            self.charge(result, self.dram.phase(fim_ops=pending))
+        # Partially-filled collections are evicted at iteration
+        # boundaries (an empty phase when none is pending charges 0).
+        self.charge(result, self.phase_stats(self._flush_mshr))
+
+    def _flush_mshr(self, phase: PhaseAccumulator) -> None:
+        phase.add(fim_ops=self.path.mshr.flush())
 
 
 class NMPSystem(_FineGrainedSystem, _VCMSystem):
@@ -260,17 +261,24 @@ class PIMSystem(_VCMSystem):
     def choose_tile_width(self, graph):
         return graph.num_vertices  # PIM does not tile
 
-    def random_access_phase(self, tile, result, phase):
+    def _run_iteration(self, trace, result):
+        super()._run_iteration(trace, result)
+        # The in-memory work is charged off the trace, outside the
+        # phases, so a fast-forwarded iteration charges it too.
+        for tile in trace.tiles:
+            edges = tile.edge_dst.size
+            result.dram.internal_words += edges  # in-bank RMW
+            result.random_write_bytes += edges * 8.0
+            # Apply runs near-bank: Vtemp/Vprop reads and writes stay
+            # internal.
+            result.dram.internal_words += 2 * int(tile.apply_dst.size)
+
+    def random_access_phase(self, tile, phase):
         # HMC-style atomic offload: one non-cacheable command burst per
         # edge (bank RMW executes internally) plus a completion response
         # on the return path (bus-only), added one chunk at a time.
-        edges = tile.edge_dst.size
-        result.dram.internal_words += edges  # in-bank RMW
-        result.random_write_bytes += edges * 8.0
-        # Apply runs near-bank: Vtemp/Vprop reads and writes stay internal.
-        result.dram.internal_words += 2 * int(tile.apply_dst.size)
         chunk = units.CHUNK_ACCESSES
-        for lo in range(0, edges, chunk):
+        for lo in range(0, tile.edge_dst.size, chunk):
             addrs = self.layout.vtemp_addrs(tile.edge_dst[lo:lo + chunk])
             phase.add(
                 addrs=addrs,
@@ -314,22 +322,18 @@ class _ECSystem(AcceleratorSystem):
     def _run_iteration(
         self, trace: ECIterationTrace, result: SystemResult
     ) -> None:
-        layout, path = self.layout, self.path
         for block in trace.blocks:
             stream_rd = block.num_edges * EDGE_BYTES
-            if path is None:
+            if self.path is None:
                 # scratchpad tiles: every block reloads its source tile
                 stream_rd += (block.src_hi - block.src_lo) * PROP_BYTES
             result.stream_read_bytes += stream_rd
             result.edges_processed += block.num_edges
-            phase = self.dram.open_phase()
-            if path is not None:
-                self.run_path(block.edge_src, layout.vprop_addrs, False, phase)
-                self.run_path(block.edge_dst, layout.vtemp_addrs, True, phase)
             self.charge(
                 result,
-                phase.close(
-                    stream_read_bytes=self.effective_stream_bytes(stream_rd)
+                self.phase_stats(
+                    partial(self.block_access_phase, block),
+                    self.effective_stream_bytes(stream_rd),
                 ),
                 self.pipeline.compute_ns(block.num_edges, 0),
             )
@@ -341,17 +345,25 @@ class _ECSystem(AcceleratorSystem):
             result.stream_read_bytes += stream_bytes
             result.stream_write_bytes += stream_bytes
             result.vertex_applies += int(apply_dst.size)
-            phase = self.dram.open_phase()
-            if path is not None:
-                self.run_path(apply_dst, layout.vtemp_addrs, True, phase)
             self.charge(
                 result,
-                phase.close(
-                    stream_read_bytes=self.effective_stream_bytes(stream_bytes),
-                    stream_write_bytes=stream_bytes,
+                self.phase_stats(
+                    partial(
+                        self.run_path, apply_dst, self.layout.vtemp_addrs, True
+                    ),
+                    self.effective_stream_bytes(stream_bytes),
+                    stream_bytes,
                 ),
                 self.pipeline.compute_ns(0, int(apply_dst.size)),
             )
+
+    def block_access_phase(
+        self, block: BlockTrace, phase: PhaseAccumulator
+    ) -> None:
+        """Run the block's random Vprop reads and Vtemp updates through
+        the memory path, each chunk's requests into ``phase``."""
+        self.run_path(block.edge_src, self.layout.vprop_addrs, False, phase)
+        self.run_path(block.edge_dst, self.layout.vtemp_addrs, True, phase)
 
 
 class ECConventionalSystem(_ECSystem):

@@ -31,9 +31,15 @@ state replays the recorded events, counter deltas and end state
 instead of re-simulating.  Only stationary runs build a memo -- runs
 whose iterations repeat their streams: PageRank on the vertex-centric
 engine and every edge-centric run -- and they replay from their first
-repeated iteration.  A frontier run (BFS, CC, SSSP, SSWP) follows a
-different stream each iteration, so its path is built with
-``replay_capacity=0`` and never hashes a digest.
+repeated iteration, the second.  Once an iteration ends in the state
+it started in, the system fast-forwards every later one without
+reaching the path (:meth:`repro.accel.base.AcceleratorSystem.run`); in
+the toy and mid PageRank cells measured that is the second, so the
+memo pays for that one iteration.  The memo lookup and the system's
+fixed-point check both key on the path's ``state_digest``.  A
+frontier run (BFS, CC, SSSP, SSWP) follows a different stream each
+iteration, so its path is built with ``replay_capacity=0`` and never
+hashes a digest.
 
 Chunked tile streaming: ``run`` works through its batch
 :data:`~repro.utils.units.CHUNK_ACCESSES` accesses at a time and hands
@@ -82,12 +88,14 @@ class BatchReplayMemo:
     deltas instead of re-simulating.  A miss records at once
     (:meth:`put`), replacing the stream's earlier record, so a run whose
     iterations repeat their streams replays from its first repeat and
-    the memo holds at most one record per stream.  Once it holds
-    ``capacity`` streams it admits no new one: iterations present their
-    streams in the same cyclic order, so evicting the least recently
-    used record would drop each one just before its repeat.  Digests
-    use canonical (rank-based) recency, so identical iterations hit
-    even though the absolute LRU clock advanced.
+    the memo holds at most one record per stream.  (The system
+    fast-forwards every iteration after the first that ends in the
+    state it started in, so those never look the memo up.)  Once it
+    holds ``capacity`` streams it admits no new one: iterations present
+    their streams in the same cyclic order, so evicting the least
+    recently used record would drop each one just before its repeat.
+    Digests use canonical (rank-based) recency, so identical iterations
+    hit even though the absolute LRU clock advanced.
 
     A memo holds at least one record; a path without replay has no
     memo (``replay_capacity=0``), so it never hashes a digest.
@@ -159,6 +167,13 @@ def _make_memo(replay_capacity: int | None) -> BatchReplayMemo | None:
     return BatchReplayMemo(capacity) if capacity else None
 
 
+def counter_delta(
+    after: tuple[int, ...], before: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Elementwise ``after - before`` of two counter vectors."""
+    return tuple(a - b for a, b in zip(after, before))
+
+
 def _flushed_addrs(cache: BaseCache) -> np.ndarray:
     """Flush ``cache`` and return its dirty write-back addresses, in order."""
     return np.asarray([addr for addr, _ in cache.flush()], dtype=np.int64)
@@ -186,6 +201,17 @@ class ConventionalMemoryPath:
             if ev_addr.size:
                 phase.add(addrs=ev_addr, is_write=ev_is_wb)
 
+    def state_digest(self) -> bytes:
+        """Digest of the state a batch's outcome depends on: the cache's."""
+        return self.cache.state_digest()
+
+    def counter_vector(self) -> tuple[int, ...]:
+        """The cache's counters (the replay delta domain)."""
+        return self.cache.counter_vector()
+
+    def counter_apply(self, delta: tuple[int, ...]) -> None:
+        self.cache.counter_apply(delta)
+
     def _run_batch(
         self, addrs: np.ndarray, rmw: bool
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -194,18 +220,17 @@ class ConventionalMemoryPath:
         memo = self.memo
         if memo is not None:
             stream = memo.key([addrs.tobytes(), b"w" if rmw else b"r"])
-            state = self.cache.state_digest()
+            state = self.state_digest()
             rec = memo.get(stream, state)
             if rec is not None:
                 ev_addr, ev_is_wb, counters, snap = rec
                 self.cache.state_restore(snap)
-                self.cache.counter_apply(counters)
+                self.counter_apply(counters)
                 return ev_addr, ev_is_wb
-            before = self.cache.counter_vector()
+            before = self.counter_vector()
         res = self.cache.access_many(addrs, rmw)
         if memo is not None:
-            after = self.cache.counter_vector()
-            delta = tuple(a - b for a, b in zip(after, before))
+            delta = counter_delta(self.counter_vector(), before)
             memo.put(
                 stream,
                 state,
@@ -348,43 +373,50 @@ class FineGrainedMemoryPath:
         if len(ops) or addrs.size:
             phase.add(addrs=addrs, is_write=writes, fim_ops=ops)
 
+    def state_digest(self) -> bytes:
+        """Digest of the state a batch's outcome depends on: the cache,
+        the MSHR and, on a monitored path, the monitor state and the
+        bypass watermarks."""
+        h = hashlib.blake2b(digest_size=16)
+        h.update(self.cache.state_digest())
+        h.update(self.mshr.state_digest())
+        if self.monitor is not None:
+            # repro-lint: disable=RL001 -- state_tuple() is ints only
+            h.update(repr(self.monitor.state_tuple()).encode())
+            h.update(
+                # repro-lint: disable=RL001 -- two int block addresses
+                repr((self._last_bypass_fill, self._last_bypass_wb)).encode()
+            )
+        return h.digest()
+
+    def counter_vector(self) -> tuple[int, ...]:
+        """The cache's counters, then the MSHR's (the replay delta
+        domain)."""
+        return self.cache.counter_vector() + self.mshr.counter_vector()
+
+    def counter_apply(self, delta: tuple[int, ...]) -> None:
+        split = len(delta) - len(self.mshr.counter_vector())
+        self.cache.counter_apply(delta[:split])
+        self.mshr.counter_apply(delta[split:])
+
     def _run_batch(self, addrs: np.ndarray, rmw: bool) -> None:
         memo = self.memo
         if memo is not None:
             stream = memo.key([addrs.tobytes(), b"w" if rmw else b"r"])
-            parts = [self.cache.state_digest(), self.mshr.state_digest()]
-            if self.monitor is not None:
-                # repro-lint: disable=RL001 -- state_tuple() is ints only
-                parts.append(repr(self.monitor.state_tuple()).encode())
-                parts.append(
-                    # repro-lint: disable=RL001 -- two int block addresses
-                    repr((self._last_bypass_fill, self._last_bypass_wb)).encode()
-                )
-            state = memo.key(parts)
+            state = self.state_digest()
             rec = memo.get(stream, state)
             if rec is not None:
                 self._replay(rec)
                 return
-            before = (
-                self.cache.counter_vector(),
-                self.mshr.counter_vector(),
-            )
+            before = self.counter_vector()
             ops_before = len(self.fim_ops)
             bypass_chunks_before = len(self._bypass._chunks)
         self._simulate(addrs, rmw)
         if memo is not None:
-            cache_delta = tuple(
-                a - b
-                for a, b in zip(self.cache.counter_vector(), before[0])
-            )
-            mshr_delta = tuple(
-                a - b for a, b in zip(self.mshr.counter_vector(), before[1])
-            )
             record = (
                 self.fim_ops.tail_columns(ops_before),
                 tuple(self._bypass._chunks[bypass_chunks_before:]),
-                cache_delta,
-                mshr_delta,
+                counter_delta(self.counter_vector(), before),
                 self.cache.state_snapshot(),
                 self.mshr.state_snapshot(),
                 self.monitor.state_tuple() if self.monitor is not None else None,
@@ -396,8 +428,7 @@ class FineGrainedMemoryPath:
         (
             op_columns,
             bypass_chunks,
-            cache_delta,
-            mshr_delta,
+            counters,
             cache_snap,
             mshr_snap,
             monitor_state,
@@ -406,8 +437,7 @@ class FineGrainedMemoryPath:
         self.fim_ops.extend_columns(op_columns)
         for chunk in bypass_chunks:
             self._bypass.append_arrays(*chunk)
-        self.cache.counter_apply(cache_delta)
-        self.mshr.counter_apply(mshr_delta)
+        self.counter_apply(counters)
         self.cache.state_restore(cache_snap)
         self.mshr.state_restore(mshr_snap)
         if monitor_state is not None:

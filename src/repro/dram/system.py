@@ -411,6 +411,8 @@ class PhaseAccumulator:
         )
         self._loose_bursts = 0
         self._closed = False
+        #: the resolved random side, set by :meth:`close`
+        self.random_side: RandomSide | None = None
 
     def add(
         self,
@@ -482,12 +484,12 @@ class PhaseAccumulator:
         """Resolve scheduling over the accumulated stream and finish the
         phase.  ``stream_read_bytes`` / ``stream_write_bytes`` are the
         sequential prefetcher traffic (topology, property streams),
-        charged analytically."""
+        charged analytically.  The resolved random side stays on the
+        accumulator as :attr:`random_side`."""
         if self._closed:
             raise RuntimeError("PhaseAccumulator already closed")
         self._closed = True
         model = self._model
-        spec = model.spec
         config = model.config
         stats = self.stats
         bank_busy = np.zeros(config.total_banks, dtype=np.float64)
@@ -500,8 +502,58 @@ class PhaseAccumulator:
                 bus_busy = bus_busy + stream.bus_busy
         if self._loose_bursts:
             bus_busy = bus_busy + (
-                self._loose_bursts * spec.tBURST / config.channels
+                self._loose_bursts * model.spec.tBURST / config.channels
             )
+        self.random_side = RandomSide(
+            model,
+            stats,
+            bus_busy,
+            float(bank_busy.max(initial=0.0)),
+            float(self._rank_busy.max(initial=0.0)),
+        )
+        return self.random_side.close(stream_read_bytes, stream_write_bytes)
+
+
+class RandomSide:
+    """A phase's resolved random side: the counters, per-channel bus
+    busy time and bank and rank busy maxima of its random requests and
+    FIM ops, O(channels) however long the phase was.
+
+    :meth:`close` finishes the phase over its sequential stream bytes,
+    with the float operations of :meth:`PhaseAccumulator.close` in the
+    same order, and leaves the side as it was, so one side closes again
+    over another iteration's stream bytes.
+    """
+
+    __slots__ = ("_model", "stats", "bus_busy", "bank_busy_max", "rank_busy_max")
+
+    def __init__(
+        self,
+        model: DRAMModel,
+        stats: PhaseStats,
+        bus_busy: np.ndarray,
+        bank_busy_max: float,
+        rank_busy_max: float,
+    ) -> None:
+        self._model = model
+        self.stats = stats
+        self.bus_busy = bus_busy
+        self.bank_busy_max = bank_busy_max
+        self.rank_busy_max = rank_busy_max
+
+    def close(
+        self,
+        stream_read_bytes: float = 0.0,
+        stream_write_bytes: float = 0.0,
+    ) -> PhaseStats:
+        """The phase's stats with the sequential prefetcher traffic
+        (``stream_read_bytes`` / ``stream_write_bytes``) charged
+        analytically on top of the random side."""
+        model = self._model
+        spec = model.spec
+        config = model.config
+        stats = PhaseStats(**vars(self.stats))
+        bus_busy = self.bus_busy
         stream_bursts_rd = ceil_div(int(stream_read_bytes), spec.burst_bytes)
         stream_bursts_wr = ceil_div(int(stream_write_bytes), spec.burst_bytes)
         if stream_bursts_rd or stream_bursts_wr:
@@ -514,9 +566,9 @@ class PhaseAccumulator:
             )
         stats.bus_busy_ns = float(bus_busy.sum())
         busiest = max(
-            float(bank_busy.max(initial=0.0)),
+            self.bank_busy_max,
             float(bus_busy.max(initial=0.0)),
-            float(self._rank_busy.max(initial=0.0)),
+            self.rank_busy_max,
         )
         if busiest > 0.0:
             busiest = max(busiest, model.latency_ns())

@@ -327,7 +327,12 @@ def run_cells(
     local_cells: list[tuple[int, ResolvedCell]] = []
     if n_workers > 1 and len(pending) > 1:
         for index, cell in pending:
-            if _picklable(cell.spec):
+            # a cell the result memo holds is a lookup in the parent
+            held = (
+                cell.digest is not None
+                and runner.cached_result(cell.digest) is not None
+            )
+            if _picklable(cell.spec) and not held:
                 pool_cells.append((index, cell))
             else:
                 local_cells.append((index, cell))

@@ -353,6 +353,15 @@ class TestRunCells:
         for expect, outcome in zip(serial, outcomes):
             assert outcome.result == expect
 
+    def test_memoised_cells_skip_the_pool(self):
+        """Cells the result memo already holds are looked up in the
+        parent, not re-simulated in workers."""
+        specs = EQUIV_SPECS[:2]
+        serial = parallel.run_cells(specs)
+        sharded = parallel.run_cells(specs, workers=2)
+        assert "worker" not in {o.source for o in sharded}
+        assert [o.result for o in sharded] == [o.result for o in serial]
+
     def test_unpicklable_cells_fall_back_to_serial(self, tmp_path):
         from repro.cache.sectored import SectoredCache
 

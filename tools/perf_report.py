@@ -367,9 +367,10 @@ _FIG11_DESIGNS = (
 
 #: The PR cells run 12 identical power iterations (the figure harness
 #: caps PR at 3 for wall-clock; the paper runs up to 40, so a deeper run
-#: is the representative cost, and exactly where the replay memo pays
-#: off).  The quick cells run 3, so their distinct names keep them from
-#: ever being compared against the full-grid points.
+#: is the representative cost).  The replay memo pays for iteration 2,
+#: and the fast-forward charges iterations 3-12 from iteration 2's
+#: recording.  The quick cells run 3, so their distinct names keep them
+#: from ever being compared against the full-grid points.
 FAMILIES: dict[str, Family] = {
     "full": Family(
         [_grid(f"fig10/{tag}/{alg}/TW", row, alg, "TW", iters)

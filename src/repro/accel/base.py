@@ -116,6 +116,22 @@ class SystemResult:
         return cls(**data)
 
 
+@dataclass
+class _Recording:
+    """One live iteration of a stationary run, as the next iteration
+    compares against and replays it: for each phase, the memory path's
+    digest and counters at the phase start and the phase's resolved
+    random side; at the end, the path's snapshot and counters."""
+
+    digests: list[bytes] = field(default_factory=list)
+    counters: list[tuple[int, ...]] = field(default_factory=list)
+    sides: list[RandomSide] = field(default_factory=list)
+    #: the phase from which the iteration repeated the previous one
+    match: int | None = None
+    end_state: object = None
+    end_counters: tuple[int, ...] = ()
+
+
 class AcceleratorSystem:
     """The skeleton every system shares: one constructor, one run loop,
     and one way to charge a phase and settle a run.
@@ -152,7 +168,6 @@ class AcceleratorSystem:
         onchip_bytes: int | None = None,
         tile_scale: int | None = None,
         layout: MemoryLayout | None = None,
-        replay_capacity: int | None = None,
         tile_backing: str = "memory",
         tile_store_root=None,
     ) -> None:
@@ -165,36 +180,29 @@ class AcceleratorSystem:
             tile_scale if tile_scale is not None else self.default_tile_scale
         )
         self.layout = layout if layout is not None else MemoryLayout()
-        #: memory-path replay memo (scale-profile driven): None means
-        #: REPLAY_CAPACITY_DEFAULT and 0 means no memo.  Only a
-        #: stationary run (one whose iterations repeat their address
-        #: streams, see :meth:`run`) builds a memo.  Systems without a
-        #: cached random path simply ignore it.
-        self.replay_capacity = replay_capacity
+        #: stream-bandwidth derating for the no-prefetch mode (Fig. 20b);
+        #: both configs are frozen, so it is fixed per system
+        self._stream_scale = self.pipeline.stream_bandwidth_scale(
+            self.dram.latency_ns(), self.dram_config.peak_bandwidth_gbps
+        )
         #: tile-array backing ("memory"/"disk") plus the disk store's
         #: root; bit-identical results either way (see
         #: :mod:`repro.graph.tilestore`).  Edge-centric grids are built
         #: in memory and ignore it.
         self.tile_backing = tile_backing
         self.tile_store_root = tile_store_root
-        #: the iteration fast-forward of a stationary run (see :meth:`run`):
-        #: the random sides of the phases the current iteration opened,
-        #: while it is recorded, and the sides of the recording still to
-        #: charge, while it is fast-forwarded
-        self._recording: list[RandomSide] | None = None
+        #: the fast-forward of a stationary run (see :meth:`run`): the
+        #: recording of the live iteration and of the one before it,
+        #: and the recorded sides still to charge once a phase repeats
+        self._recording: _Recording | None = None
+        self._previous: _Recording | None = None
         self._replaying: Iterator[RandomSide] | None = None
 
     # ------------------------------------------------------------------
-    def _stream_scale(self) -> float:
-        """Stream-bandwidth derating for the no-prefetch mode (Fig. 20b)."""
-        return self.pipeline.stream_bandwidth_scale(
-            self.dram.latency_ns(), self.dram_config.peak_bandwidth_gbps
-        )
-
     def effective_stream_bytes(self, nbytes: float) -> float:
         """Bytes inflated to model reduced stream bandwidth when the
         prefetcher is disabled (same bus occupancy accounting)."""
-        scale = self._stream_scale()
+        scale = self._stream_scale
         return nbytes / scale if scale < 1.0 else nbytes
 
     # -- hooks ----------------------------------------------------------
@@ -207,11 +215,8 @@ class AcceleratorSystem:
         it exposes ``num_tiles``, ``stationary`` and ``run_iter``."""
         raise NotImplementedError
 
-    def setup(
-        self, graph: CSRGraph, tile_width: int, replay_capacity: int | None
-    ) -> None:
-        """Build per-run on-chip state (caches, MSHRs); the memory
-        path gets a replay memo of ``replay_capacity`` (0: none)."""
+    def setup(self, graph: CSRGraph, tile_width: int) -> None:
+        """Build per-run on-chip state (caches, MSHRs)."""
 
     def _run_iteration(self, trace, result: SystemResult) -> None:
         """Charge one iteration trace's phases to ``result``."""
@@ -263,68 +268,93 @@ class AcceleratorSystem:
             onchip_bytes=self.onchip_bytes,
         )
         result.dram._burst_bytes = self.dram_config.spec.burst_bytes
-        # a frontier run's streams change every iteration: no memo
-        self.setup(
-            graph, width, self.replay_capacity if engine.stationary else 0
-        )
-        # A stationary run repeats its address streams every iteration,
-        # so once an iteration ends in the memory state it started in,
-        # so does every later one: each is charged from that iteration's
-        # recording (see phase_stats) instead of simulated.
-        state = self.state_digest() if engine.stationary else None
-        fixed_point: tuple[list[RandomSide], tuple[int, ...]] | None = None
+        self.setup(graph, width)
+        # A stationary run repeats its address streams every iteration.
+        # So once a phase starts in the memory state the same phase of
+        # the previous iteration started in, the rest of the iteration
+        # repeats that one's, and every later iteration repeats this
+        # one: they are charged from the recordings (see phase_stats).
+        previous: _Recording | None = None
+        repeat: tuple[list[RandomSide], tuple[int, ...]] | None = None
         for trace in engine.run_iter(max_iterations):
-            if fixed_point is not None:
-                self._fast_forward(trace, result, *fixed_point)
-            elif state is None:
-                self._run_iteration(trace, result)
-                self.end_iteration(result)
+            if repeat is not None:
+                sides, delta = repeat
+                self._iterate(trace, result, iter(sides))
+                self.counter_apply(delta)
+            elif engine.stationary:
+                previous, repeat = self._record(trace, result, previous)
             else:
-                before = self.counter_vector()
-                self._recording = []
-                self._run_iteration(trace, result)
-                self.end_iteration(result)
-                sides, self._recording = self._recording, None
-                start, state = state, self.state_digest()
-                if state == start:
-                    delta = counter_delta(self.counter_vector(), before)
-                    fixed_point = (sides, delta)
+                self._iterate(trace, result)
             result.iterations += 1
         self.finish(result)
         return result
 
-    def _fast_forward(
+    def _iterate(
         self,
         trace,
         result: SystemResult,
-        sides: list[RandomSide],
-        delta: tuple[int, ...],
+        replaying: Iterator[RandomSide] | None = None,
     ) -> None:
-        """Charge a repeat of the recorded iteration: every phase closes
-        its recorded random side over this trace's stream bytes, and the
-        memory path, already in the state the repeat would end in, takes
-        the recorded counter deltas.
+        """Charge one iteration, its phases from ``replaying`` if given
+        (or from the point :meth:`phase_stats` catches up).
 
         Raises:
-            RuntimeError: the iteration opened fewer phases than its
-                recording (:meth:`phase_stats` raises on more).
+            RuntimeError: the iteration opened fewer phases than the
+                recording it replays (:meth:`phase_stats` raises on
+                more).
         """
-        self._replaying = iter(sides)
+        self._replaying = replaying
         self._run_iteration(trace, result)
         self.end_iteration(result)
-        unused = sum(1 for _ in self._replaying)
-        self._replaying = None
-        if unused:
+        replaying, self._replaying = self._replaying, None
+        if replaying is not None and next(replaying, None) is not None:
             raise RuntimeError(
-                f"a fast-forwarded iteration opened {len(sides) - unused} "
-                f"phases; its recording has {len(sides)}"
+                "a replayed iteration opened fewer phases than its recording"
             )
-        self.counter_apply(delta)
+
+    def _record(
+        self, trace, result: SystemResult, previous: _Recording | None
+    ) -> tuple[_Recording | None, tuple | None]:
+        """Charge one iteration of a stationary run, recording each live
+        phase, until a phase starts in the state the same phase of
+        ``previous`` started in; the rest replays ``previous``.
+
+        Returns ``(recording, None)`` for an iteration that ran live to
+        its end, and ``(None, (sides, delta))`` for one that caught up:
+        the path is then in the state ``previous`` ended in, and every
+        later iteration repeats this one's sides and counter delta.
+        """
+        start = self.counter_vector()
+        recording = self._recording = _Recording()
+        self._previous = previous
+        try:
+            self._iterate(trace, result)
+        finally:
+            self._recording = self._previous = None
+        match = recording.match
+        if match is None:
+            recording.end_state = self.state_snapshot()
+            recording.end_counters = self.counter_vector()
+            return recording, None
+        self.state_restore(previous.end_state)
+        self.counter_apply(
+            counter_delta(previous.end_counters, previous.counters[match])
+        )
+        sides = recording.sides + previous.sides[match:]
+        return None, (sides, counter_delta(self.counter_vector(), start))
 
     def state_digest(self) -> bytes:
-        """Digest of the memory state an iteration starts from: the
-        path's, and empty for a system without one."""
+        """Digest of the memory state a phase starts from: the path's,
+        and empty for a system without one."""
         return b"" if self.path is None else self.path.state_digest()
+
+    def state_snapshot(self):
+        """A copy of the memory path's state (None without a path)."""
+        return None if self.path is None else self.path.state_snapshot()
+
+    def state_restore(self, snap) -> None:
+        if self.path is not None:
+            self.path.state_restore(snap)
 
     def counter_vector(self) -> tuple[int, ...]:
         """The memory path's counters (empty without a path)."""
@@ -341,22 +371,41 @@ class AcceleratorSystem:
         stream_write_bytes: float = 0.0,
     ) -> PhaseStats:
         """One phase: ``fill(phase)`` hands a fresh phase its random
-        requests, and the phase closes over the stream bytes.  While an
-        iteration is recorded, the phase's random side joins the
-        recording; while one is fast-forwarded, the recording's next
-        side closes over the stream bytes instead and ``fill`` does not
-        run.
+        requests, and the phase closes over the stream bytes.
+
+        While an iteration is recorded, the phase first compares the
+        memory state with the one the same phase of the previous
+        iteration started in.  Until they match, it runs live and joins
+        the recording with its start state and random side; from the
+        match on, and while an iteration is fast-forwarded, the
+        recording's next side closes over the stream bytes instead and
+        ``fill`` does not run.
 
         Raises:
-            RuntimeError: a fast-forwarded iteration opens more phases
-                than its recording.
+            RuntimeError: a replayed iteration opens more phases than
+                its recording.
         """
+        recording = self._recording
+        if recording is not None and self._replaying is None:
+            state = self.state_digest()
+            index = len(recording.sides)
+            previous = self._previous
+            if (
+                previous is not None
+                and index < len(previous.digests)
+                and previous.digests[index] == state
+            ):
+                recording.match = index
+                self._replaying = iter(previous.sides[index:])
+            else:
+                recording.digests.append(state)
+                recording.counters.append(self.counter_vector())
         if self._replaying is not None:
             side = next(self._replaying, None)
             if side is None:
                 raise RuntimeError(
-                    "a fast-forwarded iteration opened more phases than "
-                    "its recording"
+                    "a replayed iteration opened more phases than its "
+                    "recording"
                 )
             return side.close(stream_read_bytes, stream_write_bytes)
         phase = self.dram.open_phase()
@@ -365,8 +414,8 @@ class AcceleratorSystem:
             stream_read_bytes=stream_read_bytes,
             stream_write_bytes=stream_write_bytes,
         )
-        if self._recording is not None:
-            self._recording.append(phase.random_side)
+        if recording is not None:
+            recording.sides.append(phase.random_side)
         return stats
 
     # ------------------------------------------------------------------

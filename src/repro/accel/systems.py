@@ -151,11 +151,11 @@ class GraphDynsCacheSystem(_VCMSystem):
         super().__init__(*args, **kwargs)
         self.cache_ways = cache_ways
 
-    def setup(self, graph, tile_width, replay_capacity):
+    def setup(self, graph, tile_width):
         cache = ConventionalCache(
             self.onchip_bytes, ways=self.cache_ways, line_bytes=64
         )
-        self.path = ConventionalMemoryPath(cache, replay_capacity=replay_capacity)
+        self.path = ConventionalMemoryPath(cache)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ class _FineGrainedSystem(AcceleratorSystem):
             fg_tag_bits=self.fg_tag_bits,
         )
 
-    def setup(self, graph, tile_width, replay_capacity):
+    def setup(self, graph, tile_width):
         cache = self.make_cache()
         if isinstance(cache, PiccoloCache):
             if self.way_partition == "naive":
@@ -216,9 +216,7 @@ class _FineGrainedSystem(AcceleratorSystem):
             items_per_op=self.dram_config.fim_items_per_op,
             rank_level=self.rank_level,
         )
-        self.path = FineGrainedMemoryPath(
-            cache, mshr, replay_capacity=replay_capacity
-        )
+        self.path = FineGrainedMemoryPath(cache, mshr)
 
     def end_iteration(self, result):
         # Partially-filled collections are evicted at iteration

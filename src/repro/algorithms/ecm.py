@@ -89,14 +89,10 @@ class EdgeCentricEngine:
         self._blocks, self._column_dst = self._build_grid()
         self._converged = False
 
-    def _build_grid(
-        self,
-    ) -> tuple[
-        list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-        list[np.ndarray],
-    ]:
-        """The non-empty grid blocks, each with its touched destinations,
-        and every destination column's union of them.
+    def _build_grid(self) -> tuple[list[tuple], list[np.ndarray]]:
+        """The non-empty grid blocks, each as ``(p, q, dst_lo, dst_hi,
+        src, dst, weight, touched)``, and every destination column's
+        union of their touched destinations.
 
         Every iteration streams every block, so these sets never change:
         they are read once here off range bitmaps (the columns partition
@@ -126,9 +122,10 @@ class EdgeCentricEngine:
             hit[dst[lo:hi] - dst_lo] = True
             touched = range_ids(hit, dst_lo)
             column_hit[touched] = True
-            blocks.append(
-                (p_idx, q_idx, src[lo:hi], dst[lo:hi], weight[lo:hi], touched)
-            )
+            blocks.append((
+                p_idx, q_idx, dst_lo, dst_hi,
+                src[lo:hi], dst[lo:hi], weight[lo:hi], touched,
+            ))
         columns = []
         for q_idx in range(self.num_dst_tiles):
             lo, hi = self._dst_range(q_idx)
@@ -155,12 +152,13 @@ class EdgeCentricEngine:
         prop_old = self.prop
         vtemp = np.full(n, self._identity, dtype=np.float64)
         blocks: list[BlockTrace] = []
-        for p_idx, q_idx, e_src, e_dst, e_w, touched in self._blocks:
+        for (
+            p_idx, q_idx, dst_lo, dst_hi, e_src, e_dst, e_w, touched
+        ) in self._blocks:
             contributions = spec.process(
                 e_w.astype(np.float64), prop_old[e_src], e_src
             )
             self._reduce_ufunc.at(vtemp, e_dst, contributions)
-            dst_lo, dst_hi = self._dst_range(q_idx)
             blocks.append(
                 BlockTrace(
                     src_tile=p_idx,

@@ -62,7 +62,7 @@ class AmoebaCache(BatchedCacheEngine, BaseCache):
         addr_bits: physical address width for metadata accounting.
     """
 
-    # Replay-memo state layout (see cache/batched.py).  The predictor
+    # Replay state layout (see cache/batched.py).  The predictor
     # table and per-set occupancy are indexed by stable ids (region
     # hash, set number), so they hash raw.
     CANONICAL_ARRAYS = ("_start", "_nw", "_dirty", "_touched")

@@ -10,7 +10,7 @@ Every design implements two entry points: :meth:`BaseCache.access`, one
 access at a time, and :meth:`BaseCache.access_many`, the array engine
 the memory paths run.  ``access`` is the oracle: the batched-equivalence
 suite checks every ``access_many`` against a per-address walk of it
-(``tests/reference_paths.py``).  The replay-memo hooks (``state_digest``,
+(``tests/reference_paths.py``).  The replay hooks (``state_digest``,
 snapshots, counter vectors) come from
 :class:`repro.cache.batched.BatchedCacheEngine`, which every design
 mixes in.

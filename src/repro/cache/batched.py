@@ -28,18 +28,18 @@ policy:
   the write-back flag packed into bit 0 of the (always 8 B-aligned)
   address, and are unpacked into the ``BatchResult`` arrays in two
   vectorized operations;
-- the batch-replay memo hooks (:class:`BatchedCacheEngine`):
+- the exact-replay hooks (:class:`BatchedCacheEngine`):
   ``state_digest`` / ``state_snapshot`` / ``state_restore`` /
   ``counter_vector`` / ``counter_apply``, driven by declarative class
-  attributes naming the design's state arrays and counters, so
-  ``core.memory_path``'s exact-replay memo works on any engine without
-  per-design boilerplate.
+  attributes naming the design's state arrays and counters, so a
+  stationary run's fast-forward (``repro.accel.base``) works on any
+  engine without per-design boilerplate.
 
 Digest canonicality: lines are hashed in per-set recency order
 (``argsort(-RECENCY_ARRAY)``), so neither the absolute clock value nor
 the physical way an entry landed in affects the digest -- two caches
 with equal digests behave identically on any future access stream,
-which is the contract ``BatchReplayMemo`` relies on.  Invalid entries
+which is the contract the fast-forward relies on.  Invalid entries
 must carry identical zeroed-out state so their position within the
 sort cannot break canonicality.
 """
@@ -125,7 +125,7 @@ class BatchedCacheEngine:
 
     A design declares its state layout through class attributes; the
     mixin derives the canonical digest, snapshot/restore, and counter
-    delta plumbing that ``core.memory_path.BatchReplayMemo`` needs.
+    delta plumbing a stationary run's fast-forward needs.
 
     Attributes:
         RECENCY_ARRAY: name of the ``(num_sets, entries)`` recency-stamp

@@ -54,7 +54,7 @@ class ConventionalCache(BatchedCacheEngine, BaseCache):
         addr_bits: modelled physical address width (tag accounting).
     """
 
-    # Replay-memo state layout (see cache/batched.py).
+    # Replay state layout (see cache/batched.py).
     CANONICAL_ARRAYS = ("_block", "_dirty", "_touched")
     STATE_ARRAYS = ("_block", "_dirty", "_touched", "_ord")
     STATE_SCALARS = ("_clock",)

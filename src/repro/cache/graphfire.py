@@ -61,7 +61,7 @@ class GraphfireCache(BatchedCacheEngine, BaseCache):
         addr_bits: physical address width for tag accounting.
     """
 
-    # Replay-memo state layout (see cache/batched.py).  The hotness
+    # Replay state layout (see cache/batched.py).  The hotness
     # table and stream cursor are global predictor state: raw-hashed
     # (set-stable) and snapshot alongside the per-set arrays.
     CANONICAL_ARRAYS = ("_block", "_present", "_dirty", "_reused")

@@ -49,7 +49,7 @@ class ScrabbleCache(BatchedCacheEngine, BaseCache):
         addr_bits: physical address width for tag accounting.
     """
 
-    # Replay-memo state layout (see cache/batched.py).
+    # Replay state layout (see cache/batched.py).
     CANONICAL_ARRAYS = ("_word", "_dirty")
     STATE_ARRAYS = ("_word", "_dirty", "_ord")
     STATE_SCALARS = ("_clock",)

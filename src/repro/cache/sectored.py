@@ -39,7 +39,7 @@ from repro.utils.units import log2_exact
 class SectoredCache(BatchedCacheEngine, BaseCache):
     """LRU sectored cache: line-granularity tags, sector-granularity data."""
 
-    # Replay-memo state layout (see cache/batched.py).
+    # Replay state layout (see cache/batched.py).
     CANONICAL_ARRAYS = ("_block", "_valid", "_dirty")
     STATE_ARRAYS = ("_block", "_valid", "_dirty", "_ord")
     STATE_SCALARS = ("_clock",)

@@ -297,7 +297,7 @@ class CollectionExtendedMSHR:
         return ops
 
     # ------------------------------------------------------------------
-    # Exact-replay support (core.memory_path batch memoisation)
+    # Exact-replay support (a stationary run's fast-forward)
     # ------------------------------------------------------------------
     def state_digest(self) -> bytes:
         """Canonical digest of all pending collections."""

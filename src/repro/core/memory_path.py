@@ -24,30 +24,22 @@ feed ``mshr.add_batch`` (or the burst accumulator) without any
 per-address Python calls.  The seed's per-address walk over the
 per-event oracles (``cache.access``, ``mshr.add_read``/``add_write``,
 :meth:`LocalityMonitor.observe`) lives on only as the test reference in
-``tests/reference_paths.py``.  On top of the engine, an exact replay
-memo (:class:`BatchReplayMemo`) keeps one record per address stream: a
-batch whose stream was last simulated from the same cache and MSHR
-state replays the recorded events, counter deltas and end state
-instead of re-simulating.  Only stationary runs build a memo -- runs
-whose iterations repeat their streams: PageRank on the vertex-centric
-engine and every edge-centric run -- and they replay from their first
-repeated iteration, the second.  Once an iteration ends in the state
-it started in, the system fast-forwards every later one without
-reaching the path (:meth:`repro.accel.base.AcceleratorSystem.run`); in
-the toy and mid PageRank cells measured that is the second, so the
-memo pays for that one iteration.  The memo lookup and the system's
-fixed-point check both key on the path's ``state_digest``.  A
-frontier run (BFS, CC, SSSP, SSWP) follows a different stream each
-iteration, so its path is built with ``replay_capacity=0`` and never
-hashes a digest.
+``tests/reference_paths.py``.  A path runs every batch it is given;
+it keeps no memo.  What a stationary run (one whose iterations repeat
+their streams) skips, it skips one level up: each path exposes its
+``state_digest`` (the state a batch's outcome depends on),
+``state_snapshot``/``state_restore`` and its counter vector, and the
+system charges a repeated stretch of phases from its recording instead
+of running the path (:meth:`repro.accel.base.AcceleratorSystem.run`).
+A frontier run (BFS, CC, SSSP, SSWP) never asks for any of them.
 
 Chunked tile streaming: ``run`` works through its batch
 :data:`~repro.utils.units.CHUNK_ACCESSES` accesses at a time and hands
 each chunk's DRAM requests to the phase it was given (a
 :class:`repro.dram.system.PhaseAccumulator`) before the next chunk
 starts, and ``flush`` hands over the final write-backs the same way.
-Per-chunk temporaries -- event arrays, memo records, the phase's
-request stream -- therefore stay O(chunk) at any tile size, while the
+Per-chunk temporaries -- event arrays and the phase's request
+stream -- therefore stay O(chunk) at any tile size, while the
 produced counters and event streams do not depend on the chunk length
 (the engine is exactly equivalent to the per-address reference, which
 has no batch boundaries, and all cross-chunk state carries over).
@@ -69,73 +61,6 @@ from repro.dram.system import PhaseAccumulator
 from repro.utils import units
 from repro.utils.sorting import run_starts
 
-#: default replay-memo capacity (address streams remembered per path);
-#: a path built with ``replay_capacity=0`` has no memo
-REPLAY_CAPACITY_DEFAULT = 256
-
-
-class BatchReplayMemo:
-    """Exact replay of previously simulated batches, one record per
-    address stream.
-
-    A batch's outcome is fully determined by its address stream (with
-    the access type) and the state it meets: the cache and MSHR, plus
-    the monitor state and bypass watermarks on a monitored path.  The
-    memo keys each record by a digest of the stream and keeps the
-    digest of the state it was recorded under; :meth:`get` returns the
-    record only when both match, and the path then restores the
-    recorded end state and replays the recorded events and counter
-    deltas instead of re-simulating.  A miss records at once
-    (:meth:`put`), replacing the stream's earlier record, so a run whose
-    iterations repeat their streams replays from its first repeat and
-    the memo holds at most one record per stream.  (The system
-    fast-forwards every iteration after the first that ends in the
-    state it started in, so those never look the memo up.)  Once it
-    holds ``capacity`` streams it admits no new one: iterations present
-    their streams in the same cyclic order, so evicting the least
-    recently used record would drop each one just before its repeat.
-    Digests use canonical (rank-based) recency, so identical iterations
-    hit even though the absolute LRU clock advanced.
-
-    A memo holds at least one record; a path without replay has no
-    memo (``replay_capacity=0``), so it never hashes a digest.
-    """
-
-    def __init__(self, capacity: int = REPLAY_CAPACITY_DEFAULT) -> None:
-        if capacity < 1:
-            raise ValueError(f"memo capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        #: stream digest -> (state digest, record)
-        self._records: dict[bytes, tuple[bytes, tuple]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def key(self, parts: list[bytes]) -> bytes:
-        h = hashlib.blake2b(digest_size=16)
-        for part in parts:
-            h.update(part)
-        return h.digest()
-
-    def get(self, stream: bytes, state: bytes) -> tuple | None:
-        """The record of ``stream`` if it was recorded under ``state``."""
-        held = self._records.get(stream)
-        if held is None or held[0] != state:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return held[1]
-
-    def put(self, stream: bytes, state: bytes, record: tuple) -> None:
-        """Record ``stream``'s outcome under ``state``, replacing the
-        stream's earlier record; a new stream is admitted only while
-        the memo holds fewer than ``capacity``."""
-        if stream in self._records or len(self._records) < self.capacity:
-            self._records[stream] = (state, record)
-
-
 class _RequestAccumulator:
     """Ordered DRAM request stream built from array chunks (the
     fine-grained path's bypass bursts)."""
@@ -156,17 +81,6 @@ class _RequestAccumulator:
         return addrs, writes
 
 
-def _make_memo(replay_capacity: int | None) -> BatchReplayMemo | None:
-    """The path's replay memo: None (the default capacity) or a positive
-    capacity builds one, 0 means no memo, and a negative one raises."""
-    capacity = (
-        REPLAY_CAPACITY_DEFAULT if replay_capacity is None else replay_capacity
-    )
-    if capacity < 0:
-        raise ValueError(f"replay_capacity must be >= 0, got {capacity}")
-    return BatchReplayMemo(capacity) if capacity else None
-
-
 def counter_delta(
     after: tuple[int, ...], before: tuple[int, ...]
 ) -> tuple[int, ...]:
@@ -182,13 +96,11 @@ def _flushed_addrs(cache: BaseCache) -> np.ndarray:
 class ConventionalMemoryPath:
     """Cache misses become burst-sized DRAM reads/writes."""
 
-    def __init__(
-        self,
-        cache: BaseCache,
-        replay_capacity: int | None = None,
-    ) -> None:
+    #: no path keeps a replay memo; the benchmark's counters read this
+    memo = None
+
+    def __init__(self, cache: BaseCache) -> None:
         self.cache = cache
-        self.memo = _make_memo(replay_capacity)
 
     def run(self, addrs: np.ndarray, rmw: bool, phase: PhaseAccumulator) -> None:
         """Process a batch of 8 B accesses (``rmw`` marks read-modify-write),
@@ -205,6 +117,13 @@ class ConventionalMemoryPath:
         """Digest of the state a batch's outcome depends on: the cache's."""
         return self.cache.state_digest()
 
+    def state_snapshot(self) -> tuple:
+        """A copy of the state :meth:`state_digest` covers."""
+        return self.cache.state_snapshot()
+
+    def state_restore(self, snap: tuple) -> None:
+        self.cache.state_restore(snap)
+
     def counter_vector(self) -> tuple[int, ...]:
         """The cache's counters (the replay delta domain)."""
         return self.cache.counter_vector()
@@ -215,27 +134,9 @@ class ConventionalMemoryPath:
     def _run_batch(
         self, addrs: np.ndarray, rmw: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One chunk through the cache (or the memo): its (address,
-        is-write-back) request arrays."""
-        memo = self.memo
-        if memo is not None:
-            stream = memo.key([addrs.tobytes(), b"w" if rmw else b"r"])
-            state = self.state_digest()
-            rec = memo.get(stream, state)
-            if rec is not None:
-                ev_addr, ev_is_wb, counters, snap = rec
-                self.cache.state_restore(snap)
-                self.counter_apply(counters)
-                return ev_addr, ev_is_wb
-            before = self.counter_vector()
+        """One chunk through the cache: its (address, is-write-back)
+        request arrays."""
         res = self.cache.access_many(addrs, rmw)
-        if memo is not None:
-            delta = counter_delta(self.counter_vector(), before)
-            memo.put(
-                stream,
-                state,
-                (res.ev_addr, res.ev_is_wb, delta, self.cache.state_snapshot()),
-            )
         return res.ev_addr, res.ev_is_wb
 
     def flush(self, phase: PhaseAccumulator) -> None:
@@ -336,17 +237,18 @@ class LocalityMonitor:
 class FineGrainedMemoryPath:
     """Fine-grained cache + collection-extended MSHR -> FIM operations."""
 
+    #: no path keeps a replay memo; the benchmark's counters read this
+    memo = None
+
     def __init__(
         self,
         cache: BaseCache,
         mshr: CollectionExtendedMSHR,
         locality_monitor: LocalityMonitor | None = None,
-        replay_capacity: int | None = None,
     ) -> None:
         self.cache = cache
         self.mshr = mshr
         self.monitor = locality_monitor
-        self.memo = _make_memo(replay_capacity)
         #: the current chunk's FIM ops and the conventional bursts it
         #: issued while the locality monitor bypasses
         self.fim_ops = FimOpBatch()
@@ -389,6 +291,24 @@ class FineGrainedMemoryPath:
             )
         return h.digest()
 
+    def state_snapshot(self) -> tuple:
+        """A copy of the state :meth:`state_digest` covers, taken
+        between runs (every run hands its FIM ops and bursts off)."""
+        return (
+            self.cache.state_snapshot(),
+            self.mshr.state_snapshot(),
+            self.monitor.state_tuple() if self.monitor is not None else None,
+            (self._last_bypass_fill, self._last_bypass_wb),
+        )
+
+    def state_restore(self, snap: tuple) -> None:
+        cache_snap, mshr_snap, monitor_state, bypass_state = snap
+        self.cache.state_restore(cache_snap)
+        self.mshr.state_restore(mshr_snap)
+        if monitor_state is not None:
+            self.monitor.state_restore(monitor_state)
+        self._last_bypass_fill, self._last_bypass_wb = bypass_state
+
     def counter_vector(self) -> tuple[int, ...]:
         """The cache's counters, then the MSHR's (the replay delta
         domain)."""
@@ -399,54 +319,9 @@ class FineGrainedMemoryPath:
         self.cache.counter_apply(delta[:split])
         self.mshr.counter_apply(delta[split:])
 
-    def _run_batch(self, addrs: np.ndarray, rmw: bool) -> None:
-        memo = self.memo
-        if memo is not None:
-            stream = memo.key([addrs.tobytes(), b"w" if rmw else b"r"])
-            state = self.state_digest()
-            rec = memo.get(stream, state)
-            if rec is not None:
-                self._replay(rec)
-                return
-            before = self.counter_vector()
-            ops_before = len(self.fim_ops)
-            bypass_chunks_before = len(self._bypass._chunks)
-        self._simulate(addrs, rmw)
-        if memo is not None:
-            record = (
-                self.fim_ops.tail_columns(ops_before),
-                tuple(self._bypass._chunks[bypass_chunks_before:]),
-                counter_delta(self.counter_vector(), before),
-                self.cache.state_snapshot(),
-                self.mshr.state_snapshot(),
-                self.monitor.state_tuple() if self.monitor is not None else None,
-                (self._last_bypass_fill, self._last_bypass_wb),
-            )
-            memo.put(stream, state, record)
-
-    def _replay(self, rec: tuple) -> None:
-        (
-            op_columns,
-            bypass_chunks,
-            counters,
-            cache_snap,
-            mshr_snap,
-            monitor_state,
-            bypass_state,
-        ) = rec
-        self.fim_ops.extend_columns(op_columns)
-        for chunk in bypass_chunks:
-            self._bypass.append_arrays(*chunk)
-        self.counter_apply(counters)
-        self.cache.state_restore(cache_snap)
-        self.mshr.state_restore(mshr_snap)
-        if monitor_state is not None:
-            self.monitor.state_restore(monitor_state)
-        self._last_bypass_fill, self._last_bypass_wb = bypass_state
-
     # ------------------------------------------------------------------
-    def _simulate(self, addrs: np.ndarray, rmw: bool) -> None:
-        """Run one batch through the cache and MSHR engines (no memo)."""
+    def _run_batch(self, addrs: np.ndarray, rmw: bool) -> None:
+        """Run one chunk through the cache and MSHR engines."""
         if self.monitor is None:
             res = self.cache.access_many(addrs, rmw)
             self.fim_ops.extend(self.mshr.add_batch(res.ev_addr, res.ev_is_wb))

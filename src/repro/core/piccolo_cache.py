@@ -92,7 +92,7 @@ class PiccoloCache(BatchedCacheEngine, BaseCache):
         addr_bits: modelled address width (tag accounting only).
     """
 
-    # Replay-memo state layout (see cache/batched.py).  ``way_quota``
+    # Replay state layout (see cache/batched.py).  ``way_quota``
     # joins the digest raw: the same line state behaves differently
     # under a different quota.
     CANONICAL_ARRAYS = ("_tag", "_fgt", "_dirty", "_rrpv")

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-#: column order of every array-tuple view (``columns()``, memo records)
+#: column order of every array-tuple view (``columns()``)
 FIM_COLUMNS = (
     "channel",
     "rank",
@@ -80,8 +80,8 @@ class FimOpBatch:
         self._chunks: list[tuple[np.ndarray, ...]] = []
         #: scalar-append staging area, one Python list per column
         self._staging: tuple[list, ...] = tuple([] for _ in FIM_COLUMNS)
-        if columns is not None:
-            self.extend_columns(columns)
+        if columns is not None and columns[0].size:
+            self._chunks.append(tuple(columns))
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -125,13 +125,6 @@ class FimOpBatch:
         for op in ops:
             self.append_op(op)
 
-    def extend_columns(self, columns: tuple[np.ndarray, ...]) -> None:
-        """Append a sealed column tuple (e.g. a replay-memo record)."""
-        if columns[0].size == 0:
-            return
-        self._seal()
-        self._chunks.append(tuple(columns))
-
     # -- consolidation --------------------------------------------------
     def _seal(self) -> None:
         st = self._staging
@@ -158,11 +151,6 @@ class FimOpBatch:
             )
             self._chunks = [merged]
         return self._chunks[0]
-
-    def tail_columns(self, start: int) -> tuple[np.ndarray, ...]:
-        """Copy of rows ``[start:]`` as a column tuple (memo records)."""
-        cols = self.columns()
-        return tuple(col[start:].copy() for col in cols)
 
     def as_tuples(self) -> tuple[tuple, ...]:
         """Plain-tuple view of every row (canonical digest/compare form)."""

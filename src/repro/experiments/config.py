@@ -15,8 +15,8 @@ regimes the reproduction runs in (:data:`PROFILES`):
 ``mid``
     A ~2^6 reduction: 64 KB caches, 512-entry MSHR rows, 6 fg-tag bits,
     hundred-thousand-edge graphs.  Large enough that Piccolo tiles span
-    more than one memory-path chunk and the replay-memo budget matters,
-    small enough for a CI smoke under a wall-clock budget.
+    more than one memory-path chunk, small enough for a CI smoke under
+    a wall-clock budget.
 ``paper``
     The paper's actual on-chip regime: 4 MB caches, 4.5 MB SPM
     baselines, 4096 MSHR row entries, 8 fg-tag bits (32 KB windows),
@@ -36,7 +36,6 @@ baseline SPM      4.5 MB           1.125 KB   72 KB      4.5 MB
 MSHR row entries  4096             64         512        4096
 fg-tag bits       8 (32 KB window) 4 (2 KB)   6 (8 KB)   8 (32 KB)
 graph reduction   --               2^12       2^6        2^5
-replay capacity   --               256        256        0 (off)
 DRAM timing/row   DDR4-2400R       unchanged  unchanged  unchanged
 ================  ===============  =========  =========  ==========
 
@@ -90,11 +89,6 @@ class ExperimentScale:
     #: dataset size reduction (2**shift); None keeps each dataset spec's
     #: default (the 2^12 toy reduction)
     scale_shift: int | None = None
-    #: replay-memo capacity (address streams) per memory path; None
-    #: keeps the module default (256), 0 disables the memo entirely.
-    #: Only a stationary run (vertex-centric PageRank, every
-    #: edge-centric run) builds a memo; a frontier run never does.
-    replay_capacity: int | None = None
     #: where :class:`~repro.graph.partition.TiledCSR` keeps its sorted
     #: tile arrays: ``"memory"`` (global in-RAM argsort, tiles resident
     #: for the run) or ``"disk"`` (bucketed external sort into a
@@ -151,10 +145,6 @@ PROFILES: dict[str, ExperimentScale] = {
         fg_tag_bits=8,
         mshr_entries=4096,
         scale_shift=5,
-        # A 4 MB cache snapshot is megabytes, and a paper tile spans
-        # ~250 chunks, so the memo would hold a snapshot per chunk up
-        # to its capacity, a gigabyte or more; disable it instead.
-        replay_capacity=0,
     ),
 }
 

@@ -29,12 +29,10 @@ from repro.utils.stats import geometric_mean
 #: ``cache_factory`` is excluded because ``cache_design`` already names
 #: it canonically.  The others change how a cell runs, never its
 #: result: disk-backed tiles are bit-identical to in-memory ones (pinned
-#: by the tilestore differential suite), and the replay memo is exact
-#: (tests/test_stationary_replay.py), so memo hits and sweep checkpoints
-#: are deliberately shared across them.
+#: by the tilestore differential suite), so memo hits and sweep
+#: checkpoints are deliberately shared across them.
 _NON_SEMANTIC_KEYS = (
     "cache_factory",
-    "replay_capacity",
     "tile_backing",
     "tile_store_root",
 )
@@ -185,9 +183,7 @@ def _canonical_token(value) -> str | None:
 
 
 def _digest_parts(parts: list[bytes]) -> str:
-    """blake2b-16 over ordered parts -- the replay-memo canonicalization
-    (:meth:`repro.core.memory_path.BatchReplayMemo.key`) applied to
-    cell identity."""
+    """blake2b-16 over ordered, NUL-separated parts (the cell identity)."""
     h = hashlib.blake2b(digest_size=16)
     for part in parts:
         h.update(part)
@@ -231,7 +227,6 @@ def resolve_cell(spec: CellSpec) -> ResolvedCell:
             else tuned
             or scale.tile_scales.get(spec.system, cls.default_tile_scale)
         ),
-        replay_capacity=scale.replay_capacity,
         tile_backing=(
             spec.tile_backing if spec.tile_backing is not None
             else scale.tile_backing

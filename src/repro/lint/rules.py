@@ -640,8 +640,8 @@ class NoScalarLoops(Rule):
 # ---------------------------------------------------------------------------
 
 DEFAULT_SCOPES: dict[str, tuple[str, ...]] = {
-    # digest/canonicalization machinery: cell digests, replay memo keys,
-    # tile-store content digests, cache snapshot hooks
+    # digest/canonicalization machinery: cell digests, memory-path
+    # state digests, tile-store content digests, cache snapshot hooks
     "RL001": (
         "src/repro/experiments/runner.py",
         "src/repro/experiments/parallel.py",
@@ -687,9 +687,6 @@ DEFAULT_SCOPES: dict[str, tuple[str, ...]] = {
 DEFAULT_DIGEST_EXTRAS: dict[str, tuple[str, ...]] = {
     # resolve_cell assembles the canonical cell digest
     "src/repro/experiments/runner.py": ("resolve_cell",),
-    # BatchReplayMemo.key + the stream- and state-key part assembly in
-    # _run_batch
-    "src/repro/core/memory_path.py": ("key", "_run_batch"),
 }
 
 #: batched-module functions whose loops are setup, not per-request work

@@ -14,8 +14,8 @@ WORD_BYTES = 8
 #: Accesses per chunk of a tile stream.  The VCM engine's edge loop, a
 #: system's Vtemp ids and a memory path's ``run`` work through a tile
 #: this many accesses at a time, so per-chunk temporaries (event
-#: arrays, replay-memo records, the DRAM phase's request stream) stay
-#: bounded at any graph size.  No result depends on it
+#: arrays, the DRAM phase's request stream) stay bounded at any graph
+#: size.  No result depends on it
 #: (docs/ARCHITECTURE.md, invariant 4); readers look it up on this
 #: module at call time, so a test can set it in one place.
 CHUNK_ACCESSES = 1 << 15

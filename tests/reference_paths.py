@@ -8,8 +8,8 @@ module holds that walk, once:
 
 - :func:`scalar_batch` is the cache-level reference for ``access_many``;
 - :class:`ReferenceConventionalPath` and :class:`ReferenceFineGrainedPath`
-  are the two memory paths with the replay memo off and every batch
-  walked one address at a time.
+  are the two memory paths with every batch walked one address at a
+  time.
 
 ``tests/test_batched_equivalence.py`` compares the engines against them,
 and ``benchmarks/bench_perf_hotpath.py`` runs whole systems on them.
@@ -77,11 +77,8 @@ def scalar_batch(cache, addrs, is_write):
 
 
 class ReferenceConventionalPath(ConventionalMemoryPath):
-    """:class:`ConventionalMemoryPath` with no memo: every batch goes
-    through ``cache.access`` one address at a time."""
-
-    def __init__(self, cache, **kwargs):
-        super().__init__(cache, **{**kwargs, "replay_capacity": 0})
+    """:class:`ConventionalMemoryPath` with every batch going through
+    ``cache.access`` one address at a time."""
 
     def _run_batch(self, addrs, rmw):
         res = scalar_batch(self.cache, addrs, rmw)
@@ -89,14 +86,9 @@ class ReferenceConventionalPath(ConventionalMemoryPath):
 
 
 class ReferenceFineGrainedPath(FineGrainedMemoryPath):
-    """:class:`FineGrainedMemoryPath` with no memo: every address goes
-    through ``monitor.observe``, ``cache.access`` and
+    """:class:`FineGrainedMemoryPath` with every address going through
+    ``monitor.observe``, ``cache.access`` and
     ``mshr.add_read``/``add_write`` in turn."""
-
-    def __init__(self, cache, mshr, locality_monitor=None, **kwargs):
-        super().__init__(
-            cache, mshr, locality_monitor, **{**kwargs, "replay_capacity": 0}
-        )
 
     def _run_batch(self, addrs, rmw):
         monitor = self.monitor

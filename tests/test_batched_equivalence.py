@@ -25,6 +25,7 @@ from repro.core.memory_path import (
     ConventionalMemoryPath,
     FineGrainedMemoryPath,
     LocalityMonitor,
+    counter_delta,
 )
 from repro.core.piccolo_cache import PiccoloCache
 from repro.dram.address import AddressMapper
@@ -469,25 +470,27 @@ def test_conventional_path_batched_matches_scalar(addrs, seed, rmw):
 
 
 # ---------------------------------------------------------------------------
-# Replay memo: a path with a memo must match the same path without one.
-# Each path kind keys the memo on different state: the cache alone
-# (conventional), cache + MSHR (fine-grained), and cache + MSHR + the
-# locality monitor + the bypass burst watermarks (monitor).
+# Replay: a stationary run's catch-up (repro.accel.base) stops running a
+# path once a batch starts in the state the same batch of the previous
+# round started in, and takes that round's requests, end snapshot and
+# counter delta instead.  A path that replays so must match one that
+# simulates every batch.  Each path kind digests and snapshots different
+# state: the cache alone (conventional), cache + MSHR (fine-grained), and
+# cache + MSHR + the locality monitor + the bypass burst watermarks
+# (monitor).
 # ---------------------------------------------------------------------------
-MEMO_PATH_KINDS = ("fine-grained", "conventional", "monitor")
-MEMO_CACHE_KINDS = ["piccolo-lru"] + [
+REPLAY_PATH_KINDS = ("fine-grained", "conventional", "monitor")
+REPLAY_CACHE_KINDS = ["piccolo-lru"] + [
     f"fig11-{name.lower()}" for name in FIG11_VARIANTS
 ]
 
 
-def build_memo_path(path_kind, cache, capacity):
+def build_replay_path(path_kind, cache):
     if path_kind == "conventional":
-        return ConventionalMemoryPath(cache, replay_capacity=capacity)
+        return ConventionalMemoryPath(cache)
     mshr = CollectionExtendedMSHR(make_mapper(), num_entries=16, items_per_op=4)
     mon = LocalityMonitor(window=8, threshold=0.5) if path_kind == "monitor" else None
-    return FineGrainedMemoryPath(
-        cache, mshr, locality_monitor=mon, replay_capacity=capacity
-    )
+    return FineGrainedMemoryPath(cache, mshr, locality_monitor=mon)
 
 
 def bypass_state(path):
@@ -499,32 +502,63 @@ def bypass_state(path):
     )
 
 
-def assert_memo_transparent(path_kind, make_cache, chunks, rounds):
-    """Run ``rounds`` rmw passes over ``chunks`` through a path with a
-    memo and one without: events, counters and the flush must agree.
-    Returns the memo."""
-    with_memo = build_memo_path(path_kind, make_cache(), 64)
-    without = build_memo_path(path_kind, make_cache(), 0)
-    log_with, log_without = RequestLog(), RequestLog()
+def run_logged(path, chunk):
+    log = RequestLog()
+    path.run(chunk, True, log)
+    return log.take()
+
+
+def assert_replay_transparent(path_kind, make_cache, chunks, rounds):
+    """Run ``rounds`` rmw passes over ``chunks`` through a path that
+    simulates every batch and one that replays from the first batch
+    whose start state repeats the last simulated round's: requests,
+    counters, state and the flush must agree.  Returns the number of
+    replayed batches."""
+    replayed = build_replay_path(path_kind, make_cache())
+    live = build_replay_path(path_kind, make_cache())
+    previous = None
+    replays = 0
     for _ in range(rounds):
-        for chunk in chunks:
-            with_memo.run(chunk, True, log_with)
-            without.run(chunk, True, log_without)
-    assert log_with.take() == log_without.take()
-    assert cache_signature(with_memo.cache) == cache_signature(without.cache)
-    if path_kind == "monitor":
-        # a replay must restore the state the next batch is keyed on
-        assert bypass_state(with_memo) == bypass_state(without)
-    with_memo.flush(log_with)
-    without.flush(log_without)
-    assert log_with.take() == log_without.take()
+        expected = [run_logged(live, chunk) for chunk in chunks]
+        got, digests, counters = [], [], []
+        for index, chunk in enumerate(chunks):
+            state = replayed.state_digest()
+            if previous is not None and previous["digests"][index] == state:
+                got += previous["requests"][index:]
+                replayed.state_restore(previous["end_state"])
+                replayed.counter_apply(counter_delta(
+                    previous["end_counters"], previous["counters"][index]
+                ))
+                replays += len(chunks) - index
+                break
+            digests.append(state)
+            counters.append(replayed.counter_vector())
+            got.append(run_logged(replayed, chunk))
+        else:
+            previous = dict(
+                digests=digests,
+                counters=counters,
+                requests=got,
+                end_state=replayed.state_snapshot(),
+                end_counters=replayed.counter_vector(),
+            )
+        assert got == expected
+        assert replayed.state_digest() == live.state_digest()
+        assert cache_signature(replayed.cache) == cache_signature(live.cache)
+        if path_kind == "monitor":
+            # a replay must restore the state the next batch is keyed on
+            assert bypass_state(replayed) == bypass_state(live)
+    log_replayed, log_live = RequestLog(), RequestLog()
+    replayed.flush(log_replayed)
+    live.flush(log_live)
+    assert log_replayed.take() == log_live.take()
     # the flush settles the useful-byte counters of every line still
     # resident, so this also checks the touched/dirty masks a replay
     # restored
-    assert cache_signature(with_memo.cache) == cache_signature(without.cache)
+    assert cache_signature(replayed.cache) == cache_signature(live.cache)
     if path_kind != "conventional":
-        assert vars(with_memo.mshr.stats) == vars(without.mshr.stats)
-    return with_memo.memo
+        assert vars(replayed.mshr.stats) == vars(live.mshr.stats)
+    return replays
 
 
 @pytest.mark.parametrize(
@@ -536,20 +570,20 @@ def assert_memo_transparent(path_kind, make_cache, chunks, rounds):
             kind,
             id=kind if path_kind == "fine-grained" else f"{path_kind}-path-{kind}",
         )
-        for path_kind in MEMO_PATH_KINDS
-        for kind in MEMO_CACHE_KINDS
+        for path_kind in REPLAY_PATH_KINDS
+        for kind in REPLAY_CACHE_KINDS
     ],
 )
 @settings(max_examples=25, deadline=None)
 @given(addrs=addr_streams, seed=chunk_seed)
 def test_replay_memo_is_transparent(path_kind, kind, addrs, seed):
-    """Feeding the same batch sequence three times (later rounds may
-    replay from the memo) must match a memo-less path exactly."""
+    """Feeding the same batch sequence three times (the later rounds may
+    replay the first) must match a path that simulates every batch."""
     chunks = split_chunks(addrs, seed)
-    memo = assert_memo_transparent(
+    replays = assert_replay_transparent(
         path_kind, CACHE_FACTORIES[kind], chunks, rounds=3
     )
-    assert memo.hits + memo.misses == 3 * len(chunks)
+    assert replays <= 2 * len(chunks)
 
 
 @pytest.mark.parametrize(
@@ -562,20 +596,20 @@ def test_replay_memo_is_transparent(path_kind, kind, addrs, seed):
 )
 def test_replay_memo_replays_repeated_rounds(path_kind, kind):
     """56 sequential words in three batches, five rounds: the state
-    settles after two rounds, so the memo must replay later batches
-    (the random streams above rarely repeat a state)."""
+    settles after two rounds, so later rounds must replay (the random
+    streams above rarely repeat a state)."""
     chunks = np.split(np.arange(56, dtype=np.int64) * 8, [20, 41])
-    memo = assert_memo_transparent(
+    replays = assert_replay_transparent(
         path_kind, CACHE_FACTORIES[kind], chunks, rounds=5
     )
-    assert memo.hits > 0
+    assert replays > 0
 
 
 # ---------------------------------------------------------------------------
 # Chunked tile streaming: the chunk length (units.CHUNK_ACCESSES) must be
 # invisible in the produced counters, fill/write-back sequences, and
 # FIM-op streams -- including lengths that don't divide the batch evenly,
-# and across repeated rounds where the replay memo kicks in.  Each case
+# and across repeated rounds that start from a warm state.  Each case
 # sets the constant and compares against one chunk longer than the
 # stream (WHOLE, also the last case).
 # ---------------------------------------------------------------------------
@@ -615,7 +649,7 @@ def test_chunked_fine_grained_path_matches_whole_tile(
 
     chunked = build()
     whole = build()
-    # a second round exercises memo + chunk interplay
+    # a second round starts from the first one's warm state
     rounds = [np.asarray(addrs, dtype=np.int64)] * 2
     assert run_chunked(chunked, chunk_size, rounds, rmw) == run_chunked(
         whole, WHOLE, rounds, rmw

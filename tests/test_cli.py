@@ -169,7 +169,7 @@ class TestProfilesCommand:
             assert column in out
         assert "piccolo_cache_bytes" in out
         assert "4194304" in out  # the paper profile's 4 MB cache
-        assert "replay_capacity" in out
+        assert "replay_capacity" not in out  # no path keeps a memo
         assert "chunk_size" not in out  # one chunk length for every profile
 
     def test_profile_note_for_scale_free_figures(self, capsys):

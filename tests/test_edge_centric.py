@@ -113,7 +113,6 @@ class TestECPiccolo:
          onchip_bytes=TOY.piccolo_cache_bytes,
          mshr_entries=TOY.mshr_entries,
          fg_tag_bits=TOY.fg_tag_bits,
-         replay_capacity=TOY.replay_capacity,
      )),
 ])
 def test_cell_equals_the_inline_fig19a_build(system, build):

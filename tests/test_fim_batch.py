@@ -120,15 +120,6 @@ class TestFimOpBatch:
         assert all(c.dtype == np.int64 for c in cols[:5])
         assert all(c.dtype == bool for c in cols[5:])
 
-    def test_tail_columns_roundtrip(self):
-        ops = to_ops([(0, 0, i % 4, i, 1 + i % 8, i % 2 == 0, False)
-                      for i in range(20)])
-        batch = FimOpBatch.from_ops(ops)
-        rec = batch.tail_columns(12)
-        replay = FimOpBatch()
-        replay.extend_columns(rec)
-        assert replay == ops[12:]
-
     def test_as_tuples_view(self):
         tuples = [(0, 1, 2, 3, 4, True, False), (1, 0, 9, 8, 7, False, True)]
         assert to_batch(tuples).as_tuples() == tuple(tuples)
@@ -596,7 +587,6 @@ class TestProducersEmitBatches:
             return FineGrainedMemoryPath(
                 PiccoloCache(1024, ways=2, fg_tag_bits=4),
                 CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=8),
-                replay_capacity=0,
             )
 
         rng = np.random.default_rng(11)

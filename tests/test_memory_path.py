@@ -6,7 +6,6 @@ import pytest
 from repro.cache.conventional import ConventionalCache
 from repro.core.collection_mshr import CollectionExtendedMSHR
 from repro.core.memory_path import (
-    BatchReplayMemo,
     ConventionalMemoryPath,
     FineGrainedMemoryPath,
     LocalityMonitor,
@@ -99,40 +98,19 @@ class TestFineGrainedPath:
         assert path.cache.stats.hits == 3
 
 
-class TestReplayMemoDisabled:
-    """``replay_capacity=0`` must disable the memo *entirely*: no memo
-    object, so no digests and no records."""
+class TestNoMemo:
+    """A path runs every batch it is given: it keeps no memo and never
+    digests its state while it runs (a frontier run's whole cost)."""
 
-    def test_capacity_below_one_raises(self):
-        """A memo holds at least one batch; "no memo" is a path built
-        with ``replay_capacity=0``, which builds none."""
-        for capacity in (0, -1):
-            with pytest.raises(ValueError, match="capacity must be >= 1"):
-                BatchReplayMemo(capacity)
-
-    def test_enabled_memo_still_tracks(self):
-        memo = BatchReplayMemo(4)
-        stream, state = memo.key([b"x"]), memo.key([b"s"])
-        assert memo.get(stream, state) is None and memo.misses == 1
-        memo.put(stream, state, ("record",))
-        assert memo.get(stream, state) == ("record",) and memo.hits == 1
-
-    def test_paths_with_zero_capacity_have_no_memo(self, mapper):
-        conv = ConventionalMemoryPath(
-            ConventionalCache(1024, ways=2), replay_capacity=0
-        )
-        assert conv.memo is None
+    def test_paths_have_no_memo(self, mapper):
+        conv = ConventionalMemoryPath(ConventionalCache(1024, ways=2))
         fine = FineGrainedMemoryPath(
             PiccoloCache(1024, ways=2, fg_tag_bits=4),
             CollectionExtendedMSHR(mapper, num_entries=16),
-            replay_capacity=0,
         )
-        assert fine.memo is None
+        assert conv.memo is None and fine.memo is None
 
-    def test_zero_capacity_path_never_digests(self, mapper):
-        """With the memo off, run() must not even ask the cache for a
-        state digest (that is the whole cost being disabled)."""
-
+    def test_run_never_digests(self, mapper):
         class CountingCache(PiccoloCache):
             digest_calls = 0
 
@@ -140,72 +118,14 @@ class TestReplayMemoDisabled:
                 type(self).digest_calls += 1
                 return super().state_digest()
 
-        cache = CountingCache(1024, ways=2, fg_tag_bits=4)
         path = FineGrainedMemoryPath(
-            cache,
+            CountingCache(1024, ways=2, fg_tag_bits=4),
             CollectionExtendedMSHR(mapper, num_entries=16),
-            replay_capacity=0,
         )
-        path.run(np.arange(32, dtype=np.int64) * 8, rmw=True, phase=RequestLog())
+        batch = np.arange(32, dtype=np.int64) * 8
+        for _ in range(3):
+            path.run(batch, rmw=True, phase=RequestLog())
         assert CountingCache.digest_calls == 0
-
-    def test_paths_reject_negative_capacity(self, mapper):
-        """A negative capacity is an error, not a silent "no memo"."""
-        with pytest.raises(ValueError, match="replay_capacity must be >= 0"):
-            ConventionalMemoryPath(
-                ConventionalCache(1024, ways=2), replay_capacity=-1
-            )
-        with pytest.raises(ValueError, match="replay_capacity must be >= 0"):
-            FineGrainedMemoryPath(
-                PiccoloCache(1024, ways=2, fg_tag_bits=4),
-                CollectionExtendedMSHR(mapper, num_entries=16),
-                replay_capacity=-1,
-            )
-
-
-class TestReplayMemoRecords:
-    """One record per address stream: a path records every memo miss at
-    once, and a record replays only under the state it was recorded in."""
-
-    def test_first_miss_records_and_same_state_replays(self):
-        path = ConventionalMemoryPath(ConventionalCache(1024, ways=2))
-        memo = path.memo
-        batch = np.asarray([0, 64, 128], dtype=np.int64)
-        log = RequestLog()
-        path.run(batch, rmw=True, phase=log)  # cold cache: the first miss records
-        assert (memo.hits, memo.misses, len(memo)) == (0, 1, 1)
-        path.run(batch, rmw=True, phase=log)  # warm cache: misses, replaces
-        assert (memo.hits, memo.misses, len(memo)) == (0, 2, 1)
-        path.run(batch, rmw=True, phase=log)  # the same warm state: replays
-        assert (memo.hits, memo.misses, len(memo)) == (1, 2, 1)
-
-    def test_another_state_misses_and_replaces_the_record(self):
-        memo = BatchReplayMemo(4)
-        stream, cold, warm = (memo.key([p]) for p in (b"a", b"cold", b"warm"))
-        memo.put(stream, cold, ("cold",))
-        assert memo.get(stream, cold) == ("cold",)
-        assert memo.get(stream, warm) is None
-        memo.put(stream, warm, ("warm",))
-        assert len(memo) == 1
-        assert memo.get(stream, warm) == ("warm",)
-        assert memo.get(stream, cold) is None
-
-    def test_full_memo_keeps_its_streams(self):
-        """Streams repeat in cyclic order, so a full memo keeps the
-        streams it holds (and still replaces their records) instead of
-        evicting one just before its repeat."""
-        memo = BatchReplayMemo(2)
-        a, b, c, state, other = (
-            memo.key([p]) for p in (b"a", b"b", b"c", b"s", b"t")
-        )
-        for stream in (a, b, c):
-            memo.put(stream, state, (stream,))
-        assert len(memo) == 2
-        assert memo.get(c, state) is None
-        assert memo.get(a, state) == (a,)
-        memo.put(a, other, ("a again",))
-        assert memo.get(a, other) == ("a again",)
-        assert memo.get(b, state) == (b,)
 
 
 class TestChunkedStreaming:
@@ -242,7 +162,6 @@ class TestChunkedStreaming:
             path = FineGrainedMemoryPath(
                 PiccoloCache(1024, ways=2, fg_tag_bits=4),
                 CollectionExtendedMSHR(mapper, num_entries=16),
-                replay_capacity=0,  # measure the engine, not the memo
             )
             tracemalloc.start()
             tracemalloc.reset_peak()

@@ -133,7 +133,6 @@ class TestScaleProfiles:
         assert paper.spm_bytes == 4_718_592  # 4.5 MB
         assert paper.mshr_entries == 4096
         assert paper.fg_tag_bits == 8
-        assert paper.replay_capacity == 0
 
     def test_get_profile_resolves_names_and_passthrough(self):
         assert get_profile("mid") is PROFILES["mid"]
@@ -208,23 +207,24 @@ class TestTileBacking:
         assert len(digests) == 1 and None not in digests
 
     def test_replay_capacity_is_not_part_of_the_cell_digest(self):
-        """The replay memo is exact (tests/test_stationary_replay.py),
-        so its capacity is an execution detail like the backing; a
-        capacity that changes results, the cache size, still splits."""
+        """No memory path keeps a replay memo, so no profile sizes one
+        and no system takes a capacity; a capacity that changes
+        results, the cache size, still splits the digest."""
         from repro.experiments.runner import CellSpec, resolve_cell
 
-        def digest(**knobs):
+        def cell(**knobs):
             scale = dataclasses.replace(PROFILES["toy"], **knobs)
             return resolve_cell(
                 CellSpec(system="Piccolo", algorithm="PR", dataset="UU",
                          scale=scale)
-            ).digest
+            )
 
-        base = digest()
-        assert base is not None
-        assert digest(replay_capacity=0) == base
-        assert digest(replay_capacity=8) == base
-        assert digest(piccolo_cache_bytes=2048) != base
+        base = cell()
+        assert base.digest is not None
+        assert "replay_capacity" not in base.make_kwargs
+        with pytest.raises(TypeError):
+            cell(replay_capacity=0)
+        assert cell(piccolo_cache_bytes=2048).digest != base.digest
 
     def test_disk_backed_run_is_bit_identical(self, tmp_path):
         clear_result_cache()

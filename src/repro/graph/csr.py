@@ -13,6 +13,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.utils.sorting import packed_key_fits, pair_order
+
+
+def _first_of_runs(*columns: np.ndarray) -> np.ndarray:
+    """Mask of the rows that differ from the previous row in some column.
+
+    On rows sorted by these columns it keeps the first of each run of
+    equal rows; row 0 is always kept.
+    """
+    first = np.zeros(columns[0].size, dtype=bool)
+    first[:1] = True
+    for column in columns:
+        first[1:] |= column[1:] != column[:-1]
+    return first
+
 
 @dataclass(frozen=True)
 class CSRGraph:
@@ -102,80 +117,94 @@ class CSRGraph:
 
         Self-loops are kept (some algorithms tolerate them); duplicate
         parallel edges are removed when ``dedupe`` is True, keeping the first
-        weight encountered.
+        weight encountered.  The caller's arrays are not modified.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.shape != dst.shape:
-            raise ValueError("src and dst must have the same shape")
-        if src.size and (src.min() < 0 or src.max() >= num_vertices):
-            raise ValueError("edge source out of range")
-        if dst.size and (dst.min() < 0 or dst.max() >= num_vertices):
-            raise ValueError("edge destination out of range")
-        if weights is None:
-            weights = np.zeros(src.size, dtype=np.int64)
-        else:
-            weights = np.asarray(weights, dtype=np.int64)
-            if weights.shape != src.shape:
-                raise ValueError("weights must have one entry per edge")
-
-        order = np.lexsort((dst, src))
-        src, dst, weights = src[order], dst[order], weights[order]
-        if dedupe and src.size:
-            keep = np.ones(src.size, dtype=bool)
-            keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            src, dst, weights = src[keep], dst[keep], weights[keep]
-
-        counts = np.bincount(src, minlength=num_vertices)
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr=indptr, indices=dst, weights=weights, name=name)
+        return cls._build(num_vertices, [src, dst], weights, dedupe, name)
 
     @classmethod
     def from_edges_consuming(
         cls,
         num_vertices: int,
-        edges: list,
+        edges: list[np.ndarray],
         *,
         name: str = "graph",
     ) -> "CSRGraph":
         """:meth:`from_edges` (dedupe, zero weights) taking *ownership*
         of ``edges = [src, dst]``: the list is emptied so each original
-        array is freed as soon as its sorted copy exists.
+        array is freed as soon as the sort key is built from it.
 
         At paper scale the edge arrays are hundreds of megabytes; the
         plain :meth:`from_edges` call necessarily keeps the caller's
-        originals alive next to the sorted copies, which makes graph
+        originals alive next to the sort key, which makes graph
         *generation* (not simulation) the transient-RSS peak of a run.
         Generators use this entry point to stay within the paper-profile
-        memory budget; the produced graph is identical.
+        memory budget: once its inputs are dropped the build holds at
+        most two edge-sized arrays.  The produced graph is identical.
         """
-        src, dst = edges
+        return cls._build(num_vertices, edges, None, True, name)
+
+    @classmethod
+    def _build(
+        cls,
+        num_vertices: int,
+        edges: list[np.ndarray],
+        weights: np.ndarray | None,
+        dedupe: bool,
+        name: str,
+    ) -> "CSRGraph":
+        """The one CSR build behind both constructors; empties ``edges``.
+
+        Edges are ordered by ``(src, dst)`` as one packed ``int64`` key
+        ``src * num_vertices + dst``.  Without weights, equal keys are
+        equal edges, so the key itself is sorted in place and both CSR
+        arrays are read off it.  With weights, a stable
+        :func:`~repro.utils.sorting.pair_order` keeps parallel edges in
+        input order, so ``dedupe`` keeps each one's first weight.  Beyond
+        the packed-key guard both take ``np.lexsort``.
+        """
+        src, dst = (np.asarray(ids, dtype=np.int64) for ids in edges)
         edges.clear()
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise ValueError("src and dst must have the same shape")
         if src.size and (src.min() < 0 or src.max() >= num_vertices):
             raise ValueError("edge source out of range")
         if dst.size and (dst.min() < 0 or dst.max() >= num_vertices):
             raise ValueError("edge destination out of range")
-        order = np.lexsort((dst, src))
-        src = src[order]  # sequential rebinds: originals free one by one
-        dst = dst[order]
-        del order
-        if src.size:
-            keep = np.ones(src.size, dtype=bool)
-            keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            src = src[keep]
-            dst = dst[keep]
-            del keep
-        counts = np.bincount(src, minlength=num_vertices)
+        if weights is None and packed_key_fits(num_vertices, num_vertices):
+            key = src * num_vertices
+            key += dst
+            del src, dst  # a consumed build's inputs free here
+            key.sort()
+            if dedupe:
+                key = key[_first_of_runs(key)]
+            sources = key // num_vertices
+            indices = np.remainder(key, num_vertices, out=key)
+            # untouched zeros stay unmapped; generators overwrite them anyway
+            weights = np.zeros(indices.size, dtype=np.int64)
+        else:
+            if weights is None:
+                weights = np.zeros(src.size, dtype=np.int64)
+            weights = np.asarray(weights, dtype=np.int64)
+            if weights.shape != src.shape:
+                raise ValueError("weights must have one entry per edge")
+            order = pair_order(src, dst, num_vertices)
+            sources = src[order]
+            indices = dst[order]
+            del src, dst
+            if dedupe:
+                keep = _first_of_runs(sources, indices)
+                # sequential rebinds: one edge-sized copy alive at a time
+                sources = sources[keep]
+                indices = indices[keep]
+                order = order[keep]
+                del keep
+            weights = weights[order]
+            del order
+        counts = np.bincount(sources, minlength=num_vertices)
+        del sources
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        # untouched zeros stay unmapped; generators overwrite them anyway
-        weights = np.zeros(src.size, dtype=np.int64)
-        return cls(indptr=indptr, indices=dst, weights=weights, name=name)
+        return cls(indptr=indptr, indices=indices, weights=weights, name=name)
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (src, dst, weight) parallel arrays in CSR order."""
@@ -201,11 +230,20 @@ class CSRGraph:
         ``permutation[v]`` is the new id of old vertex ``v``.  Used to
         destroy (shuffle) or impose (sort-by-community) vertex-id locality.
         """
+        n = self.num_vertices
         permutation = np.asarray(permutation, dtype=np.int64)
-        if permutation.shape != (self.num_vertices,):
+        if permutation.shape != (n,):
             raise ValueError("permutation must have one entry per vertex")
-        if np.unique(permutation).size != self.num_vertices:
-            raise ValueError("permutation must be a bijection")
+        # n ids in [0, n) that mark every id are a bijection
+        bijective = not n or (permutation.min() >= 0 and permutation.max() < n)
+        if bijective:
+            seen = np.zeros(n, dtype=bool)
+            seen[permutation] = True
+            bijective = bool(seen.all())
+        if not bijective:
+            raise ValueError(
+                f"permutation is not a bijection of the vertex ids [0, {n})"
+            )
         src, dst, weights = self.edge_array()
         return CSRGraph.from_edges(
             self.num_vertices,

@@ -107,8 +107,10 @@ def rmat(
                 0, num_vertices, size=count, dtype=np.int64
             )
         del over
-    graph = CSRGraph.from_edges_consuming(num_vertices, [src, dst], name=name)
-    del src, dst
+    # the list holds the only references, so the build frees each array
+    edges = [src, dst]
+    del src, dst, endpoint
+    graph = CSRGraph.from_edges_consuming(num_vertices, edges, name=name)
     return assign_random_weights(graph, seed=seed + 1)
 
 
@@ -174,14 +176,15 @@ def community_graph(
     rng = _rng(seed)
     base = rmat(num_vertices, avg_degree, seed=seed, name=name)
     src, dst, weights = base.edge_array()
+    del base
     community_size = max(1, num_vertices // num_communities)
     internal = rng.random(src.size) < p_internal
     # Redirect internal edges to a destination inside the source's community.
     comm_start = (src // community_size) * community_size
     local = rng.integers(0, community_size, size=src.size, dtype=np.int64)
     dst = np.where(internal, np.minimum(comm_start + local, num_vertices - 1), dst)
-    graph = CSRGraph.from_edges(num_vertices, src, dst, weights, name=name)
-    return graph
+    del internal, comm_start, local
+    return CSRGraph.from_edges(num_vertices, src, dst, weights, name=name)
 
 
 def shuffle_vertex_ids(graph: CSRGraph, seed: int = 1) -> CSRGraph:

@@ -1,9 +1,17 @@
 """Unit tests for the CSR graph structure."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_csr import reference_csr_arrays
+from repro.graph import csr
 from repro.graph.csr import CSRGraph
+from repro.utils import sorting
 
 
 class TestConstruction:
@@ -100,7 +108,101 @@ class TestTransforms:
         with pytest.raises(ValueError):
             tiny_graph.relabel(np.zeros(6, dtype=np.int64))
 
+    @pytest.mark.parametrize("permutation", [[0, 1, 2, 9], [0, 1, 2, -1]])
+    def test_relabel_rejects_ids_out_of_range(self, permutation):
+        # the edges avoid vertex 3, so no edge endpoint is ever mapped out
+        g = CSRGraph.from_edges(4, np.array([0, 1]), np.array([1, 2]))
+        with pytest.raises(ValueError, match="permutation"):
+            g.relabel(np.array(permutation))
+
+    def test_relabel_of_an_edgeless_graph_checks_the_permutation(self):
+        g = CSRGraph.from_edges(3, np.array([]), np.array([]))
+        with pytest.raises(ValueError, match="permutation"):
+            g.relabel(np.array([5, 6, 7]))
+        assert g.relabel(np.array([2, 0, 1])).num_vertices == 3
+
     def test_with_weights(self, tiny_graph):
         w = np.full(7, 9)
         g = tiny_graph.with_weights(w)
         assert g.edge_weights(0).tolist() == [9, 9]
+
+
+@st.composite
+def edge_lists(draw):
+    """(num_vertices, src, dst, weights) with parallel edges and self-loops.
+
+    Vertex counts are small, so self-loops and repeated pairs are common;
+    a few drawn pairs are repeated on top, and every edge gets a distinct
+    weight, so a build that kept the wrong duplicate's weight shows.
+    """
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        pairs = []
+    else:
+        ids = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+        pairs = draw(st.permutations(pairs))
+    weights = draw(st.permutations(range(len(pairs))))
+    src = np.array([s for s, _ in pairs], dtype=np.int64)
+    dst = np.array([d for _, d in pairs], dtype=np.int64)
+    return n, src, dst, np.array(weights, dtype=np.int64)
+
+
+@contextlib.contextmanager
+def csr_build(packed):
+    """Run a CSR build with the packed-key guard as is (``packed``) or
+    forced off, and check that only the fallback calls ``np.lexsort``."""
+    with contextlib.ExitStack() as stack:
+        if not packed:
+            for module in (csr, sorting):
+                stack.enter_context(mock.patch.object(
+                    module, "packed_key_fits", lambda *radices: False
+                ))
+        lexsort = stack.enter_context(
+            mock.patch.object(np, "lexsort", wraps=np.lexsort)
+        )
+        yield
+    assert lexsort.called != packed
+
+
+def assert_matches(graph, expected):
+    indptr, indices, weights = expected
+    for got, want in zip(
+        (graph.indptr, graph.indices, graph.weights), (indptr, indices, weights)
+    ):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "lexsort"])
+class TestBuildMatchesReference:
+    """Both constructors against the two-key lexsort build, array for
+    array, on the packed-key path and on its lexsort fallback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(edges=edge_lists(), dedupe=st.booleans(), weighted=st.booleans())
+    def test_from_edges(self, packed, edges, dedupe, weighted):
+        n, src, dst, weights = edges
+        weights = weights if weighted else None
+        inputs = [a.copy() for a in (src, dst)]
+        expected = reference_csr_arrays(n, src, dst, weights, dedupe=dedupe)
+        with csr_build(packed):
+            graph = CSRGraph.from_edges(n, src, dst, weights, dedupe=dedupe)
+        assert_matches(graph, expected)
+        assert graph.num_vertices == n
+        # the caller's arrays are left as they were
+        assert np.array_equal(src, inputs[0])
+        assert np.array_equal(dst, inputs[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(edges=edge_lists())
+    def test_from_edges_consuming(self, packed, edges):
+        n, src, dst, _ = edges
+        expected = reference_csr_arrays(n, src, dst)
+        owned = [src.copy(), dst.copy()]
+        with csr_build(packed):
+            graph = CSRGraph.from_edges_consuming(n, owned)
+        assert owned == []
+        assert_matches(graph, expected)

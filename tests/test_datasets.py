@@ -1,5 +1,8 @@
 """Tests for the scaled dataset registry."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.graph import datasets
@@ -25,6 +28,44 @@ class TestRegistry:
     def test_negative_shift_raises(self):
         with pytest.raises(ValueError):
             load_dataset("UU", scale_shift=-1)
+
+
+#: blake2b-128 of (num_vertices, indptr, indices, weights) of every
+#: registry graph at its default shift.  A change to a generator or to
+#: the CSR build that moves any graph moves every figure built on it.
+REGISTRY_DIGESTS = {
+    "UU": "214dda788c7664291ac2cbaf149c7dd8",  # |V| 14160, |E| 22655
+    "SW": "d90975df3f01e05f360ca274da165e84",  # |V| 5126, |E| 56978
+    "TW": "6cfece25e508944e494567aec64aed27",  # |V| 10009, |E| 248782
+    "FS": "0a08665e564cb25d36ea26b9b29b9c77",  # |V| 15869, |E| 365610
+    "PP": "aeb24854623cf8fca69b260bc0fd3421",  # |V| 27099, |E| 390634
+    "WS26": "6d47954d91f371ecd2b544cc737a0da3",  # |V| 16384, |E| 81920
+    "WS27": "b1515f02a348f3ac7357249427e8e64f",  # |V| 32768, |E| 163840
+    "KN25": "b7e29abd04b630743a769dc5d144350a",  # |V| 8192, |E| 72373
+    "KN26": "657f9a308921c90821e97519ff859b00",  # |V| 16384, |E| 147974
+    "KN27": "3165c97317db52e8596260321c48470b",  # |V| 32768, |E| 301500
+    "KN28": "a28b72f024d8361bc9148e7bbc2d4854",  # |V| 65536, |E| 612244
+}
+
+
+def graph_digest(graph):
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(np.int64(graph.num_vertices).tobytes())
+    for array in (graph.indptr, graph.indices, graph.weights):
+        digest.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+class TestRegistryPins:
+    def test_every_dataset_is_pinned(self):
+        assert set(REGISTRY_DIGESTS) == set(DATASETS)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY_DIGESTS))
+    def test_graph_is_bit_identical(self, name):
+        spec = DATASETS[name]
+        assert graph_digest(spec.build(spec.scale_shift)) == (
+            REGISTRY_DIGESTS[name]
+        )
 
 
 class TestScaledCharacteristics:

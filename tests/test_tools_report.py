@@ -4,6 +4,7 @@ import json
 import pathlib
 import shlex
 import sys
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from perf_report import (  # noqa: E402
     main as perf_report_main,
     parse_args,
     reference_times,
+    speed_scaled,
 )
 
 SAMPLE = """\
@@ -164,6 +166,78 @@ class TestPerfRegressionGate:
         assert refs == {}
 
 
+class TestHostNormalisedGate:
+    """``--check`` gates on reference seconds (host seconds scaled by the
+    host-speed probe) where the reference point recorded them."""
+
+    TRAJECTORY = {
+        "workloads": {},
+        "trajectory": [
+            {"label": "other-host", "mode": "batched",
+             "times": {"a": 1.0, "b": 1.0, "c": 1.0},
+             "normalised_times": {"a": 2.0, "b": 2.0, "c": 2.0}},
+            # a later point without reference seconds supersedes "c"'s
+            {"label": "host-only", "mode": "batched", "times": {"c": 1.0}},
+        ],
+    }
+
+    def test_reference_seconds_come_from_the_latest_point(self):
+        refs, labels = reference_times(self.TRAJECTORY, "normalised_times")
+        assert refs == {"a": 2.0, "b": 2.0}
+        assert labels["c"] == "host-only"
+
+    def test_a_slower_host_passes_on_reference_seconds(self):
+        # 1.6x the host seconds, but the probe ran 1.45x slower too
+        cells, ok = check_regressions(
+            self.TRAJECTORY, {"a": 1.6}, ratio=1.3, normalised={"a": 2.2}
+        )
+        assert ok
+        (cell,) = cells
+        assert cell["slowdown"] == pytest.approx(1.6)
+        assert cell["normalised_slowdown"] == pytest.approx(1.1)
+        assert cell["measured_normalised_s"] == 2.2
+        assert cell["reference_normalised_s"] == 2.0
+        assert (cell["gated_on"], cell["status"]) == ("normalised", "ok")
+
+    def test_a_regression_fails_in_reference_seconds(self):
+        cells, ok = check_regressions(
+            self.TRAJECTORY, {"a": 1.0}, ratio=1.3, normalised={"a": 2.8}
+        )
+        assert not ok
+        assert (cells[0]["gated_on"], cells[0]["status"]) == (
+            "normalised", "fail"
+        )
+
+    def test_host_seconds_gate_without_reference_seconds(self):
+        # "b" was measured without a probe, "c"'s point has no reference
+        cells, ok = check_regressions(
+            self.TRAJECTORY, {"b": 1.4, "c": 1.2}, ratio=1.3,
+            normalised={"c": 9.9},
+        )
+        assert not ok
+        by_cell = {c["cell"]: c for c in cells}
+        assert (by_cell["b"]["gated_on"], by_cell["b"]["status"]) == (
+            "host", "fail"
+        )
+        assert (by_cell["c"]["gated_on"], by_cell["c"]["status"]) == (
+            "host", "ok"
+        )
+        assert "normalised_slowdown" not in by_cell["c"]
+
+    def test_speed_scaled_converts_host_to_reference_seconds(self):
+        class ThreeTimesSlower:
+            """A host-speed stand-in reporting 3 reference s per host s."""
+
+            def run(self, fn, *args):
+                start = time.perf_counter()
+                result = fn(*args)
+                return 3 * (time.perf_counter() - start), result
+
+        result, scale = speed_scaled(ThreeTimesSlower(), time.sleep, 0.05)
+        assert result is None
+        assert scale == pytest.approx(3, rel=0.2)
+
+
 def _ci_harness_invocations():
     """Every ``tools/perf_report.py`` argument list in the CI workflow,
     with folded (``run: >``) scalars joined into one line."""
@@ -263,6 +337,8 @@ class TestFamilies:
         assert sorted(point["times"]) == sorted(cells)
         assert point["peak_rss_mb"] > 0
         assert set(point["details"]) == set(cells)
+        assert sorted(point["normalised_times"]) == sorted(cells)
+        assert all(t > 0 for t in point["normalised_times"].values())
         assert set(report["workloads"]) == set(cells)
 
         rc = perf_report_main(["engine-xval/toy", "--repeats", "1",
@@ -275,5 +351,6 @@ class TestFamilies:
         assert {c["reference_label"] for c in verdict["cells"]} == {
             "engine-xval/toy"
         }
+        assert {c["gated_on"] for c in verdict["cells"]} == {"normalised"}
         # --check records nothing
         assert len(json.loads(trajectory.read_text())["trajectory"]) == 1

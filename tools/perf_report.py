@@ -47,14 +47,21 @@ or worker that ran a cell.  Where the family produces them, points also
 carry ``cell_rss_mb`` (per-cell peak of the process that ran it; peak
 *anonymous* RSS for the ``ooc`` children) and ``details`` (the xval
 ratio, the ooc payload, the service latency spread, worker RSS).
-Speedups are reported against each cell's *earliest* baseline point:
+Families measured in this process (the in-process grids,
+``engine-xval/*`` and ``service``) also record ``normalised_times``:
+each time in *reference seconds*, scaled by simbench's ``HostSpeed``
+interpreter-loop probe (``simbench/harness.py``) to the host that
+simbench reports in, so points recorded on hosts of different speed
+compare.  Speedups are reported against each cell's *earliest* baseline point:
 the pristine seed checkout (``seed``), or a scalar point recorded while
 the seed's per-address loop was still a runtime mode.  That loop now
 lives only in ``tests/reference_paths.py``, so no new baseline can be
 recorded; a cell without one reports no speedup.
 
 ``--check`` runs the family's gate instead of recording: each cell must
-stay within the gate's ratio of its most recent batched point (a cell
+stay within the gate's ratio of its most recent batched point, in
+reference seconds where that point has them and in host seconds
+otherwise; both slowdowns are printed (a cell
 with no recorded point is ``no-baseline`` and does not fail), the summed
 cell times within ``max_seconds`` and ``peak_rss_mb`` within
 ``max_rss_mb``.  A local ``--check`` runs exactly the gate CI runs.
@@ -84,6 +91,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "BENCH_hotpath.json"
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# simbench's host-speed probe, shared rather than copied (its modules
+# import each other by bare name, hence the directory on the path)
+sys.path.append(str(REPO_ROOT / "simbench"))
 
 from repro.cache.variants import FIG11_VARIANTS  # noqa: E402
 from repro.dram.engine.xval import (  # noqa: E402
@@ -98,6 +108,7 @@ from repro.experiments.runner import (  # noqa: E402
     resolve_cell,
 )
 from repro.graph.datasets import load_dataset  # noqa: E402
+from harness import HostSpeed  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -125,6 +136,28 @@ class Measured:
     cell_rss_mb: dict = field(default_factory=dict)
     #: per-cell payload recorded alongside the time
     details: dict = field(default_factory=dict)
+    #: ``times`` in simbench's reference seconds (in-process families)
+    normalised_times: dict = field(default_factory=dict)
+
+    def record(self, name, seconds, scale=None):
+        """Keep the best of ``seconds`` for cell ``name``, and with a
+        host-speed ``scale`` the best of it in reference seconds."""
+        self.times[name] = min(self.times.get(name, math.inf),
+                               round(seconds, 6))
+        if scale is not None:
+            self.normalised_times[name] = min(
+                self.normalised_times.get(name, math.inf),
+                round(seconds * scale, 6),
+            )
+
+    def describe(self, name):
+        """Cell ``name``'s best host (and reference) seconds, for the log."""
+        if name not in self.times:
+            return "(from checkpoint)"
+        text = f"{self.times[name]:8.3f} s"
+        if name in self.normalised_times:
+            text += f" ({self.normalised_times[name]:.3f} reference s)"
+        return text
 
 
 @dataclass(frozen=True)
@@ -144,18 +177,29 @@ class Family:
 # ---------------------------------------------------------------------------
 # Measure functions
 # ---------------------------------------------------------------------------
+def speed_scaled(speed, fn, *args):
+    """``(fn(*args), scale)``: ``scale`` converts host seconds of the call
+    to reference seconds, from the speed probes ``speed`` (simbench's
+    :class:`HostSpeed`) took while it ran.  The call's own wall-clock
+    includes the probes, so the scale is a few percent low, alike for
+    every point that records it."""
+    start = time.perf_counter()
+    reference_s, result = speed.run(fn, *args)
+    elapsed = time.perf_counter() - start
+    return result, (reference_s / elapsed if elapsed > 0 else 1.0)
+
+
 def measure_grid(cells, args) -> Measured:
     """Grid cells through ``parallel.run_cells``: in process best of
-    ``--repeats``, or one sharded pass (``--workers``/``--resume-from``)
-    timed by the workers."""
+    ``--repeats`` (host and reference seconds), or one sharded pass
+    (``--workers``/``--resume-from``) timed by the workers."""
     specs = [cell.run for cell in cells]
     # graph generation is the dataset's cost, not the cell's
     for spec in specs:
         resolved = resolve_cell(spec)
         load_dataset(resolved.dataset, resolved.shift)
-    sharded = args.workers is not None or args.resume_from is not None
     measured = Measured()
-    for _ in range(1 if sharded else args.repeats):
+    if args.workers is not None or args.resume_from is not None:
         clear_result_cache()
         outcomes = parallel.run_cells(
             specs,
@@ -164,18 +208,22 @@ def measure_grid(cells, args) -> Measured:
             checkpoint_dir=args.resume_from,
         )
         for cell, outcome in zip(cells, outcomes):
-            if outcome.source == "checkpoint":
-                continue
-            measured.times[cell.name] = min(
-                measured.times.get(cell.name, math.inf),
-                round(outcome.seconds, 4),
-            )
-            measured.cell_rss_mb[cell.name] = round(outcome.rss_mb, 1)
+            if outcome.source != "checkpoint":
+                measured.record(cell.name, outcome.seconds)
+                measured.cell_rss_mb[cell.name] = round(outcome.rss_mb, 1)
+    else:
+        speed = HostSpeed()
+        for _ in range(args.repeats):
+            clear_result_cache()
+            # one cell per call, so host speed is sampled per cell
+            for cell, spec in zip(cells, specs):
+                (outcome,), scale = speed_scaled(
+                    speed, parallel.run_cells, [spec]
+                )
+                measured.record(cell.name, outcome.seconds, scale)
+                measured.cell_rss_mb[cell.name] = round(outcome.rss_mb, 1)
     for cell in cells:
-        seconds = measured.times.get(cell.name)
-        print(f"  {cell.name:38s} "
-              + ("(from checkpoint)" if seconds is None
-                 else f"{seconds:8.3f} s"), flush=True)
+        print(f"  {cell.name:38s} {measured.describe(cell.name)}", flush=True)
     return measured
 
 
@@ -183,12 +231,14 @@ def measure_engine_xval(cells, args) -> Measured:
     """Best-of-``--repeats`` engine wall seconds per workload, plus the
     engine/analytic duration ratio (the cross-validation payload)."""
     measured = Measured()
+    speed = HostSpeed()
     for cell in cells:
-        runs = [run_engine_xval_cell(*cell.run) for _ in range(args.repeats)]
-        measured.times[cell.name] = round(min(r["seconds"] for r in runs), 4)
-        ratio = round(runs[-1]["ratio"], 4)
+        for _ in range(args.repeats):
+            run, scale = speed_scaled(speed, run_engine_xval_cell, *cell.run)
+            measured.record(cell.name, run["seconds"], scale)
+        ratio = round(run["ratio"], 4)
         measured.details[cell.name] = {"xval_ratio": ratio}
-        print(f"  {cell.name:38s} {measured.times[cell.name]:8.3f} s  "
+        print(f"  {cell.name:38s} {measured.describe(cell.name)}  "
               f"(xval ratio {ratio:.3f})", flush=True)
     return measured
 
@@ -254,16 +304,21 @@ def measure_service(cells, args) -> Measured:
                 state = json.loads(conn.getresponse().read())
             if state["status"] != "done":
                 raise RuntimeError(f"service warm-up run failed: {state}")
-            samples = []
-            for _ in range(args.repeats * SERVICE_REQUESTS_PER_REPEAT):
-                start = time.perf_counter()
-                status, payload = post()
-                elapsed = time.perf_counter() - start
-                if status != 200 or not payload.get("cached"):
-                    raise RuntimeError(
-                        f"expected a cache hit, got {status}: {payload}"
-                    )
-                samples.append(elapsed)
+
+            def hits():
+                samples = []
+                for _ in range(args.repeats * SERVICE_REQUESTS_PER_REPEAT):
+                    start = time.perf_counter()
+                    status, payload = post()
+                    elapsed = time.perf_counter() - start
+                    if status != 200 or not payload.get("cached"):
+                        raise RuntimeError(
+                            f"expected a cache hit, got {status}: {payload}"
+                        )
+                    samples.append(elapsed)
+                return samples
+
+            samples, scale = speed_scaled(HostSpeed(), hits)
             conn.close()
         finally:
             server.shutdown()
@@ -278,11 +333,13 @@ def measure_service(cells, args) -> Measured:
         "miss_run_seconds": state.get("seconds"),
         "config": dict(cell.run),
     }
-    print(f"  {cell.name:38s} {samples[0]:8.6f} s  (median "
+    measured = Measured(details={cell.name: detail})
+    measured.record(cell.name, samples[0], scale)
+    print(f"  {cell.name:38s} {samples[0]:8.6f} s  ("
+          f"{measured.normalised_times[cell.name]:.6f} reference s; median "
           f"{detail['median_s']:.6f} s over {len(samples)} hits; miss ran "
           f"{detail['miss_run_seconds']} s)", flush=True)
-    return Measured(times={cell.name: detail["best_s"]},
-                    details={cell.name: detail})
+    return measured
 
 
 #: the fixed worker-scaling sweep: the mid-profile Fig. 10 PR grid over
@@ -474,28 +531,41 @@ def baseline_times(report):
     return times, labels
 
 
-def reference_times(report):
+def reference_times(report, field="times"):
     """Per-cell regression reference: the *latest* batched-mode point
-    that timed the cell (the trajectory the ``--check`` gate defends)."""
+    that timed the cell (the trajectory the ``--check`` gate defends).
+
+    Returns (that point's ``field`` seconds per cell, its label per
+    cell); a cell whose latest point lacks ``field`` has no seconds.
+    """
     times: dict[str, float] = {}
     labels: dict[str, str] = {}
     for point in report["trajectory"]:
         if point.get("mode") != "batched":
             continue
-        for name, seconds in point["times"].items():
-            times[name] = seconds
+        for name in point["times"]:
             labels[name] = point["label"]
+            seconds = point.get(field, {}).get(name)
+            if seconds is None:
+                times.pop(name, None)
+            else:
+                times[name] = seconds
     return times, labels
 
 
-def check_regressions(report, times, ratio):
+def check_regressions(report, times, ratio, normalised=None):
     """Compare measured ``times`` against the recorded trajectory.
 
-    Returns (cell verdict list, ok).  A cell fails when measured time
-    exceeds ``ratio`` x its reference; cells without a recorded batched
-    reference are 'no-baseline' and do not fail the gate.
+    Returns (cell verdict list, ok).  A cell fails when its slowdown
+    exceeds ``ratio``: the ratio of reference seconds when both the
+    measurement (``normalised``) and the cell's reference point
+    (``normalised_times``) have them, else the ratio of host seconds.
+    Cells without a recorded batched reference are 'no-baseline' and do
+    not fail the gate.
     """
     refs, labels = reference_times(report)
+    refs_normalised, _ = reference_times(report, "normalised_times")
+    normalised = normalised or {}
     cells = []
     ok = True
     for name, measured in sorted(times.items()):
@@ -506,19 +576,26 @@ def check_regressions(report, times, ratio):
             )
             continue
         slowdown = measured / ref
-        status = "ok" if slowdown <= ratio else "fail"
-        if status == "fail":
-            ok = False
-        cells.append(
-            {
-                "cell": name,
-                "measured_s": measured,
-                "reference_s": ref,
-                "reference_label": labels[name],
-                "slowdown": round(slowdown, 3),
-                "status": status,
-            }
-        )
+        cell = {
+            "cell": name,
+            "measured_s": measured,
+            "reference_s": ref,
+            "reference_label": labels[name],
+            "slowdown": round(slowdown, 3),
+            "gated_on": "host",
+        }
+        ref_normalised = refs_normalised.get(name, 0)
+        if name in normalised and ref_normalised > 0:
+            slowdown = normalised[name] / ref_normalised
+            cell.update(
+                measured_normalised_s=normalised[name],
+                reference_normalised_s=ref_normalised,
+                normalised_slowdown=round(slowdown, 3),
+                gated_on="normalised",
+            )
+        cell["status"] = "ok" if slowdown <= ratio else "fail"
+        ok = ok and cell["status"] == "ok"
+        cells.append(cell)
     return cells, ok
 
 
@@ -538,23 +615,29 @@ def run_gate(name, family, report, point, report_out) -> int:
     }
     if family.ratio is not None:
         cells, cells_ok = check_regressions(
-            report, point["times"], family.ratio
+            report, point["times"], family.ratio,
+            point.get("normalised_times"),
         )
         verdict["cells"] = cells
         if not cells_ok:
             verdict["ok"] = False
             verdict["failures"].append("cell-regression")
-        print(f"\nperf-regression gate (<= {family.ratio}x per cell):")
+        print(f"\nperf-regression gate (<= {family.ratio}x per cell; "
+              "host / normalised slowdown):")
         for cell in cells:
             slow = cell.get("slowdown")
+            if slow is None:
+                print(f"  {cell['cell']:38s} {cell['measured_s']:8.3f} s  "
+                      "[no-baseline]")
+                continue
+            normalised = cell.get("normalised_slowdown")
             print(
                 f"  {cell['cell']:38s} {cell['measured_s']:8.3f} s  "
-                + (
-                    f"{slow:5.2f}x vs {cell['reference_label']:24s} "
-                    f"[{cell['status']}]"
-                    if slow is not None
-                    else "[no-baseline]"
-                )
+                f"{slow:5.2f}x / "
+                + (f"{normalised:5.2f}x" if normalised is not None
+                   else "  -   ")
+                + f" vs {cell['reference_label']:24s} "
+                f"[{cell['status']} on {cell['gated_on']}]"
             )
     if family.max_seconds is not None and total > family.max_seconds:
         verdict["ok"] = False
@@ -666,6 +749,8 @@ def main(argv=None) -> int:
         point["cell_rss_mb"] = measured.cell_rss_mb
     if measured.details:
         point["details"] = measured.details
+    if measured.normalised_times:
+        point["normalised_times"] = measured.normalised_times
     print(f"peak RSS: {peak_rss_mb} MB")
 
     report = load_trajectory(args.json)

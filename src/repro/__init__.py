@@ -11,18 +11,19 @@ Processing with Fine-Grained In-Memory Scatter-Gather* (Shin et al., HPCA
 - ``repro.dram`` -- the fast row-episode phase model with
   DDR4/LPDDR4/GDDR5/HBM device specs, plus ``repro.dram.engine``, a
   cycle-accurate command-level engine (full JEDEC constraint set,
-  refresh, FR-FCFS, FIM virtual-row sequencing) with independent trace
-  checkers and cross-validation against the phase model.
-- ``repro.core`` -- the paper's contribution: Piccolo-FIM (in-DRAM random
-  scatter-gather), the virtual-row DDR4 command translation, Piccolo-cache
-  and the collection-extended MSHR.
+  refresh, FR-FCFS, FIM virtual-row sequencing) with an independent trace
+  checker and cross-validation against the phase model.
+- ``repro.core`` -- the paper's contribution: Piccolo-FIM (a functional
+  in-DRAM random scatter-gather bank), Piccolo-cache and the
+  collection-extended MSHR.
 - ``repro.cache`` -- comparison cache designs (conventional, sectored,
   8B-line, amoeba, scrabble, graphfire).
 - ``repro.accel`` -- end-to-end accelerator systems: Graphicionado,
   GraphDyns (SPM/Cache), NMP, PIM and Piccolo.
 - ``repro.energy`` -- CACTI-like SRAM, DRAM energy, and area models.
 - ``repro.olap`` -- the in-memory database workload of Fig. 19b.
-- ``repro.validate`` -- DDR4 protocol checker and the Fig. 9 microbenchmark.
+- ``repro.validate`` -- FIM validation on engine traces and the Fig. 9
+  microbenchmark.
 - ``repro.experiments`` -- named configurations and figure runners.
 """
 

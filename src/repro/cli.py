@@ -23,8 +23,9 @@ Commands:
     Run the Fig. 9 strided microbenchmark on the analytic model or the
     command-level engine.
 ``validate``
-    Replay the Sec. VI virtual-row command sequences through both
-    protocol checkers (the FPGA-emulation substitute).
+    Check the command-level engine's Sec. VI virtual-row traces with its
+    trace checker and replay them through the functional FIM bank
+    (the FPGA-emulation substitute).
 ``datasets``
     Print the scaled dataset registry (Table II stand-ins).
 ``serve [--host H] [--port P] [--store DIR] [--jobs N]``

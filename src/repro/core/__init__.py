@@ -8,9 +8,7 @@
   Piccolo-FIM scatter/gather operations.
 - :mod:`repro.core.fim` -- a *functional* DRAM device with the offset/data
   buffers and internal controller of Sec. IV (Fig. 4), moving real bytes
-  (used by the protocol validator).
-- :mod:`repro.core.fim_commands` -- the virtual-row translation of Sec. VI
-  (Fig. 8) expressing FIM operations with standard DDR4 commands.
+  (driven by the engine's Sec. VI traces in ``repro validate``).
 - :mod:`repro.core.memory_path` -- cache + MSHR + DRAM integration used by
   the Piccolo accelerator system.
 """
@@ -18,7 +16,6 @@
 from repro.core.piccolo_cache import PiccoloCache
 from repro.core.collection_mshr import CollectionExtendedMSHR
 from repro.core.fim import FimBank, FimChip
-from repro.core.fim_commands import VirtualRowMap, gather_sequence, scatter_sequence
 from repro.core.memory_path import FineGrainedMemoryPath, ConventionalMemoryPath
 
 __all__ = [
@@ -26,9 +23,6 @@ __all__ = [
     "CollectionExtendedMSHR",
     "FimBank",
     "FimChip",
-    "VirtualRowMap",
-    "gather_sequence",
-    "scatter_sequence",
     "FineGrainedMemoryPath",
     "ConventionalMemoryPath",
 ]

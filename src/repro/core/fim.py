@@ -3,9 +3,10 @@
 Unlike the timing model in :mod:`repro.dram`, this module moves *real
 bytes*: each bank owns a data-cell array, a sense-amplifier row buffer,
 and the three Piccolo additions -- an offset buffer, a data buffer and a
-tiny internal controller.  The protocol validator (the FPGA-emulation
-substitute, :mod:`repro.validate.protocol`) drives this device with
-standard DDR4 command sequences and checks bit-exact results.
+tiny internal controller.  ``repro validate`` (the FPGA-emulation
+substitute, :mod:`repro.validate.end_to_end`) drives a bank with the
+command-level engine's Sec. VI traces of standard DDR4 commands and
+checks bit-exact results.
 
 The device is deliberately small and explicit: the paper's internal
 controller is 126 transistors, and the Python mirror is a handful of
@@ -123,8 +124,9 @@ class FimBank:
 class FimChip:
     """A Piccolo-FIM DRAM chip: an array of :class:`FimBank`.
 
-    Convenience composite used by tests and the protocol validator; the
-    timing model never instantiates it (addresses-only).
+    Convenience composite for tests, whose whole-operation helpers skip
+    the command sequence; the timing model never instantiates it
+    (addresses-only).
     """
 
     def __init__(self, spec: DeviceSpec, rows: int = 64) -> None:

@@ -84,6 +84,8 @@ from typing import Any
 import numpy as np
 
 from repro.dram.engine.commands import (
+    DATA_BUFFER_COLUMN,
+    OFFSET_BUFFER_COLUMN,
     Command,
     CommandType,
     EngineStats,
@@ -618,20 +620,21 @@ class BatchedChannelController:
             steps.append(_FimStep(CommandType.ACT, virtual=False))
         for _ in range(self.fim_offset_bursts):
             steps.append(_FimStep(CommandType.WR, virtual=True, bursts=1,
-                                  column=0))
+                                  column=OFFSET_BUFFER_COLUMN))
         if scatter:
             for _ in range(self.fim_data_bursts):
                 steps.append(_FimStep(CommandType.WR, virtual=True,
-                                      bursts=1, column=8))
+                                      bursts=1, column=DATA_BUFFER_COLUMN))
         steps.append(_FimStep(CommandType.PRE, virtual=True))
         steps.append(_FimStep(CommandType.ACT, virtual=True))
         if scatter:
             steps.append(_FimStep(CommandType.WR, virtual=True, bursts=1,
-                                  column=0, window_bound=True))
+                                  column=OFFSET_BUFFER_COLUMN,
+                                  window_bound=True))
         else:
             for _ in range(self.fim_data_bursts):
                 steps.append(_FimStep(CommandType.RD, virtual=True,
-                                      bursts=1, column=8,
+                                      bursts=1, column=DATA_BUFFER_COLUMN,
                                       window_bound=True))
         self._step_templates[key] = steps
         return steps

@@ -1,9 +1,10 @@
-"""Extended command-trace checker for the command-level engine.
+"""Command-trace checker for the command-level engine.
 
-:mod:`repro.validate.protocol` checks the per-bank core constraints
-(tRCD/tRP/tRAS/tCCD/tWR) on short hand-built sequences.  This module
-re-checks *entire engine traces* and adds the cross-bank and cross-rank
-rules a real DDR4 bus must obey:
+Checks *entire engine traces*, the Sec. VI virtual-row sequences of
+FIM requests included, against the per-bank core constraints (tRCD,
+tRP, tRAS, tWR after the write data lands, and column commands only to
+the open row) and the cross-bank and cross-rank rules a real DDR4 bus
+must obey:
 
 - tRRD_S / tRRD_L between ACTs of one rank (bank-group aware),
 - tFAW: at most four ACTs per rank in any tFAW window,
@@ -148,8 +149,12 @@ class TraceChecker:
                    bank: _BankCheck, group: int) -> None:
         t = self.timing
         is_read = cmd.kind is CommandType.RD
-        if bank.open_row is None and not cmd.virtual:
-            self._fail(cmd, "column command with no open row")
+        if not cmd.virtual:
+            if bank.open_row is None:
+                self._fail(cmd, "column command with no open row")
+            if cmd.row is not None and cmd.row != bank.open_row:
+                self._fail(cmd, f"row {cmd.row} is not the open row "
+                                f"{bank.open_row}")
         if cmd.cycle < bank.last_act + t.tRCD:
             self._fail(cmd, "tRCD violated")
         if cmd.cycle < rank.last_col_all + t.tCCD_S:

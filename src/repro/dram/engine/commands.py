@@ -19,6 +19,12 @@ import enum
 from dataclasses import dataclass, field
 
 
+#: column regions of the virtual rows (Fig. 8a): column commands to
+#: the virtual rows address the offset buffer or the data buffer
+OFFSET_BUFFER_COLUMN = 0
+DATA_BUFFER_COLUMN = 8
+
+
 class CommandType(enum.Enum):
     """One slot on the DDR command bus."""
 

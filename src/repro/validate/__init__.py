@@ -1,20 +1,18 @@
-"""Validation: DDR4 protocol checking and the Fig. 9 microbenchmark.
+"""Validation: FIM on the engine's own command traces, and Fig. 9.
 
 The paper validates Piccolo-FIM's DDR4 compatibility on an FPGA platform
 (ALVEO U280 with a DDR4 memory controller, Sec. VII-B).  Offline, the
-equivalent evidence is produced by :class:`DDR4ProtocolChecker`: replay
-the virtual-row command sequences of Sec. VI against the functional FIM
-device, asserting that (a) only standard commands appear, (b) every JEDEC
-timing constraint holds, (c) the internal scatter/gather fits inside the
-tWR + tRP + tRCD window, and (d) the returned data is bit-exact.
+equivalent evidence comes from the command-level engine
+(:mod:`repro.validate.end_to_end`): its Sec. VI virtual-row traces must
+(a) hold only standard commands, (b) pass every JEDEC rule of
+:class:`~repro.dram.engine.checker.TraceChecker`, (c) leave the
+internal scatter/gather its ``offset_count x tCCD_L`` window, and (d)
+move data bit-exactly through the functional FIM bank.
 """
 
-from repro.validate.protocol import DDR4ProtocolChecker, ProtocolViolation
 from repro.validate.microbench import strided_microbenchmark, MicrobenchResult
 
 __all__ = [
-    "DDR4ProtocolChecker",
-    "ProtocolViolation",
     "strided_microbenchmark",
     "MicrobenchResult",
 ]

@@ -1,35 +1,105 @@
-"""One-call FIM validation: commands legal, data bit-exact.
+"""One-call FIM validation on the engine's own Sec. VI traces.
 
-Deterministic distillation of the randomized end-to-end suite (see
-``tests/test_fim_end_to_end.py``) for the CLI's ``validate`` command:
-seeds a functional bank, runs a fixed programme of gathers and
-scatters through the Sec. VI virtual-row command sequences, checks
-every command against the DDR4 protocol checker, and verifies the
-moved data against a shadow array.
+The paper shows on an FPGA that Piccolo-FIM needs only standard DDR4
+commands under JEDEC timing (Sec. VI, VII-B).  Offline, a gather and
+scatter programme goes to one bank of the command-level engine; its
+trace must pass :class:`~repro.dram.engine.checker.TraceChecker`, and
+:func:`replay_fim_trace` must move the same data through the functional
+:class:`~repro.core.fim.FimBank` as a plain shadow array does.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
+
 import numpy as np
 
-from repro.core.fim import FimBank
-from repro.core.fim_commands import (
-    DDRCommand,
-    VirtualRowController,
-    VirtualRowMap,
-    gather_sequence,
-    scatter_sequence,
+from repro.core.fim import FimBank, FimCommandError
+from repro.dram.engine import (
+    CommandType,
+    DRAMEngine,
+    EngineResult,
+    Request,
+    RequestType,
+    check_engine_result,
 )
-from repro.dram.spec import DEVICES, DeviceSpec
-from repro.validate.protocol import DDR4ProtocolChecker
+from repro.dram.engine.commands import DATA_BUFFER_COLUMN, OFFSET_BUFFER_COLUMN
+from repro.dram.spec import DEVICES, DeviceSpec, DRAMConfig
 
 _ROWS = 4
+
+
+def replay_fim_trace(
+    bank: FimBank, result: EngineResult,
+    values: Mapping[int, Sequence[int]],
+) -> dict[int, list[int]]:
+    """Drive ``bank`` with the one-bank FIM trace of ``result``.
+
+    Physical ACT/PRE open and close rows; physical RD/WR and REF carry
+    no FIM data and are skipped.  The chip no-ops virtual PRE/ACT, so
+    the target row stays open.  Virtual WRs before the virtual ACT load
+    the offset buffer (with the request's offsets) or the data buffer
+    (with ``values[req_id]``).  Each column command after it -- the
+    gather's RDs or the scatter's dummy WR -- runs the in-bank
+    operation, unless it issues less than ``offset_count x tCCD_L``
+    after the last buffer write's data lands.  Returns each gather's
+    words by request id.
+
+    Raises:
+        FimCommandError: an execution window is too short, a virtual
+            column is unmapped, or the bank rejects a command.
+    """
+    requests = {request.req_id: request for request in result.requests}
+    gathered: dict[int, list[int]] = {}
+    current, ready, swapped = None, 0, False
+    for cmd in result.traces[0]:
+        if not cmd.virtual:
+            if cmd.kind is CommandType.ACT:
+                bank.activate(cmd.row)
+            elif cmd.kind is CommandType.PRE:
+                bank.precharge()
+            continue
+        if cmd.req_id != current:
+            current, ready, swapped = cmd.req_id, 0, False
+        if cmd.kind is CommandType.PRE:
+            continue
+        if cmd.kind is CommandType.ACT:
+            swapped = True
+            continue
+        # The trace records the offset-buffer column 0 as no column.
+        column = OFFSET_BUFFER_COLUMN if cmd.column is None else cmd.column
+        if column not in (OFFSET_BUFFER_COLUMN, DATA_BUFFER_COLUMN):
+            raise FimCommandError(f"unmapped virtual column {column}")
+        request = requests[cmd.req_id]
+        if not swapped:
+            if column == OFFSET_BUFFER_COLUMN:
+                bank.write_offset_buffer(list(request.offsets))
+            else:
+                bank.write_data_buffer(list(values[cmd.req_id]))
+            ready = max(ready, cmd.data_end)
+            continue
+        needed = bank.offset_count * result.timing.tCCD_L
+        if cmd.cycle - ready < needed:
+            raise FimCommandError(
+                f"window too short: {cmd.cycle - ready} < {needed} clocks"
+            )
+        if request.kind is RequestType.SCATTER:
+            bank.scatter_execute()
+        else:
+            bank.gather_execute()
+            gathered[cmd.req_id] = bank.read_data_buffer()
+    return gathered
 
 
 def validate_fim_data_path(
     spec: DeviceSpec | None = None, seed: int = 2025
 ) -> bool:
-    """Run the fixed validation programme; True when everything holds."""
+    """Run the fixed validation programme; True when the data holds.
+
+    Raises:
+        EngineProtocolViolation: the engine trace breaks a DDR rule.
+        FimCommandError: the trace does not drive the chip correctly.
+    """
     spec = spec if spec is not None else DEVICES["DDR4_2400_x16"]
     rng = np.random.default_rng(seed)
     bank = FimBank(spec, rows=_ROWS)
@@ -39,56 +109,30 @@ def validate_fim_data_path(
         )
     shadow = bank.cells.copy()
 
-    vmap = VirtualRowMap(physical_rows=_ROWS)
-    controller = VirtualRowController(bank, vmap)
-    checker = DDR4ProtocolChecker(spec, strict_ras=False)
-
-    programme = []
+    requests: list[Request] = []
+    values: dict[int, list[int]] = {}
+    items = spec.fim_items_per_op
     for row in range(_ROWS):
-        offsets = sorted(
-            int(o) for o in rng.choice(spec.row_words, size=8, replace=False)
-        )
-        values = [int(v) for v in rng.integers(0, 1 << 62, size=8)]
-        programme.append(("gather", row, offsets, values))
-        programme.append(("scatter", row, offsets, values))
-        programme.append(("gather", row, offsets, values))
+        offsets = tuple(sorted(int(o) for o in rng.choice(
+            spec.row_words, size=items, replace=False)))
+        for kind in (RequestType.GATHER, RequestType.SCATTER,
+                     RequestType.GATHER):
+            requests.append(Request(kind, rank=0, bank=0, row=row,
+                                    offsets=offsets, req_id=len(requests)))
+        values[requests[-2].req_id] = [
+            int(v) for v in rng.integers(0, 1 << 62, size=items)
+        ]
+    config = DRAMConfig(spec=spec, channels=1, ranks=1)
+    result = DRAMEngine(config, refresh_enabled=True).run(requests)
+    check_engine_result(result)
+    gathered = replay_fim_trace(bank, result, values)
+    bank.precharge()
 
-    t = 0.0
-    open_row = None
-    use_y = True
-    for kind, row, offsets, values in programme:
-        if open_row != row:
-            if open_row is not None:
-                t += max(spec.tRAS, spec.fim_internal_window)
-                controller.handle(DDRCommand(t, "PRE", 0))
-                checker.check(DDRCommand(t, "PRE", 0))
-                t += spec.tRP
-            controller.handle(DDRCommand(t, "ACT", 0, row=row))
-            checker.check(
-                DDRCommand(t, "ACT", 0,
-                           row=vmap.row_y if use_y else vmap.row_z)
-            )
-            t += spec.tRCD
-            open_row = row
-        if kind == "gather":
-            cmds = gather_sequence(spec, vmap, 0, offsets, start_ns=t,
-                                   use_row_y=use_y)
-        else:
-            cmds = scatter_sequence(spec, vmap, 0, offsets, values,
-                                    start_ns=t, use_row_y=use_y)
-        data = None
-        for cmd in cmds:
-            checker.check(cmd)
-            out = controller.handle(cmd)
-            if out is not None:
-                data = out
-        t = cmds[-1].time_ns + spec.tCCD
-        use_y = not use_y
-        if kind == "gather":
-            expected = [int(shadow[row][o]) for o in offsets]
-            if data != expected:
-                return False
-        else:
-            for offset, value in zip(offsets, values):
-                shadow[row][offset] = value
-    return checker.commands_checked > 0
+    # One bank runs its programmes one at a time, in finish order.
+    for request in sorted(requests, key=lambda r: r.finish_cycle):
+        columns = list(request.offsets)
+        if request.kind is RequestType.SCATTER:
+            shadow[request.row, columns] = values[request.req_id]
+        elif gathered[request.req_id] != shadow[request.row, columns].tolist():
+            return False
+    return bool(np.array_equal(bank.cells, shadow))

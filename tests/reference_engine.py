@@ -47,6 +47,8 @@ from repro.dram.engine.batched import (
     _NEVER,
 )
 from repro.dram.engine.commands import (
+    DATA_BUFFER_COLUMN,
+    OFFSET_BUFFER_COLUMN,
     Command,
     CommandType,
     EngineStats,
@@ -489,22 +491,23 @@ class ChannelController:
             steps.append(_FimStep(CommandType.ACT, virtual=False))
         for burst in range(self.fim_offset_bursts):
             steps.append(_FimStep(CommandType.WR, virtual=True, bursts=1,
-                                  column=0))
+                                  column=OFFSET_BUFFER_COLUMN))
         if request.kind is RequestType.SCATTER:
             for burst in range(self.fim_data_bursts):
                 steps.append(_FimStep(CommandType.WR, virtual=True,
-                                      bursts=1, column=8))
+                                      bursts=1, column=DATA_BUFFER_COLUMN))
         steps.append(_FimStep(CommandType.PRE, virtual=True))
         steps.append(_FimStep(CommandType.ACT, virtual=True))
         if request.kind is RequestType.GATHER:
             for burst in range(self.fim_data_bursts):
                 steps.append(_FimStep(CommandType.RD, virtual=True,
-                                      bursts=1, column=8,
+                                      bursts=1, column=DATA_BUFFER_COLUMN,
                                       window_bound=True))
         else:
             # Dummy trigger write keeping the activation cadence.
             steps.append(_FimStep(CommandType.WR, virtual=True, bursts=1,
-                                  column=0, window_bound=True))
+                                  column=OFFSET_BUFFER_COLUMN,
+                                  window_bound=True))
         self._programs[key] = _FimProgram(request=request, steps=steps)
 
     def _fim_step_earliest(self, key: tuple[int, int],

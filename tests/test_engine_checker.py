@@ -81,6 +81,17 @@ class TestRejectsIllegal:
         with pytest.raises(EngineProtocolViolation, match="no open row"):
             checker.check(rd(100, timing=timing))
 
+    def test_column_to_other_row(self, checker, timing):
+        checker.check(act(0, row=1))
+        other = Command(timing.tRCD, RD, 0, 0, row=2, column=0)
+        with pytest.raises(EngineProtocolViolation, match="not the open row"):
+            checker.check(other)
+
+    def test_virtual_column_skips_row_check(self, checker, timing):
+        checker.check(act(0, row=1))
+        checker.check(Command(timing.tRCD, WR, 0, 0, row=2, virtual=True))
+        assert checker.commands_checked == 2
+
     def test_rrd_violation(self, checker, timing):
         checker.check(act(0, bank=0))
         with pytest.raises(EngineProtocolViolation, match="tRRD"):

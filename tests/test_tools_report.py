@@ -354,3 +354,40 @@ class TestFamilies:
         assert {c["gated_on"] for c in verdict["cells"]} == {"normalised"}
         # --check records nothing
         assert len(json.loads(trajectory.read_text())["trajectory"]) == 1
+
+    def test_closed_stdout_still_records(self, tmp_path, monkeypatch):
+        """A reader that closes the pipe early (``... | head -8``) drops
+        the rest of the output, never the measurement."""
+
+        class ClosesAfter:
+            """stdout whose reader goes away after ``lines`` lines."""
+
+            def __init__(self, lines):
+                self.lines = lines
+
+            def write(self, text):
+                if self.lines <= 0:
+                    raise BrokenPipeError(32, "Broken pipe")
+                self.lines -= text.count("\n")
+                return len(text)
+
+            def flush(self):
+                if self.lines <= 0:
+                    raise BrokenPipeError(32, "Broken pipe")
+
+        trajectory = tmp_path / "trajectory.json"
+        verdict_path = tmp_path / "verdict.json"
+        monkeypatch.setattr(sys, "stdout", ClosesAfter(2))
+        assert perf_report_main(["engine-xval/toy", "--repeats", "1",
+                                 "--json", str(trajectory)]) == 0
+        (point,) = json.loads(trajectory.read_text())["trajectory"]
+        assert sorted(point["times"]) == sorted(
+            c.name for c in FAMILIES["engine-xval/toy"].cells
+        )
+
+        monkeypatch.setattr(sys, "stdout", ClosesAfter(2))
+        rc = perf_report_main(["engine-xval/toy", "--repeats", "1",
+                               "--json", str(trajectory), "--check",
+                               "--report-out", str(verdict_path)])
+        verdict = json.loads(verdict_path.read_text())
+        assert rc == (0 if verdict["ok"] else 1)

@@ -722,7 +722,39 @@ def parse_args(argv=None) -> tuple[argparse.Namespace, list[Cell]]:
     return args, cells
 
 
+class _ClosedPipeSafe:
+    """This run's stdout: once its reader closes the pipe (``... |
+    head``), the rest of the output is dropped instead of raising, so
+    the run still records its point or writes its verdict."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+
+    def _call(self, method: str, *args) -> None:
+        if self.stream is not None:
+            try:
+                getattr(self.stream, method)(*args)
+            except BrokenPipeError:
+                self.stream = None
+
+    def write(self, text: str) -> int:
+        self._call("write", text)
+        return len(text)
+
+    def flush(self) -> None:
+        self._call("flush")
+
+
 def main(argv=None) -> int:
+    stdout = sys.stdout
+    sys.stdout = _ClosedPipeSafe(stdout)
+    try:
+        return _run(argv)
+    finally:
+        sys.stdout = stdout
+
+
+def _run(argv) -> int:
     args, cells = parse_args(argv)
     family = FAMILIES[args.family]
     print(f"perf_report: {args.family} cells={len(cells)} "

@@ -85,7 +85,7 @@ def main() -> None:
 
     # Replay the trace through a functional bank whose row 5 holds the
     # squares of the word index.
-    bank = FimBank(config.spec, rows=8)
+    bank = FimBank(config, rows=8)
     bank.cells[5] = np.arange(config.spec.row_words, dtype=np.uint64) ** 2
     gathered = replay_fim_trace(bank, result, values={})[1]
     assert gathered == [o * o for o in offsets], "gather must be bit-exact"

@@ -17,6 +17,13 @@ Controller flow on an incoming request (Fig. 7, right):
 The NMP baseline reuses this structure with ``rank_level=True`` so the
 issued operations serialise on the rank's shared data path instead of
 executing in-bank (Sec. VII-A/C).
+
+Requests arrive only as event arrays
+(:meth:`~CollectionExtendedMSHR.add_batch`), and every issued operation
+lands in a :class:`FimOpBatch`.  The per-event walk the batch engine
+must match -- one request at a time, decoding each address with plain
+integer shifts -- is the test reference ``ReferenceMSHR`` in
+``tests/reference_paths.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dram.address import AddressMapper
-from repro.dram.fim_batch import FimOp, FimOpBatch
+from repro.dram.fim_batch import FimOpBatch
 from repro.utils.units import log2_exact
 
 
@@ -96,91 +103,17 @@ class CollectionExtendedMSHR:
         self._total_banks = mapper.config.total_banks
 
     # ------------------------------------------------------------------
-    def _locate(self, addr: int) -> tuple[_Entry, int, list[FimOp]]:
-        """Find (allocating if needed) the entry for ``addr``'s row.
-
-        Returns the entry, the in-row word offset, and any operations the
-        allocation forced out (partial gather/scatter of a conflicting
-        row).
-        """
-        channel, rank, bank, row, word = self.mapper.decode_scalar(addr)
-        row_key = row * self._total_banks + bank
-        slot = row_key & (self.num_entries - 1)
-        entry = self._slots[slot]
-        evicted: list[FimOp] = []
-        if entry is None or entry.row_key != row_key:
-            if entry is not None:
-                self.stats.conflict_evictions += 1
-                evicted = self._drain_entry(entry)
-            entry = _Entry(
-                row_key=row_key, channel=channel, rank=rank, bank=bank, row=row
-            )
-            self._slots[slot] = entry
-        return entry, word, evicted
-
-    def _drain_entry(self, entry: _Entry) -> list[FimOp]:
-        ops: list[FimOp] = []
-
-        def emit(channel, rank, bank, row, items, is_scatter, rank_level):
-            ops.append(self._make_op(entry, items, scatter=is_scatter))
-
-        self._drain_entry_into(entry, emit)
-        return ops
-
-    def _make_op(self, entry: _Entry, items: int, scatter: bool) -> FimOp:
-        return FimOp(
-            channel=entry.channel,
-            rank=entry.rank,
-            bank=entry.bank,
-            row=entry.row,
-            items=items,
-            is_scatter=scatter,
-            rank_level=self.rank_level,
-        )
-
-    # ------------------------------------------------------------------
-    def add_read(self, addr: int) -> list[FimOp]:
-        """Register a fine-grained miss; returns any issued operations."""
-        entry, word, ops = self._locate(addr)
-        if word in entry.sc_offsets:
-            # Served from buffered write-back data (no DRAM traffic).
-            self.stats.forwarded_reads += 1
-            return ops
-        if word in entry.ga_offsets:
-            self.stats.merged_reads += 1
-            return ops
-        entry.ga_offsets.add(word)
-        if len(entry.ga_offsets) >= self.items_per_op:
-            ops.append(self._make_op(entry, len(entry.ga_offsets), scatter=False))
-            self.stats.gathers_full += 1
-            entry.ga_offsets.clear()
-        return ops
-
-    def add_write(self, addr: int) -> list[FimOp]:
-        """Register a fine-grained write-back; returns issued operations."""
-        entry, word, ops = self._locate(addr)
-        if word in entry.sc_offsets:
-            self.stats.merged_writes += 1
-            return ops
-        entry.sc_offsets.add(word)
-        if len(entry.sc_offsets) >= self.items_per_op:
-            ops.append(self._make_op(entry, len(entry.sc_offsets), scatter=True))
-            self.stats.scatters_full += 1
-            entry.sc_offsets.clear()
-        return ops
-
-    # ------------------------------------------------------------------
     def add_batch(self, addrs: np.ndarray, is_wb: np.ndarray) -> FimOpBatch:
         """Register a whole fill/write-back event stream at once.
 
-        Behaviourally identical to calling :meth:`add_read` /
-        :meth:`add_write` per event in order (the batched-equivalence
-        suite enforces it); the address decode -- the scalar path's
-        dominant cost -- is done in one vectorised pass, per-request
-        overhead collapses into a single tight loop over precomputed
-        row keys and in-row word offsets, and the issued operations are
-        emitted straight into an array-backed :class:`FimOpBatch`
-        (structure-of-arrays) instead of a Python object list.
+        Behaviourally identical to the per-event walk in
+        ``tests/reference_paths.py`` (``ReferenceMSHR.add_read`` /
+        ``add_write``, one pure-int decode per event; the
+        batched-equivalence suite enforces it).  The address decode is
+        one vectorised pass, per-request overhead collapses into a
+        single tight loop over precomputed row keys and in-row word
+        offsets, and the issued operations are emitted straight into an
+        array-backed :class:`FimOpBatch`.
 
         Raises:
             ValueError: ``is_wb`` is not as long as ``addrs``.
@@ -264,7 +197,9 @@ class CollectionExtendedMSHR:
         return ops
 
     def _drain_entry_into(self, entry: _Entry, emit) -> None:
-        """:meth:`_drain_entry`, emitting into a FimOpBatch appender."""
+        """Issue ``entry``'s pending gather, then its pending scatter,
+        through ``emit`` (a :meth:`FimOpBatch.append`), counting each as
+        full or partial."""
         if entry.ga_offsets:
             emit(
                 entry.channel, entry.rank, entry.bank, entry.row,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dram.spec import DeviceSpec
+from repro.dram.spec import DRAMConfig
 
 
 class FimCommandError(RuntimeError):
@@ -28,16 +28,18 @@ class FimBank:
     """One DRAM bank with Piccolo's offset/data buffers.
 
     Words are 8 bytes; a row holds ``spec.row_words`` words.  The offset
-    buffer keeps up to ``items`` column offsets, the data buffer the same
-    number of words (Fig. 4: 128 bits per buffer per bank for x16 DDR4,
-    i.e. eight 16-bit offsets / the per-chip slice of eight words).
+    buffer keeps up to ``config.fim_items_per_op`` column offsets, the
+    data buffer the same number of words (Fig. 4: 128 bits per buffer
+    per bank for x16 DDR4, i.e. eight 16-bit offsets / the per-chip
+    slice of eight words; eight on 32 B-burst devices only under the
+    long-burst design).
     """
 
-    def __init__(self, spec: DeviceSpec, rows: int = 64) -> None:
-        self.spec = spec
+    def __init__(self, config: DRAMConfig, rows: int = 64) -> None:
+        self.config = config
         self.rows = rows
-        self.row_words = spec.row_words
-        self.items = spec.fim_items_per_op
+        self.row_words = config.spec.row_words
+        self.items = config.fim_items_per_op
         self.cells = np.zeros((rows, self.row_words), dtype=np.uint64)
         self.row_buffer = np.zeros(self.row_words, dtype=np.uint64)
         self.open_row: int | None = None
@@ -129,9 +131,11 @@ class FimChip:
     (addresses-only).
     """
 
-    def __init__(self, spec: DeviceSpec, rows: int = 64) -> None:
-        self.spec = spec
-        self.banks = [FimBank(spec, rows) for _ in range(spec.banks_per_rank)]
+    def __init__(self, config: DRAMConfig, rows: int = 64) -> None:
+        self.config = config
+        self.banks = [
+            FimBank(config, rows) for _ in range(config.spec.banks_per_rank)
+        ]
 
     def bank(self, index: int) -> FimBank:
         return self.banks[index]

@@ -21,10 +21,11 @@ Execution (PERFORMANCE.md):
 Both paths run one engine: the whole tile's address array goes through
 ``cache.access_many`` and the resulting fill/write-back event arrays
 feed ``mshr.add_batch`` (or the burst accumulator) without any
-per-address Python calls.  The seed's per-address walk over the
-per-event oracles (``cache.access``, ``mshr.add_read``/``add_write``,
-:meth:`LocalityMonitor.observe`) lives on only as the test reference in
-``tests/reference_paths.py``.  A path runs every batch it is given;
+per-address Python calls.  The per-address walk -- ``cache.access``
+(the caches' scalar oracle, which stays in ``src/``), then the MSHR's
+and the locality monitor's per-event steps, which live only in
+``tests/reference_paths.py`` -- is the test reference the engines must
+match.  A path runs every batch it is given;
 it keeps no memo.  What a stationary run (one whose iterations repeat
 their streams) skips, it skips one level up: each path exposes its
 ``state_digest`` (the state a batch's outcome depends on),
@@ -169,24 +170,12 @@ class LocalityMonitor:
         self._sequential = 0
         self.bypass = False
 
-    def observe(self, addr: int) -> None:
-        last = self._last_addr
-        self._last_addr = addr
-        if last is None:
-            return
-        if addr - last == 8:
-            self._sequential += 1
-        self._pairs += 1
-        if self._pairs >= self.window - 1:
-            self.bypass = self._sequential / self._pairs >= self.threshold
-            self._pairs = 0
-            self._sequential = 0
-
     def observe_many(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`observe`: returns the bypass state in
-        effect *after* each observation (what per-address :meth:`observe`
-        calls would have left), updating the monitor to the same end
-        state."""
+        """Observe a run of accesses: returns the bypass state in effect
+        *after* each one (what observing them one at a time would have
+        left; the per-address walk is ``ReferenceMonitor`` in
+        ``tests/reference_paths.py``), updating the monitor to the same
+        end state."""
         addrs = np.asarray(addrs, dtype=np.int64)
         n = int(addrs.size)
         if n == 0:

@@ -11,7 +11,7 @@ without per-cycle simulation.
 
 from repro.dram.spec import DeviceSpec, DEVICES, DRAMConfig
 from repro.dram.address import AddressMapper
-from repro.dram.fim_batch import FimOp, FimOpBatch
+from repro.dram.fim_batch import FimOpBatch
 from repro.dram.system import DRAMModel, PhaseAccumulator, PhaseStats
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "DRAMModel",
     "PhaseAccumulator",
     "PhaseStats",
-    "FimOp",
     "FimOpBatch",
 ]

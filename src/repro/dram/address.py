@@ -24,24 +24,10 @@ whole miss streams through at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.dram.spec import DRAMConfig
 from repro.utils.units import log2_exact
-
-
-@dataclass(frozen=True)
-class DecodedAddress:
-    """A single decoded address (scalar convenience wrapper)."""
-
-    channel: int
-    rank: int
-    bank: int
-    row: int
-    column: int
-    word_in_row: int
 
 
 class AddressMapper:
@@ -79,22 +65,6 @@ class AddressMapper:
             ^ (column & (self.config.spec.banks_per_rank - 1))
         return channel, rank, bank, row, column
 
-    def decode(self, addr: int) -> DecodedAddress:
-        """Scalar decode with the in-row word index (FIM offset space)."""
-        ch, ra, ba, ro, co = self.decode_many(np.asarray([addr]))
-        word = int(co[0]) * (self.config.spec.burst_bytes // 8) + (
-            (addr >> self._word_shift)
-            & ((self.config.spec.burst_bytes // 8) - 1)
-        )
-        return DecodedAddress(
-            channel=int(ch[0]),
-            rank=int(ra[0]),
-            bank=int(ba[0]),
-            row=int(ro[0]),
-            column=int(co[0]),
-            word_in_row=word,
-        )
-
     # ------------------------------------------------------------------
     def bank_key_many(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised (global bank id, row id) for episode grouping.
@@ -106,11 +76,6 @@ class AddressMapper:
         spec = self.config.spec
         global_bank = (channel * self.config.ranks + rank) * spec.banks_per_rank + bank
         return global_bank, row
-
-    def row_key_many(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorised unique (bank, row) key -- the FIM grouping domain."""
-        global_bank, row = self.bank_key_many(addrs)
-        return row * self.config.total_banks + global_bank
 
     def word_in_row_many(self, addrs: np.ndarray) -> np.ndarray:
         """Vectorised in-row 8-byte word index (the FIM offset payload)."""
@@ -124,12 +89,14 @@ class AddressMapper:
     def decode_fim_many(
         self, addrs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised :meth:`decode_scalar`: one pass for a whole event
-        stream.
+        """The FIM view of :meth:`decode_many`: one pass for a whole
+        event stream.
 
         Returns ``(channel, rank, global_bank, row, row_key, word)``
         arrays -- everything the collection-extended MSHR's batch path
-        needs, matching the scalar decode bit for bit.
+        needs.  ``global_bank`` enumerates every bank in the system,
+        ``row_key`` is the unique (bank, row) key the MSHR groups by and
+        ``word`` is the 8-byte FIM offset within the row.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
         channel, rank, bank, row, column = self.decode_many(addrs)
@@ -148,32 +115,3 @@ class AddressMapper:
         """Vectorised channel index."""
         addrs = np.asarray(addrs, dtype=np.int64)
         return (addrs >> self.burst_shift) & (self.config.channels - 1)
-
-    # ------------------------------------------------------------------
-    # Scalar fast path (pure-int; the per-miss hot loop of the MSHR)
-    # ------------------------------------------------------------------
-    def decode_scalar(self, addr: int) -> tuple[int, int, int, int, int]:
-        """Decode one address without NumPy.
-
-        Returns ``(channel, rank, global_bank, row, word_in_row)`` where
-        ``global_bank`` enumerates every bank in the system and
-        ``word_in_row`` is the 8-byte FIM offset within the row.
-        """
-        cfg = self.config
-        spec = cfg.spec
-        block = addr >> self.burst_shift
-        channel = block & (cfg.channels - 1)
-        x = block >> self.channel_bits
-        bank = x & (spec.banks_per_rank - 1)
-        x >>= self.bank_bits
-        rank = x & (cfg.ranks - 1)
-        x >>= self.rank_bits
-        column = x & ((1 << self.column_bits) - 1)
-        x >>= self.column_bits
-        row = x & (cfg.rows_per_bank - 1)
-        bank = bank ^ (row & (spec.banks_per_rank - 1)) \
-            ^ (column & (spec.banks_per_rank - 1))
-        global_bank = (channel * cfg.ranks + rank) * spec.banks_per_rank + bank
-        words_per_burst = spec.burst_bytes >> 3
-        word = column * words_per_burst + ((addr >> 3) & (words_per_burst - 1))
-        return channel, rank, global_bank, row, word

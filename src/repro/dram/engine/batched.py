@@ -110,8 +110,9 @@ class _FimStep:
     virtual: bool
     #: data-bus bursts this step transfers (0 for ACT/PRE)
     bursts: int = 0
-    #: column driven on the bus (offset vs data buffer region)
-    column: int = 0
+    #: buffer column a virtual RD/WR drives (offset vs data buffer
+    #: region); None for ACT/PRE
+    column: int | None = None
     #: must wait for the in-bank operation window (Sec. VI bound)
     window_bound: bool = False
 
@@ -811,7 +812,7 @@ class BatchedChannelController:
         self.trace.append(Command(
             cycle, step.kind, rank, bank,
             row=request.row if is_act else None,
-            column=step.column or None, req_id=request.req_id,
+            column=step.column, req_id=request.req_id,
             virtual=step.virtual, data_clocks=t.tBL * step.bursts,
             data_start=data_start,
         ))

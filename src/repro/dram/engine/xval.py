@@ -30,7 +30,8 @@ from repro.dram.engine.workloads import (
     strided_addresses,
 )
 from repro.dram.spec import DRAMConfig, default_config
-from repro.dram.system import DRAMModel, FimOp
+from repro.dram.fim_batch import FimOpBatch
+from repro.dram.system import DRAMModel
 
 
 @dataclass(frozen=True)
@@ -80,16 +81,13 @@ def _analytic_fim_ns(
 ) -> float:
     """Analytic phase duration for a FIM request stream."""
     analytic = DRAMModel(config)
-    ops = [
-        FimOp(
-            channel=int(channels[i]), rank=request.rank, bank=_global_bank(
-                config, int(channels[i]), request.rank, request.bank
-            ),
-            row=request.row, items=len(request.offsets),
-            is_scatter=scatter,
+    ops = FimOpBatch()
+    for channel, request in zip(channels.tolist(), requests):
+        ops.append(
+            channel, request.rank,
+            _global_bank(config, channel, request.rank, request.bank),
+            request.row, len(request.offsets), scatter,
         )
-        for i, request in enumerate(requests)
-    ]
     return analytic.phase(fim_ops=ops).time_ns
 
 

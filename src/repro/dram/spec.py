@@ -4,11 +4,13 @@ Timing values follow the JEDEC grades the paper evaluates: DDR4-2400R
 (x4/x8/x16), LPDDR4, GDDR5 and HBM.  Only the parameters the episode
 model consumes are carried; all are in nanoseconds.
 
-The FIM-related geometry (items per scatter/gather, offset-burst counts)
-is derived from the device width exactly as Sec. IV-B describes: offsets
-are 16-bit words duplicated across all chips of a rank, so a rank built
-from narrower devices needs more offset-write bursts (Fig. 15), and
-32 B-burst devices move four items per operation instead of eight.
+The FIM-related geometry (items per scatter/gather, offset- and
+data-burst counts) lives on :class:`DRAMConfig`, derived from the device
+width and the config's design options exactly as Sec. IV-B and VIII-B
+describe: offsets are 16-bit words duplicated across all chips of a
+rank, so a rank built from narrower devices needs more offset-write
+bursts (Fig. 15), and 32 B-burst devices move four items per operation
+instead of eight unless the long-burst design doubles them.
 """
 
 from __future__ import annotations
@@ -78,41 +80,11 @@ class DeviceSpec:
         """Peak per-channel bandwidth in GB/s."""
         return self.bus_bytes * self.data_rate_gtps
 
-    # ------------------------------------------------------------------
-    # Piccolo-FIM geometry (Sec. IV-B, Sec. VIII-B)
-    # ------------------------------------------------------------------
-    @property
-    def fim_items_per_op(self) -> int:
-        """8-byte items moved by one scatter/gather (8 for 64 B bursts,
-        4 for 32 B bursts)."""
-        return max(1, self.burst_bytes // 8)
-
-    def fim_offset_bursts(self, offset_bits: int = 16) -> int:
-        """Bursts needed to broadcast the offsets to every chip.
-
-        Offsets are duplicated across all chips of the rank (Sec. IV-B):
-        total bits = items x offset_bits x chips.
-        """
-        if offset_bits <= 0:
-            raise ValueError("offset_bits must be positive")
-        total_bits = self.fim_items_per_op * offset_bits * self.chips_per_rank
-        return ceil_div(total_bits, self.burst_bytes * 8)
-
-    @property
-    def fim_data_bursts(self) -> int:
-        """Bursts to move the gathered/scattered items themselves."""
-        return ceil_div(self.fim_items_per_op * 8, self.burst_bytes)
-
     @property
     def fim_internal_window(self) -> float:
         """The tWR + tRP + tRCD window that hides the in-bank operation
-        (Sec. VI); must cover items x tCCD."""
+        (Sec. VI); must cover items x tCCD (:attr:`DRAMConfig.fim_window_ok`)."""
         return self.tWR + self.tRP + self.tRCD
-
-    def fim_window_ok(self) -> bool:
-        """Whether the internal scatter/gather fits the virtual-row window
-        without stretching tWR (Sec. VI adjusts tWR otherwise)."""
-        return self.fim_items_per_op * self.tCCD <= self.fim_internal_window
 
     def validate(self) -> None:
         """Sanity-check geometry; raises ``ValueError`` on nonsense specs."""
@@ -246,29 +218,40 @@ class DRAMConfig:
     def peak_bandwidth_gbps(self) -> float:
         return self.channels * self.spec.peak_bandwidth_gbps
 
-    # Derived FIM geometry under this config's design options -----------
+    # Piccolo-FIM geometry under this config's design options ----------
+    # (Sec. IV-B, Sec. VIII-B)
     @property
     def fim_items_per_op(self) -> int:
+        """8-byte items moved by one scatter/gather: 8 for 64 B bursts,
+        4 for 32 B bursts, 8 on any device under ``long_burst_fim``."""
         if self.long_burst_fim:
             return 8
-        return self.spec.fim_items_per_op
+        return max(1, self.spec.burst_bytes // 8)
 
     @property
     def fim_offset_bursts(self) -> int:
-        if self.long_burst_fim:
-            # One double-length burst carries all eight offsets.
-            total_bits = 8 * self.offset_bits * self.spec.chips_per_rank
-            return max(1, ceil_div(total_bits, 2 * self.spec.burst_bytes * 8))
+        """Bursts needed to broadcast the offsets to every chip.
+
+        Offsets are duplicated across all chips of the rank (Sec. IV-B):
+        total bits = items x offset_bits x chips.  Under
+        ``long_burst_fim`` one double-length burst carries them.
+        """
         total_bits = (
-            self.spec.fim_items_per_op * self.offset_bits * self.spec.chips_per_rank
+            self.fim_items_per_op * self.offset_bits * self.spec.chips_per_rank
         )
-        return ceil_div(total_bits, self.spec.burst_bytes * 8)
+        burst_bits = self.spec.burst_bytes * 8 * (2 if self.long_burst_fim else 1)
+        return ceil_div(total_bits, burst_bits)
 
     @property
     def fim_data_bursts(self) -> int:
-        if self.long_burst_fim:
-            return ceil_div(8 * 8, self.spec.burst_bytes)
-        return self.spec.fim_data_bursts
+        """Bursts to move the gathered/scattered items themselves."""
+        return ceil_div(self.fim_items_per_op * 8, self.spec.burst_bytes)
+
+    @property
+    def fim_window_ok(self) -> bool:
+        """Whether the internal scatter/gather fits the virtual-row window
+        without stretching tWR (Sec. VI adjusts tWR otherwise)."""
+        return self.fim_items_per_op * self.spec.tCCD <= self.spec.fim_internal_window
 
 
 def default_config(**overrides) -> DRAMConfig:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dram.address import AddressMapper
-from repro.dram.fim_batch import FimOp, FimOpBatch
+from repro.dram.fim_batch import FimOpBatch
 from repro.dram.spec import DRAMConfig
 from repro.utils.units import ceil_div
 
@@ -127,7 +127,7 @@ class DRAMModel:
         self,
         addrs: np.ndarray | None = None,
         is_write: np.ndarray | None = None,
-        fim_ops: FimOpBatch | list[FimOp] | None = None,
+        fim_ops: FimOpBatch | None = None,
         stream_read_bytes: float = 0.0,
         stream_write_bytes: float = 0.0,
         loose_read_bursts: int = 0,
@@ -418,7 +418,7 @@ class PhaseAccumulator:
         self,
         addrs: np.ndarray | None = None,
         is_write: np.ndarray | None = None,
-        fim_ops: FimOpBatch | list[FimOp] | None = None,
+        fim_ops: FimOpBatch | None = None,
         loose_read_bursts: int = 0,
     ) -> None:
         """Accumulate one chunk of phase work.
@@ -427,8 +427,7 @@ class PhaseAccumulator:
             addrs: byte addresses of burst-granularity random requests.
             is_write: bool array parallel to ``addrs`` (False = read).
             fim_ops: scatter/gather operations (already row-grouped by the
-                collection-extended MSHR), as a :class:`FimOpBatch` (the
-                array fast path) or a plain list of :class:`FimOp`.
+                collection-extended MSHR) as a :class:`FimOpBatch`.
             loose_read_bursts: bus-only read bursts with no bank work
                 (the PIM baseline's per-atomic response transactions),
                 spread evenly over channels.
@@ -463,14 +462,10 @@ class PhaseAccumulator:
             channel = model.mapper.channel_of_many(addrs)
             np.add.at(self._bursts.bus_busy, channel, model.spec.tBURST)
         if fim_ops is not None and len(fim_ops):
-            batch = (
-                fim_ops if isinstance(fim_ops, FimOpBatch)
-                else FimOpBatch.from_ops(fim_ops)
-            )
             if self._fim is None:
                 self._fim = _EpisodeStream(model)
             bank, row, cost = model._fim_charge(
-                batch, self._fim.bus_busy, self._rank_busy, stats
+                fim_ops, self._fim.bus_busy, self._rank_busy, stats
             )
             self._fim.feed(bank, row, cost)
         stats.read_bursts += int(loose_read_bursts)

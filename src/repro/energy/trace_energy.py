@@ -17,7 +17,7 @@ and roughly on magnitude.
 
 from __future__ import annotations
 
-from repro.dram.engine.commands import CommandType
+from repro.dram.engine.commands import DATA_BUFFER_COLUMN, CommandType
 from repro.dram.engine.engine import EngineResult
 from repro.energy.dram_energy import (
     ACT_NJ,
@@ -68,7 +68,7 @@ def trace_energy(result: EngineResult, fim_items: int = 8,
                     out.dram_wr += BUFFER_ACCESS_NJ
                     if cmd.data_clocks:
                         out.dram_io += IO_NJ_PER_BURST * scale
-                    if cmd.column == 8:
+                    if cmd.column == DATA_BUFFER_COLUMN:
                         # Scatter payload: the in-bank column walk runs
                         # once the buffers are armed.
                         out.dram_wr += fim_items * FIM_INTERNAL_NJ_PER_WORD

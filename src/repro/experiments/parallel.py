@@ -17,11 +17,11 @@ loudly instead of silently regenerating a million-edge RMAT graph per
 worker.
 
 **Resumable per-cell checkpoints.**  With a ``checkpoint_dir``, every
-completed cell is written as a JSON + ``.npz`` record keyed by the
-cell's canonical digest (the same digest that keys the in-process
-result memo, so the two caches cannot disagree).  Records are committed
-atomically (tmp file + rename, JSON last), so a sweep killed mid-cell
-leaves only whole records behind; ``resume=True`` loads finished cells
+completed cell is written as one JSON record keyed by the cell's
+canonical digest (the same digest that keys the in-process result memo,
+so the two caches cannot disagree).  Records are committed atomically
+(tmp file + rename), so a sweep killed mid-cell leaves only whole
+records behind; ``resume=True`` loads finished cells
 instead of re-running them, which is also how repeated sweeps skip
 work they already did.
 
@@ -51,8 +51,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import datetime, timezone
-
-import numpy as np
 
 from repro.accel.base import SystemResult
 from repro.experiments import runner
@@ -85,16 +83,16 @@ class CellOutcome:
 class SweepCheckpointStore:
     """Digest-keyed per-cell checkpoint records on disk.
 
-    A record is two files: ``<digest>.npz`` (the numeric counters as
-    arrays, written first) and ``<digest>.json`` (cell identity, exact
-    result record, timing -- written last, so its presence marks a
-    complete record).  Both are committed via tmp-file + ``os.replace``;
-    a SIGKILL mid-write can never leave a record that loads.
+    A record is one file, ``<digest>.json``: cell identity, the exact
+    result record and timing.  It is committed via tmp-file +
+    ``os.replace``, so a SIGKILL mid-write can never leave a record that
+    loads.  (Stores written before the record became one file also hold
+    a ``<digest>.npz`` beside each JSON; nothing reads it.)
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = pathlib.Path(root)
-        # Fail here, loudly, rather than deep inside an npz read/write
+        # Fail here, loudly, rather than deep inside a record read/write
         # later: a root that collides with an existing file or sits
         # under an unwritable/defunct parent is a caller mistake the
         # error message should name.
@@ -124,9 +122,6 @@ class SweepCheckpointStore:
     def json_path(self, digest: str) -> pathlib.Path:
         return self.root / f"{digest}.json"
 
-    def npz_path(self, digest: str) -> pathlib.Path:
-        return self.root / f"{digest}.npz"
-
     def digests(self) -> list[str]:
         return sorted(p.stem for p in self.root.glob("*.json"))
 
@@ -134,7 +129,7 @@ class SweepCheckpointStore:
         return len(list(self.root.glob("*.json")))
 
     def has(self, digest: str) -> bool:
-        return self.json_path(digest).is_file() and self.npz_path(digest).is_file()
+        return self.json_path(digest).is_file()
 
     def save(
         self,
@@ -164,46 +159,29 @@ class SweepCheckpointStore:
             },
             "result": result.to_record(),
         }
-        flat = dict(record["result"])
-        dram = flat.pop("dram", {})
-        arrays = {
-            k: np.asarray(v)
-            for k, v in flat.items()
-            if isinstance(v, (int, float)) and not isinstance(v, bool)
-        }
-        arrays.update(
-            {f"dram__{k}": np.asarray(v) for k, v in dram.items()}
-        )
         if not self.root.is_dir():
             raise ValueError(
                 f"checkpoint directory {self.root} disappeared after the "
                 f"store was opened; records cannot be committed"
             )
-        npz_tmp = self.npz_path(cell.digest).with_suffix(
-            f".npz.tmp.{os.getpid()}"
-        )
         json_tmp = self.json_path(cell.digest).with_suffix(
             f".json.tmp.{os.getpid()}"
         )
         try:
-            with open(npz_tmp, "wb") as handle:
-                np.savez(handle, **arrays)
-            os.replace(npz_tmp, self.npz_path(cell.digest))
             json_tmp.write_text(json.dumps(record, indent=1) + "\n")
             os.replace(json_tmp, self.json_path(cell.digest))
         except BaseException:
-            npz_tmp.unlink(missing_ok=True)
             json_tmp.unlink(missing_ok=True)
             raise
 
     def load(self, digest: str) -> tuple[SystemResult, dict] | None:
         """(result, record) for a complete record, else None.
 
-        Corrupt or partial records (a crash between the two writes, a
-        truncated file) read as missing -- the cell simply re-runs.
+        Corrupt records (a truncated or foreign file) read as missing --
+        the cell simply re-runs.
         """
         json_path = self.json_path(digest)
-        if not json_path.is_file() or not self.npz_path(digest).is_file():
+        if not json_path.is_file():
             return None
         try:
             record = json.loads(json_path.read_text())

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dram.spec import DRAMConfig, default_config
-from repro.dram.system import DRAMModel, FimOp
+from repro.dram.fim_batch import FimOpBatch
+from repro.dram.system import DRAMModel
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ OLAP_QUERIES: tuple[OLAPQuery, ...] = (
 )
 
 
-def _gather_ops(model: DRAMModel, addrs: np.ndarray) -> list[FimOp]:
+def _gather_ops(model: DRAMModel, addrs: np.ndarray) -> FimOpBatch:
     """Group a fine-grained address stream into in-row gather operations.
 
     Mirrors the collection-extended MSHR: elements accumulate per
@@ -48,11 +49,9 @@ def _gather_ops(model: DRAMModel, addrs: np.ndarray) -> list[FimOp]:
     operation per ``items_per_op`` offsets, plus a partial for leftovers.
     """
     items = model.config.fim_items_per_op
-    ch, ra, _, row, _ = model.mapper.decode_many(addrs)
-    global_bank, _ = model.mapper.bank_key_many(addrs)
-    key = row * model.config.total_banks + global_bank
+    ch, ra, global_bank, row, key, _ = model.mapper.decode_fim_many(addrs)
     order = np.argsort(key, kind="stable")
-    ops: list[FimOp] = []
+    ops = FimOpBatch()
     i = 0
     n = addrs.size
     while i < n:
@@ -61,11 +60,8 @@ def _gather_ops(model: DRAMModel, addrs: np.ndarray) -> list[FimOp]:
             j += 1
         k = order[i]
         ops.append(
-            FimOp(
-                channel=int(ch[k]), rank=int(ra[k]),
-                bank=int(global_bank[k]),
-                row=int(row[k]), items=j - i, is_scatter=False,
-            )
+            int(ch[k]), int(ra[k]), int(global_bank[k]), int(row[k]),
+            j - i, False,
         )
         i = j
     return ops

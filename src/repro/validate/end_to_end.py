@@ -24,7 +24,7 @@ from repro.dram.engine import (
     check_engine_result,
 )
 from repro.dram.engine.commands import DATA_BUFFER_COLUMN, OFFSET_BUFFER_COLUMN
-from repro.dram.spec import DEVICES, DeviceSpec, DRAMConfig
+from repro.dram.spec import DEVICES, DRAMConfig
 
 _ROWS = 4
 
@@ -66,13 +66,11 @@ def replay_fim_trace(
         if cmd.kind is CommandType.ACT:
             swapped = True
             continue
-        # The trace records the offset-buffer column 0 as no column.
-        column = OFFSET_BUFFER_COLUMN if cmd.column is None else cmd.column
-        if column not in (OFFSET_BUFFER_COLUMN, DATA_BUFFER_COLUMN):
-            raise FimCommandError(f"unmapped virtual column {column}")
+        if cmd.column not in (OFFSET_BUFFER_COLUMN, DATA_BUFFER_COLUMN):
+            raise FimCommandError(f"unmapped virtual column {cmd.column}")
         request = requests[cmd.req_id]
         if not swapped:
-            if column == OFFSET_BUFFER_COLUMN:
+            if cmd.column == OFFSET_BUFFER_COLUMN:
                 bank.write_offset_buffer(list(request.offsets))
             else:
                 bank.write_data_buffer(list(values[cmd.req_id]))
@@ -92,17 +90,20 @@ def replay_fim_trace(
 
 
 def validate_fim_data_path(
-    spec: DeviceSpec | None = None, seed: int = 2025
+    config: DRAMConfig | None = None, seed: int = 2025
 ) -> bool:
-    """Run the fixed validation programme; True when the data holds.
+    """Run the fixed validation programme on one bank of ``config``
+    (default: one rank of DDR4-2400 x16); True when the data holds.
 
     Raises:
         EngineProtocolViolation: the engine trace breaks a DDR rule.
         FimCommandError: the trace does not drive the chip correctly.
     """
-    spec = spec if spec is not None else DEVICES["DDR4_2400_x16"]
+    if config is None:
+        config = DRAMConfig(spec=DEVICES["DDR4_2400_x16"], channels=1, ranks=1)
+    spec = config.spec
     rng = np.random.default_rng(seed)
-    bank = FimBank(spec, rows=_ROWS)
+    bank = FimBank(config, rows=_ROWS)
     for row in range(_ROWS):
         bank.cells[row] = rng.integers(
             0, 1 << 63, size=spec.row_words, dtype=np.uint64
@@ -111,7 +112,7 @@ def validate_fim_data_path(
 
     requests: list[Request] = []
     values: dict[int, list[int]] = {}
-    items = spec.fim_items_per_op
+    items = config.fim_items_per_op
     for row in range(_ROWS):
         offsets = tuple(sorted(int(o) for o in rng.choice(
             spec.row_words, size=items, replace=False)))
@@ -122,7 +123,6 @@ def validate_fim_data_path(
         values[requests[-2].req_id] = [
             int(v) for v in rng.integers(0, 1 << 62, size=items)
         ]
-    config = DRAMConfig(spec=spec, channels=1, ranks=1)
     result = DRAMEngine(config, refresh_enabled=True).run(requests)
     check_engine_result(result)
     gathered = replay_fim_trace(bank, result, values)

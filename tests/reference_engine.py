@@ -631,7 +631,7 @@ class ChannelController:
                 self._physical_row[key] = None
                 self.stats.pres += 1
         self._record(Command(cycle, step.kind, rank_id, bank_id,
-                             row=row, column=step.column or None,
+                             row=row, column=step.column,
                              req_id=request.req_id, virtual=step.virtual,
                              data_clocks=timing.tBL * step.bursts,
                              data_start=data_start))

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.dram.address import AddressMapper
 from repro.dram.spec import DEVICES, DRAMConfig
 
+from reference_paths import decode_scalar
+
 
 @pytest.fixture
 def mapper(ddr4_config):
@@ -16,17 +18,18 @@ def mapper(ddr4_config):
 
 class TestDecode:
     def test_scalar_matches_vectorised(self, mapper):
+        """``decode_fim_many`` against the test suite's independent
+        pure-int slicing of the interleave."""
         addrs = np.arange(0, 1 << 20, 8192, dtype=np.int64) + 8
-        ch, ra, ba, ro, co = mapper.decode_many(addrs)
-        spec = mapper.config.spec
+        ch, ra, gb, ro, key, word = mapper.decode_fim_many(addrs)
         for i, addr in enumerate(addrs.tolist()):
-            s_ch, s_ra, s_gb, s_ro, s_w = mapper.decode_scalar(addr)
+            s_ch, s_ra, s_gb, s_ro, s_w = decode_scalar(mapper, addr)
             assert s_ch == ch[i]
             assert s_ra == ra[i]
+            assert s_gb == gb[i]
             assert s_ro == ro[i]
-            expected_gb = (s_ch * mapper.config.ranks + ra[i]) \
-                * spec.banks_per_rank + ba[i]
-            assert s_gb == expected_gb
+            assert s_w == word[i]
+            assert key[i] == s_ro * mapper.config.total_banks + s_gb
 
     def test_consecutive_blocks_interleave_channels(self):
         config = DRAMConfig(spec=DEVICES["DDR4_2400_x16"], channels=2, ranks=1)
@@ -62,11 +65,17 @@ class TestDecode:
 
     def test_decode_scalar_word_granularity(self, mapper):
         # Two addresses 8 B apart within one burst share everything but
-        # the word offset.
-        a = mapper.decode_scalar(1 << 14)
-        b = mapper.decode_scalar((1 << 14) + 8)
+        # the word offset, in the reference decode and in decode_fim_many.
+        a = decode_scalar(mapper, 1 << 14)
+        b = decode_scalar(mapper, (1 << 14) + 8)
         assert a[:4] == b[:4]
         assert b[4] == a[4] + 1
+        ch, ra, gb, ro, key, word = mapper.decode_fim_many(
+            np.asarray([1 << 14, (1 << 14) + 8])
+        )
+        for field in (ch, ra, gb, ro, key):
+            assert field[0] == field[1]
+        assert word[1] == word[0] + 1
 
 
 class TestBankKeys:
@@ -74,7 +83,7 @@ class TestBankKeys:
         # Same row index in different banks must give different keys.
         a = np.asarray([0], dtype=np.int64)
         b = np.asarray([64], dtype=np.int64)  # next bank, same row index
-        assert mapper.row_key_many(a)[0] != mapper.row_key_many(b)[0]
+        assert mapper.decode_fim_many(a)[4][0] != mapper.decode_fim_many(b)[4][0]
 
     def test_global_bank_range(self, mapper):
         addrs = np.arange(0, 1 << 22, 64, dtype=np.int64)
@@ -88,7 +97,10 @@ class TestBankKeys:
 def test_scalar_decode_fields_in_range(addr):
     config = DRAMConfig(spec=DEVICES["DDR4_2400_x16"], channels=2, ranks=4)
     mapper = AddressMapper(config)
-    ch, ra, gb, ro, word = mapper.decode_scalar(addr)
+    ch, ra, gb, ro, _, word = (
+        int(field[0]) for field in mapper.decode_fim_many(np.asarray([addr]))
+    )
+    assert (ch, ra, gb, ro, word) == decode_scalar(mapper, addr)
     assert 0 <= ch < config.channels
     assert 0 <= ra < config.ranks
     assert 0 <= gb < config.total_banks
@@ -106,6 +118,6 @@ def test_same_block_same_bank_row(block, offset):
     config = DRAMConfig(spec=DEVICES["DDR4_2400_x16"], channels=2, ranks=2)
     mapper = AddressMapper(config)
     base = block * 64
-    a = mapper.decode_scalar(base)
-    b = mapper.decode_scalar(base + offset)
-    assert a[:4] == b[:4]
+    ch, ra, gb, ro, _, _ = mapper.decode_fim_many(np.asarray([base, base + offset]))
+    for field in (ch, ra, gb, ro):
+        assert field[0] == field[1]

@@ -35,7 +35,10 @@ from repro.utils import units
 from reference_paths import (
     ReferenceConventionalPath,
     ReferenceFineGrainedPath,
+    ReferenceMonitor,
+    ReferenceMSHR,
     RequestLog,
+    as_tuples,
     scalar_batch,
 )
 
@@ -404,10 +407,10 @@ def test_mshr_add_batch_matches_scalar(addrs, seed, wb_seed):
     mapper = make_mapper()
     rng = np.random.default_rng(wb_seed)
     batched = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=4)
-    scalar = CollectionExtendedMSHR(mapper, num_entries=16, items_per_op=4)
+    scalar = ReferenceMSHR(mapper, num_entries=16, items_per_op=4)
     for chunk in split_chunks(addrs, seed):
         is_wb = rng.random(chunk.size) < 0.5
-        ops_b = batched.add_batch(chunk, is_wb)
+        ops_b = as_tuples(batched.add_batch(chunk, is_wb))
         ops_s = []
         for addr, wb in zip(chunk.tolist(), is_wb.tolist()):
             ops_s.extend(
@@ -415,7 +418,7 @@ def test_mshr_add_batch_matches_scalar(addrs, seed, wb_seed):
             )
         assert ops_b == ops_s
     assert vars(batched.stats) == vars(scalar.stats)
-    assert batched.flush() == scalar.flush()
+    assert as_tuples(batched.flush()) == as_tuples(scalar.flush())
 
 
 @pytest.mark.parametrize(
@@ -698,7 +701,7 @@ def test_chunked_matches_scalar_loop_directly(chunk_size):
 @given(addrs=addr_streams, seed=chunk_seed)
 def test_locality_monitor_observe_many_matches_scalar(addrs, seed):
     mon_b = LocalityMonitor(window=8, threshold=0.5)
-    mon_s = LocalityMonitor(window=8, threshold=0.5)
+    mon_s = ReferenceMonitor(window=8, threshold=0.5)
     for chunk in split_chunks(addrs, seed):
         flags = mon_b.observe_many(chunk)
         expected = []
@@ -749,12 +752,12 @@ def test_locality_monitor_counts_all_window_pairs():
     topped out at (window-1)/window and fired late)."""
     monitor = LocalityMonitor(window=4, threshold=1.0)
     for i in range(4):
-        monitor.observe(i * 8)
+        monitor.observe_many(np.asarray([i * 8]))
     assert monitor.bypass  # 3 of 3 pairs sequential
 
     # one stray address per window keeps it below a 2/3 threshold
     monitor = LocalityMonitor(window=4, threshold=0.75)
     stream = [0, 8, 4096, 4104, 8192, 8200, 12288]
     for a in stream:
-        monitor.observe(a)
+        monitor.observe_many(np.asarray([a]))
     assert not monitor.bypass

@@ -1,4 +1,8 @@
-"""Tests for the collection-extended MSHR (Sec. V-C, Fig. 7)."""
+"""Tests for the collection-extended MSHR (Sec. V-C, Fig. 7).
+
+Every event goes through the production ``add_batch``; a test that
+steps one event at a time passes single-event arrays.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from repro.core.collection_mshr import CollectionExtendedMSHR
 from repro.dram.address import AddressMapper
 from repro.dram.spec import DEVICES, DRAMConfig
+
+from reference_paths import as_tuples, decode_scalar
 
 
 @pytest.fixture
@@ -18,6 +24,21 @@ def make_mshr(mapper, **kwargs):
     defaults = dict(num_entries=16, items_per_op=8)
     defaults.update(kwargs)
     return CollectionExtendedMSHR(mapper, **defaults)
+
+
+def add_read(mshr, addr):
+    """One fine-grained miss through ``add_batch``: the issued ops."""
+    return as_tuples(mshr.add_batch(np.asarray([addr]), np.asarray([False])))
+
+
+def add_write(mshr, addr):
+    """One fine-grained write-back through ``add_batch``: the issued ops."""
+    return as_tuples(mshr.add_batch(np.asarray([addr]), np.asarray([True])))
+
+
+def flush(mshr):
+    """Drain every pending entry: the issued ops."""
+    return as_tuples(mshr.flush())
 
 
 def same_row_addrs(mapper, n, row_block=0):
@@ -41,7 +62,7 @@ class TestGatherCollection:
         mshr = make_mshr(mapper)
         ops = []
         for addr in same_row_addrs(mapper, 8):
-            ops.extend(mshr.add_read(addr))
+            ops.extend(add_read(mshr, addr))
         assert len(ops) == 1
         assert ops[0].items == 8
         assert not ops[0].is_scatter
@@ -51,30 +72,30 @@ class TestGatherCollection:
         mshr = make_mshr(mapper)
         ops = []
         for addr in same_row_addrs(mapper, 7):
-            ops.extend(mshr.add_read(addr))
+            ops.extend(add_read(mshr, addr))
         assert ops == []
 
     def test_duplicate_offsets_merge(self, mapper):
         mshr = make_mshr(mapper)
         addr = same_row_addrs(mapper, 1)[0]
-        assert mshr.add_read(addr) == []
-        assert mshr.add_read(addr) == []
+        assert add_read(mshr, addr) == []
+        assert add_read(mshr, addr) == []
         assert mshr.stats.merged_reads == 1
 
     def test_flush_issues_partial(self, mapper):
         mshr = make_mshr(mapper)
         for addr in same_row_addrs(mapper, 3):
-            mshr.add_read(addr)
-        ops = mshr.flush()
+            add_read(mshr, addr)
+        ops = flush(mshr)
         assert len(ops) == 1
         assert ops[0].items == 3
         assert mshr.stats.gathers_partial == 1
 
     def test_flush_idempotent(self, mapper):
         mshr = make_mshr(mapper)
-        mshr.add_read(8)
-        mshr.flush()
-        assert mshr.flush() == []
+        add_read(mshr, 8)
+        flush(mshr)
+        assert flush(mshr) == []
 
 
 class TestScatterCollection:
@@ -82,7 +103,7 @@ class TestScatterCollection:
         mshr = make_mshr(mapper)
         ops = []
         for addr in same_row_addrs(mapper, 8):
-            ops.extend(mshr.add_write(addr))
+            ops.extend(add_write(mshr, addr))
         assert len(ops) == 1
         assert ops[0].is_scatter
         assert mshr.stats.scatters_full == 1
@@ -90,8 +111,8 @@ class TestScatterCollection:
     def test_write_coalescing(self, mapper):
         mshr = make_mshr(mapper)
         addr = same_row_addrs(mapper, 1)[0]
-        mshr.add_write(addr)
-        mshr.add_write(addr)
+        add_write(mshr, addr)
+        add_write(mshr, addr)
         assert mshr.stats.merged_writes == 1
 
 
@@ -101,12 +122,12 @@ class TestForwarding:
         write-back data (Fig. 7's first controller rule)."""
         mshr = make_mshr(mapper)
         addr = same_row_addrs(mapper, 1)[0]
-        mshr.add_write(addr)
-        ops = mshr.add_read(addr)
+        add_write(mshr, addr)
+        ops = add_read(mshr, addr)
         assert ops == []
         assert mshr.stats.forwarded_reads == 1
         # The gather side must NOT have recorded an offset.
-        assert mshr.flush()[0].is_scatter
+        assert flush(mshr)[0].is_scatter
 
 
 class TestConflictEviction:
@@ -114,8 +135,8 @@ class TestConflictEviction:
         mshr = make_mshr(mapper, num_entries=1)  # every row conflicts
         a = same_row_addrs(mapper, 1, row_block=0)[0]
         b = same_row_addrs(mapper, 1, row_block=1)[0]
-        mshr.add_read(a)
-        ops = mshr.add_read(b)
+        add_read(mshr, a)
+        ops = add_read(mshr, b)
         assert len(ops) == 1
         assert ops[0].items == 1
         assert mshr.stats.conflict_evictions == 1
@@ -125,9 +146,9 @@ class TestConflictEviction:
         mshr = make_mshr(mapper, num_entries=1)
         a = same_row_addrs(mapper, 2, row_block=0)
         b = same_row_addrs(mapper, 1, row_block=1)[0]
-        mshr.add_read(a[0])
-        mshr.add_write(a[1])
-        ops = mshr.add_read(b)
+        add_read(mshr, a[0])
+        add_write(mshr, a[1])
+        ops = add_read(mshr, b)
         kinds = sorted(op.is_scatter for op in ops)
         assert kinds == [False, True]
 
@@ -137,14 +158,14 @@ class TestConfiguration:
         mshr = make_mshr(mapper, items_per_op=4)
         ops = []
         for addr in same_row_addrs(mapper, 4):
-            ops.extend(mshr.add_read(addr))
+            ops.extend(add_read(mshr, addr))
         assert len(ops) == 1
         assert ops[0].items == 4
 
     def test_rank_level_flag_propagates(self, mapper):
         mshr = make_mshr(mapper, rank_level=True)
         for addr in same_row_addrs(mapper, 8):
-            ops = mshr.add_read(addr)
+            ops = add_read(mshr, addr)
         assert ops[0].rank_level
 
     def test_entries_power_of_two(self, mapper):
@@ -154,9 +175,9 @@ class TestConfiguration:
     def test_op_location_matches_address(self, mapper):
         mshr = make_mshr(mapper)
         addr = same_row_addrs(mapper, 1, row_block=5)[0]
-        mshr.add_read(addr)
-        op = mshr.flush()[0]
-        ch, ra, gb, ro, _ = mapper.decode_scalar(addr)
+        add_read(mshr, addr)
+        op = flush(mshr)[0]
+        ch, ra, gb, ro, _ = decode_scalar(mapper, addr)
         assert (op.channel, op.rank, op.bank, op.row) == (ch, ra, gb, ro)
 
 
@@ -170,4 +191,4 @@ class TestAddBatchValidation:
         with pytest.raises(ValueError, match="is_wb"):
             mshr.add_batch(addrs, np.zeros(wb_len, dtype=bool))
         assert mshr.stats == make_mshr(mapper).stats
-        assert mshr.flush() == []
+        assert flush(mshr) == []

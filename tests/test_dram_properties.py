@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram.spec import DEVICES, DRAMConfig
-from repro.dram.system import DRAMModel, FimOp
+from repro.dram.system import DRAMModel
+
+from reference_paths import FimRow, to_batch
 
 
 def make_model(ranks=4, channels=1, window=32):
@@ -92,11 +94,11 @@ def test_fim_burst_accounting(items, scatter):
     model = make_model()
     config = model.config
     ops = [
-        FimOp(channel=0, rank=i % 4, bank=i % 32, row=i, items=n,
+        FimRow(channel=0, rank=i % 4, bank=i % 32, row=i, items=n,
               is_scatter=scatter)
         for i, n in enumerate(items)
     ]
-    stats = model.phase(fim_ops=ops)
+    stats = model.phase(fim_ops=to_batch(ops))
     n_ops = len(items)
     assert stats.fim_offset_bursts == n_ops * config.fim_offset_bursts
     assert stats.internal_words == sum(items)

@@ -5,6 +5,10 @@ import pytest
 from repro.dram.spec import DEVICES, DRAMConfig, default_config
 
 
+def config_for(grade, **kwargs):
+    return DRAMConfig(spec=DEVICES[grade], channels=1, ranks=1, **kwargs)
+
+
 class TestDeviceGeometry:
     def test_all_paper_devices_present(self):
         for name in ("DDR4_2400_x16", "DDR4_2400_x8", "DDR4_2400_x4",
@@ -43,11 +47,11 @@ class TestFimWindow:
         # 8 x tCCD_L ~= 40 ns vs tWR + tRP + tRCD ~= 41.7 ns
         assert 8 * spec.tCCD == pytest.approx(40.0, abs=0.2)
         assert spec.fim_internal_window == pytest.approx(41.67, abs=0.1)
-        assert spec.fim_window_ok()
+        assert config_for("DDR4_2400_x16").fim_window_ok
 
     def test_all_devices_window_ok(self):
-        for spec in DEVICES.values():
-            assert spec.fim_window_ok(), spec.name
+        for name in DEVICES:
+            assert config_for(name).fim_window_ok, name
 
 
 class TestFimGeometry:
@@ -55,20 +59,20 @@ class TestFimGeometry:
 
     def test_offset_bursts_by_width(self):
         # 8 offsets x 16 b duplicated across chips, over 512-bit bursts
-        assert DEVICES["DDR4_2400_x16"].fim_offset_bursts(16) == 1
-        assert DEVICES["DDR4_2400_x8"].fim_offset_bursts(16) == 2
-        assert DEVICES["DDR4_2400_x4"].fim_offset_bursts(16) == 4
+        assert config_for("DDR4_2400_x16").fim_offset_bursts == 1
+        assert config_for("DDR4_2400_x8").fim_offset_bursts == 2
+        assert config_for("DDR4_2400_x4").fim_offset_bursts == 4
 
     def test_enhanced_11bit_offsets_reduce_x4_bursts(self):
-        assert DEVICES["DDR4_2400_x4"].fim_offset_bursts(11) == 3
+        assert config_for("DDR4_2400_x4", offset_bits=11).fim_offset_bursts == 3
 
     def test_small_burst_devices_move_four_items(self):
         for name in ("LPDDR4_3200", "GDDR5_6000", "HBM2_2000"):
-            assert DEVICES[name].fim_items_per_op == 4
+            assert config_for(name).fim_items_per_op == 4
 
     def test_hbm_two_transactions_per_op(self):
-        spec = DEVICES["HBM2_2000"]
-        assert spec.fim_offset_bursts(16) + spec.fim_data_bursts == 2
+        config = config_for("HBM2_2000")
+        assert config.fim_offset_bursts + config.fim_data_bursts == 2
 
     def test_enhanced_long_burst_hbm(self):
         config = DRAMConfig(

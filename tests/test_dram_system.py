@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.dram.spec import DEVICES, DRAMConfig
-from repro.dram.system import DRAMModel, FimOp, PhaseStats
+from repro.dram.system import DRAMModel, PhaseStats
+
+from reference_paths import FimRow, to_batch
 
 
 @pytest.fixture
@@ -81,10 +83,10 @@ class TestFimOps:
         for i in range(n_ops):
             row = 0 if same_row else i
             ops.append(
-                FimOp(channel=0, rank=0, bank=(0 if same_row else i % 8),
+                FimRow(channel=0, rank=0, bank=(0 if same_row else i % 8),
                       row=row, items=items, is_scatter=scatter)
             )
-        return model.phase(fim_ops=ops)
+        return model.phase(fim_ops=to_batch(ops))
 
     def test_gather_counts(self, model):
         stats = self._gather(model, 10)
@@ -118,27 +120,27 @@ class TestFimOps:
             while j > i + 1 and key[order[j - 1]] != key[order[i]]:
                 j -= 1
             k = order[i]
-            ops.append(FimOp(0, int(bank[k]) // 8 % 4, int(bank[k]),
+            ops.append(FimRow(0, int(bank[k]) // 8 % 4, int(bank[k]),
                              int(row[k]), j - i, False))
             i = j
-        t_fim = model.phase(fim_ops=ops).time_ns
+        t_fim = model.phase(fim_ops=to_batch(ops)).time_ns
         assert t_conv / t_fim > 2.5  # approaching the 4x ideal
 
     def test_rank_level_ops_serialise_on_rank(self, ddr4_config):
         model = DRAMModel(ddr4_config)
         # Many rank-level gathers on one rank: rank data path binds.
         ops = [
-            FimOp(channel=0, rank=0, bank=i % 8, row=i, items=8,
+            FimRow(channel=0, rank=0, bank=i % 8, row=i, items=8,
                   is_scatter=False, rank_level=True)
             for i in range(500)
         ]
-        t_nmp = model.phase(fim_ops=ops).time_ns
+        t_nmp = model.phase(fim_ops=to_batch(ops)).time_ns
         ops_bank = [
-            FimOp(channel=0, rank=0, bank=i % 8, row=i, items=8,
+            FimRow(channel=0, rank=0, bank=i % 8, row=i, items=8,
                   is_scatter=False, rank_level=False)
             for i in range(500)
         ]
-        t_fim = DRAMModel(ddr4_config).phase(fim_ops=ops_bank).time_ns
+        t_fim = DRAMModel(ddr4_config).phase(fim_ops=to_batch(ops_bank)).time_ns
         assert t_nmp >= t_fim
 
     def test_partial_ops_cost_full_window(self, model):

@@ -25,10 +25,10 @@ from repro.dram.engine import (
     check_engine_result,
 )
 from repro.dram.spec import default_config
-from repro.dram.system import DRAMModel, FimOp
+from repro.dram.system import DRAMModel
 from repro.graph.datasets import load_dataset
 
-from reference_paths import RequestLog
+from reference_paths import RequestLog, to_batch
 
 
 @pytest.fixture(scope="module")
@@ -95,5 +95,5 @@ class TestMissStreamOnEngine:
         engine = DRAMEngine(config, refresh_enabled=False)
         requests, channels = ops_to_requests(config, ops)
         engine_ns = engine.run(requests, channels).time_ns
-        phase_ns = DRAMModel(config).phase(fim_ops=ops).time_ns
+        phase_ns = DRAMModel(config).phase(fim_ops=to_batch(ops)).time_ns
         assert 0.4 < engine_ns / phase_ns < 3.0

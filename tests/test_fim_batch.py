@@ -3,8 +3,9 @@
 Three layers of equivalence, mirroring the batched-engine discipline of
 ``test_batched_equivalence.py``:
 
-1. :class:`FimOpBatch` behaves exactly like the ``list[FimOp]`` it
-   replaced (indexing, iteration, equality, slicing).
+1. :class:`FimOpBatch` keeps every appended or extended operation, in
+   order, in seven typed columns (read back through the test suite's
+   ``as_tuples`` view).
 2. ``DRAMModel.phase`` matches the one-shot whole-array walk it
    replaced (:func:`reference_phase`, kept here as the oracle) and,
    for FIM ops, the per-op scalar walk before that
@@ -25,13 +26,13 @@ from repro.core.collection_mshr import CollectionExtendedMSHR
 from repro.core.memory_path import FineGrainedMemoryPath
 from repro.core.piccolo_cache import PiccoloCache
 from repro.dram.address import AddressMapper
-from repro.dram.fim_batch import FimOp, FimOpBatch
+from repro.dram.fim_batch import FimOpBatch
 from repro.dram.spec import DEVICES, DRAMConfig
 from repro.dram.system import DEFAULT_SCHEDULER_WINDOW, DRAMModel, PhaseStats
 from repro.utils import units
 from repro.utils.units import ceil_div
 
-from reference_paths import RequestLog
+from reference_paths import FimRow, RequestLog, as_tuples, to_batch
 
 
 def make_config(channels=2, ranks=2):
@@ -56,61 +57,40 @@ op_streams = st.lists(fim_op_tuples, min_size=0, max_size=200)
 chunk_seed = st.integers(min_value=0, max_value=2**31 - 1)
 
 
-def to_ops(tuples):
-    return [FimOp(*t) for t in tuples]
-
-
-def to_batch(tuples):
-    batch = FimOpBatch()
-    for t in tuples:
-        batch.append(*t)
-    return batch
-
-
 # ---------------------------------------------------------------------------
-# 1. FimOpBatch as a sequence of FimOp
+# 1. FimOpBatch as an append-only column store
 # ---------------------------------------------------------------------------
 class TestFimOpBatch:
     def test_empty(self):
         batch = FimOpBatch()
         assert len(batch) == 0
-        assert not batch
-        assert batch == []
-        assert batch.to_ops() == []
-        assert batch.as_tuples() == ()
+        assert as_tuples(batch) == []
+        assert all(col.size == 0 for col in batch.columns())
 
     def test_append_and_index(self):
         batch = FimOpBatch()
         batch.append(0, 1, 2, 3, 4, True, False)
         batch.append(1, 0, 5, 6, 7, False, True)
         assert len(batch) == 2
-        assert batch[0] == FimOp(0, 1, 2, 3, 4, True, False)
-        assert batch[-1] == FimOp(1, 0, 5, 6, 7, False, True)
-        with pytest.raises(IndexError):
-            batch[2]
+        rows = as_tuples(batch)
+        assert rows[0] == FimRow(0, 1, 2, 3, 4, True, False)
+        assert rows[-1] == FimRow(1, 0, 5, 6, 7, False, True)
 
-    def test_iteration_and_eq_with_list(self):
-        ops = [FimOp(0, 0, 3, 9, 8, False), FimOp(1, 1, 4, 2, 1, True, True)]
-        batch = FimOpBatch.from_ops(ops)
-        assert list(batch) == ops
-        assert batch == ops
-        assert batch != ops[:1]
-        assert batch == FimOpBatch.from_ops(ops)
-
-    def test_slice_returns_batch(self):
-        ops = to_ops([(0, 0, i, i, 1, False, False) for i in range(10)])
-        batch = FimOpBatch.from_ops(ops)
-        tail = batch[3:]
-        assert isinstance(tail, FimOpBatch)
-        assert tail == ops[3:]
-
-    def test_extend_merges_batches_and_lists(self):
-        a = FimOpBatch.from_ops([FimOp(0, 0, 1, 1, 8, False)])
-        b = FimOpBatch.from_ops([FimOp(1, 1, 2, 2, 4, True)])
+    def test_extend_merges_batches(self):
+        """Extending seals both sides' staged appends first, so the
+        merged stream keeps arrival order across appends and extends."""
+        a = to_batch([FimRow(0, 0, 1, 1, 8, False)])
+        b = to_batch([FimRow(1, 1, 2, 2, 4, True)])
         a.extend(b)
-        a.extend([FimOp(0, 1, 3, 3, 2, False, True)])
-        assert len(a) == 3
-        assert a[1].is_scatter and a[2].rank_level
+        a.append(0, 1, 3, 3, 2, False, True)
+        a.extend(to_batch([FimRow(1, 0, 4, 4, 1, True)]))
+        assert len(a) == 4
+        assert as_tuples(a) == [
+            FimRow(0, 0, 1, 1, 8, False),
+            FimRow(1, 1, 2, 2, 4, True),
+            FimRow(0, 1, 3, 3, 2, False, True),
+            FimRow(1, 0, 4, 4, 1, True),
+        ]
 
     def test_columns_shapes_and_dtypes(self):
         batch = to_batch([(0, 1, 2, 3, 4, True, False)] * 5)
@@ -122,12 +102,7 @@ class TestFimOpBatch:
 
     def test_as_tuples_view(self):
         tuples = [(0, 1, 2, 3, 4, True, False), (1, 0, 9, 8, 7, False, True)]
-        assert to_batch(tuples).as_tuples() == tuple(tuples)
-
-    def test_clear(self):
-        batch = to_batch([(0, 0, 0, 0, 1, False, False)])
-        batch.clear()
-        assert len(batch) == 0 and batch == []
+        assert as_tuples(to_batch(tuples)) == tuples
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +234,7 @@ def reference_phase(
     return stats
 
 
-def reference_phase_fim(model: DRAMModel, ops: list[FimOp]) -> PhaseStats:
+def reference_phase_fim(model: DRAMModel, ops: list[FimRow]) -> PhaseStats:
     """The pre-FimOpBatch per-op scalar walk, preserved verbatim as the
     oracle for the vectorized FIM evaluation."""
     spec = model.spec
@@ -318,18 +293,9 @@ def reference_phase_fim(model: DRAMModel, ops: list[FimOp]) -> PhaseStats:
 @given(tuples=op_streams)
 def test_phase_batch_matches_scalar_walk_bitwise(tuples):
     model = DRAMModel(make_config())
-    expected = reference_phase_fim(model, to_ops(tuples))
+    expected = reference_phase_fim(model, [FimRow(*t) for t in tuples])
     got = model.phase(fim_ops=to_batch(tuples))
     assert vars(got) == vars(expected)
-
-
-@settings(max_examples=40, deadline=None)
-@given(tuples=op_streams)
-def test_phase_list_and_batch_agree(tuples):
-    model = DRAMModel(make_config())
-    from_list = model.phase(fim_ops=to_ops(tuples))
-    from_batch = model.phase(fim_ops=to_batch(tuples))
-    assert vars(from_list) == vars(from_batch)
 
 
 def random_bursts(seed, n, span):
@@ -424,26 +390,26 @@ class TestSchedulerWindowBehaviour:
 
     def interleaved(self, model, n=64):
         """Rows A/B alternating within windows: reorder halves episodes."""
-        return [FimOp(0, 0, 0, i % 2, 8, False) for i in range(n)]
+        return [FimRow(0, 0, 0, i % 2, 8, False) for i in range(n)]
 
     def run_of_rows(self, model, n=64):
         """One long same-row run: reorder cannot help (arrival kept)."""
-        return [FimOp(0, 0, 0, 0, 8, False) for i in range(n)]
+        return [FimRow(0, 0, 0, 0, 8, False) for i in range(n)]
 
     def test_reorder_reduces_episodes(self):
         model = DRAMModel(make_config())
         ops = self.interleaved(model)
-        acts = model.phase(fim_ops=FimOpBatch.from_ops(ops)).acts
+        acts = model.phase(fim_ops=to_batch(ops)).acts
         arrival_acts = DRAMModel(
             make_config(), scheduler_window=1
-        ).phase(fim_ops=FimOpBatch.from_ops(ops)).acts
+        ).phase(fim_ops=to_batch(ops)).acts
         assert acts < arrival_acts  # the window reorder was accepted
         assert acts == len(ops) * 2 // model.scheduler_window
 
     def test_same_row_run_keeps_single_episode(self):
         model = DRAMModel(make_config())
         stats = model.phase(
-            fim_ops=FimOpBatch.from_ops(self.run_of_rows(model))
+            fim_ops=to_batch(self.run_of_rows(model))
         )
         assert stats.acts == 1
 
@@ -451,11 +417,10 @@ class TestSchedulerWindowBehaviour:
     def test_streamed_episode_counts_match(self, chunk):
         model = DRAMModel(make_config())
         for ops in (self.interleaved(model, 96), self.run_of_rows(model, 96)):
-            batch = FimOpBatch.from_ops(ops)
-            whole = model.phase(fim_ops=batch)
+            whole = model.phase(fim_ops=to_batch(ops))
             acc = model.open_phase()
             for start in range(0, len(ops), chunk):
-                acc.add(fim_ops=batch[start:start + chunk])
+                acc.add(fim_ops=to_batch(ops[start:start + chunk]))
             assert vars(acc.close()) == vars(whole)
 
 
@@ -477,11 +442,10 @@ def split_spans(n, seed):
 @given(tuples=op_streams, seed=chunk_seed)
 def test_streamed_fim_phase_bitwise_identical(tuples, seed):
     model = DRAMModel(make_config())
-    batch = to_batch(tuples)
-    whole = model.phase(fim_ops=batch)
+    whole = model.phase(fim_ops=to_batch(tuples))
     acc = model.open_phase()
     for lo, hi in split_spans(len(tuples), seed):
-        acc.add(fim_ops=batch[lo:hi])
+        acc.add(fim_ops=to_batch(tuples[lo:hi]))
     assert vars(acc.close()) == vars(whole)
 
 
@@ -511,8 +475,7 @@ def test_streamed_mixed_phase_counters_identical(tuples, seed, n):
     model = DRAMModel(make_config())
     rng = np.random.default_rng(seed)
     addrs = (rng.integers(0, 1 << 20, n) * 64).astype(np.int64)
-    batch = to_batch(tuples)
-    whole = model.phase(addrs=addrs, fim_ops=batch)
+    whole = model.phase(addrs=addrs, fim_ops=to_batch(tuples))
     acc = model.open_phase()
     fim_spans = split_spans(len(tuples), seed + 1)
     addr_spans = split_spans(n, seed + 2)
@@ -523,7 +486,7 @@ def test_streamed_mixed_phase_counters_identical(tuples, seed, n):
             kwargs["addrs"] = addrs[lo:hi]
         if i < len(fim_spans):
             lo, hi = fim_spans[i]
-            kwargs["fim_ops"] = batch[lo:hi]
+            kwargs["fim_ops"] = to_batch(tuples[lo:hi])
         acc.add(**kwargs)
     assert vars(acc.close()) == vars(whole)
 
@@ -599,7 +562,7 @@ class TestProducersEmitBatches:
         expected = model.phase(
             addrs=np.asarray(addrs, dtype=np.int64),
             is_write=np.asarray(writes, dtype=bool),
-            fim_ops=ops,
+            fim_ops=to_batch(ops),
         )
 
         monkeypatch.setattr(units, "CHUNK_ACCESSES", 64)

@@ -20,6 +20,7 @@ from repro.dram.engine import (
     RequestType,
     check_engine_result,
 )
+from repro.dram.engine.commands import DATA_BUFFER_COLUMN, OFFSET_BUFFER_COLUMN
 from repro.dram.spec import DEVICES, DRAMConfig
 from repro.validate.end_to_end import replay_fim_trace
 
@@ -43,7 +44,7 @@ def run(*requests):
 
 @pytest.fixture
 def bank():
-    bank = FimBank(SPEC, rows=4)
+    bank = FimBank(CONFIG, rows=4)
     bank.cells[1] = np.arange(SPEC.row_words, dtype=np.uint64) * 3
     return bank
 
@@ -102,7 +103,7 @@ class TestSequences:
         needed = 8 * result.timing.tCCD_L
         # The engine waits out the full window...
         assert trace[-1].cycle >= offsets_wr.data_end + needed
-        replay_fim_trace(FimBank(SPEC, rows=4), result, {})
+        replay_fim_trace(FimBank(CONFIG, rows=4), result, {})
         # ...and a window-bound RD moved one clock too early raises.
         trace[-1] = dataclasses.replace(
             trace[-1], cycle=offsets_wr.data_end + needed - 1
@@ -128,12 +129,33 @@ class TestSequences:
             (CommandType.WR, True),
         ]
         # Without the dummy write the scatter never runs.
-        cut = FimBank(SPEC, rows=4)
+        cut = FimBank(CONFIG, rows=4)
         replay_fim_trace(cut, with_trace(result, result.traces[0][:-1]),
                          {0: [77]})
         assert cut.read_word(9) == 0
         replay_fim_trace(bank, result, {0: [77]})
         assert bank.read_word(9) == 77
+
+
+@pytest.mark.parametrize("grade", sorted(DEVICES))
+def test_virtual_column_commands_name_a_buffer_column(grade):
+    """Every virtual RD/WR of a FIM trace names the offset- or the
+    data-buffer column (the offset buffer's column 0 included); ACT and
+    PRE name none."""
+    config = DRAMConfig(spec=DEVICES[grade], channels=1, ranks=1)
+    offsets = range(config.fim_items_per_op)
+    result = DRAMEngine(config, refresh_enabled=False).run(
+        [gather(1, offsets), scatter(2, offsets, req_id=1)]
+    )
+    columns = [
+        cmd.column for cmd in result.traces[0]
+        if cmd.virtual and cmd.kind in (CommandType.RD, CommandType.WR)
+    ]
+    assert set(columns) == {OFFSET_BUFFER_COLUMN, DATA_BUFFER_COLUMN}
+    assert all(
+        cmd.column is None for cmd in result.traces[0]
+        if cmd.kind in (CommandType.ACT, CommandType.PRE)
+    )
 
 
 class TestCommandValidation:

@@ -5,7 +5,9 @@ interleavings of scatters and gathers on arbitrary rows/offsets of one
 bank, the command-level engine's trace must (a) contain only standard
 DDR commands, (b) satisfy every JEDEC rule of ``TraceChecker`` (refresh
 on), and (c) move data bit-exactly when replayed through the functional
-FIM bank, with every in-bank operation inside its Sec. VI window.
+FIM bank, with every in-bank operation inside its Sec. VI window.  The
+programmes run on all six grades and on the long-burst design of the
+three 32 B-burst grades (eight offsets per operation, Sec. VIII-B).
 """
 
 import numpy as np
@@ -24,6 +26,12 @@ from repro.validate.end_to_end import replay_fim_trace
 
 ROWS = 4
 ROW_WORDS = min(spec.row_words for spec in DEVICES.values())
+CONFIGS = [
+    DRAMConfig(spec=spec, channels=1, ranks=1) for spec in DEVICES.values()
+] + [
+    DRAMConfig(spec=spec, channels=1, ranks=1, long_burst_fim=True)
+    for spec in DEVICES.values() if spec.burst_bytes == 32
+]
 
 
 @st.composite
@@ -54,9 +62,11 @@ def operations(draw):
 @settings(max_examples=40, deadline=None)
 @given(ops=operations(), seed=st.integers(min_value=0, max_value=2**31))
 def test_random_programmes_are_legal_and_bit_exact(ops, seed):
-    for grade, spec in sorted(DEVICES.items()):
+    for config in CONFIGS:
+        spec = config.spec
+        grade = f"{spec.name}{' long-burst' if config.long_burst_fim else ''}"
         rng = np.random.default_rng(seed)
-        bank = FimBank(spec, rows=ROWS)
+        bank = FimBank(config, rows=ROWS)
         for r in range(ROWS):
             bank.cells[r] = rng.integers(
                 0, 1 << 63, size=spec.row_words, dtype=np.uint64
@@ -64,14 +74,13 @@ def test_random_programmes_are_legal_and_bit_exact(ops, seed):
         # The shadow model: plain numpy arrays updated directly.
         shadow = bank.cells.copy()
 
-        items = spec.fim_items_per_op
+        items = config.fim_items_per_op
         requests = [
             Request(kind, rank=0, bank=0, row=row,
                     offsets=tuple(offsets[:items]), req_id=i)
             for i, (kind, row, offsets, _) in enumerate(ops)
         ]
         values = {i: op[3][:items] for i, op in enumerate(ops)}
-        config = DRAMConfig(spec=spec, channels=1, ranks=1)
         result = DRAMEngine(config, refresh_enabled=True).run(requests)
         check_engine_result(result)
         gathered = replay_fim_trace(bank, result, values)

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fim import FimBank, FimChip, FimCommandError
-from repro.dram.spec import DEVICES
+from repro.dram.spec import DEVICES, DRAMConfig
 
 SPEC = DEVICES["DDR4_2400_x16"]
+CONFIG = DRAMConfig(spec=SPEC, channels=1, ranks=1)
 
 
 @pytest.fixture
 def bank():
-    b = FimBank(SPEC, rows=8)
+    b = FimBank(CONFIG, rows=8)
     for r in range(8):
         b.cells[r] = np.arange(SPEC.row_words, dtype=np.uint64) + r * 10_000
     return b
@@ -113,21 +114,21 @@ class TestScatter:
 
 class TestChipHelpers:
     def test_gather_scatter_roundtrip(self):
-        chip = FimChip(SPEC, rows=4)
+        chip = FimChip(CONFIG, rows=4)
         offsets = [3, 99, 7, 512, 0, 1, 2, 64]
         values = [v * 11 for v in range(8)]
         chip.scatter(2, 1, offsets, values)
         assert chip.gather(2, 1, offsets) == values
 
     def test_gather_switches_rows(self):
-        chip = FimChip(SPEC, rows=4)
+        chip = FimChip(CONFIG, rows=4)
         chip.scatter(0, 0, [5], [1])
         chip.scatter(0, 3, [5], [2])
         assert chip.gather(0, 0, [5]) == [1]
         assert chip.gather(0, 3, [5]) == [2]
 
     def test_mismatched_scatter_args(self):
-        chip = FimChip(SPEC, rows=4)
+        chip = FimChip(CONFIG, rows=4)
         with pytest.raises(FimCommandError):
             chip.scatter(0, 0, [1, 2], [1])
 
@@ -144,7 +145,7 @@ class TestChipHelpers:
 def test_gather_matches_direct_read(offsets, row, seed):
     """Property: gather returns exactly the row words at the offsets."""
     rng = np.random.default_rng(seed)
-    bank = FimBank(SPEC, rows=4)
+    bank = FimBank(CONFIG, rows=4)
     bank.cells[row] = rng.integers(
         0, 1 << 63, size=SPEC.row_words, dtype=np.uint64
     )
@@ -168,7 +169,7 @@ def test_gather_matches_direct_read(offsets, row, seed):
 )
 def test_scatter_then_gather_roundtrip(offsets, values):
     """Property: scatter followed by gather is the identity."""
-    chip = FimChip(SPEC, rows=2)
+    chip = FimChip(CONFIG, rows=2)
     vals = values[: len(offsets)]
     chip.scatter(1, 0, offsets, vals)
     assert chip.gather(1, 0, offsets) == vals

@@ -21,31 +21,52 @@ class TestPaperNumbers:
     def test_x16_single_offset_burst(self):
         # Sec. IV-B: 16-bit offsets x 8 x 4 chips = 512 bits = one 64 B
         # burst on x16 DDR4.
-        spec = DEVICES["DDR4_2400_x16"]
-        assert spec.chips_per_rank == 4
-        assert spec.fim_offset_bursts(16) == 1
+        config = config_for("DDR4_2400_x16")
+        assert config.spec.chips_per_rank == 4
+        assert config.fim_offset_bursts == 1
 
     def test_x8_two_offset_bursts(self):
         # 8 chips: 1024 bits = two bursts.
-        spec = DEVICES["DDR4_2400_x8"]
-        assert spec.chips_per_rank == 8
-        assert spec.fim_offset_bursts(16) == 2
+        config = config_for("DDR4_2400_x8")
+        assert config.spec.chips_per_rank == 8
+        assert config.fim_offset_bursts == 2
 
     def test_x4_four_offset_bursts(self):
-        spec = DEVICES["DDR4_2400_x4"]
-        assert spec.chips_per_rank == 16
-        assert spec.fim_offset_bursts(16) == 4
+        config = config_for("DDR4_2400_x4")
+        assert config.spec.chips_per_rank == 16
+        assert config.fim_offset_bursts == 4
 
     def test_items_per_op_by_burst(self):
-        assert DEVICES["DDR4_2400_x16"].fim_items_per_op == 8
+        assert config_for("DDR4_2400_x16").fim_items_per_op == 8
         for grade in ("LPDDR4_3200", "GDDR5_6000", "HBM2_2000"):
-            assert DEVICES[grade].fim_items_per_op == 4
+            assert config_for(grade).fim_items_per_op == 4
 
     def test_ideal_bandwidth_gain_x16(self):
         # 8 reads -> 1 offset burst + 1 data burst: the 4x of Sec. IV-B.
         config = config_for("DDR4_2400_x16")
         total = config.fim_offset_bursts + config.fim_data_bursts
         assert 8 / total == 4.0
+
+
+#: (items, offset bursts, data bursts) per grade, long burst off and on
+GEOMETRY = {
+    "DDR4_2400_x16": ((8, 1, 1), (8, 1, 1)),
+    "DDR4_2400_x8": ((8, 2, 1), (8, 1, 1)),
+    "DDR4_2400_x4": ((8, 4, 1), (8, 2, 1)),
+    "LPDDR4_3200": ((4, 1, 1), (8, 1, 2)),
+    "GDDR5_6000": ((4, 1, 1), (8, 1, 2)),
+    "HBM2_2000": ((4, 1, 1), (8, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("grade", sorted(DEVICES))
+def test_geometry_table(grade):
+    """Every grade's operation geometry, with and without long bursts."""
+    for long_burst, expected in zip((False, True), GEOMETRY[grade]):
+        config = config_for(grade, long_burst_fim=long_burst)
+        got = (config.fim_items_per_op, config.fim_offset_bursts,
+               config.fim_data_bursts)
+        assert got == expected, (grade, long_burst)
 
 
 class TestEnhancedDesigns:
@@ -58,7 +79,7 @@ class TestEnhancedDesigns:
     def test_narrow_offsets_match_manual_math(self):
         enhanced = config_for("DDR4_2400_x4", offset_bits=11)
         spec = enhanced.spec
-        bits = spec.fim_items_per_op * 11 * spec.chips_per_rank
+        bits = enhanced.fim_items_per_op * 11 * spec.chips_per_rank
         assert enhanced.fim_offset_bursts == ceil_div(bits, 64 * 8)
 
     def test_long_burst_doubles_hbm_items(self):
@@ -89,14 +110,15 @@ class TestWindowFeasibility:
     def test_window_vs_walk(self, grade):
         """Sec. VI: where items x tCCD exceeds tWR+tRP+tRCD the design
         'slightly adjusts tWR'; the spec must report which case holds."""
-        spec = DEVICES[grade]
-        expected = (spec.fim_items_per_op * spec.tCCD
+        config = config_for(grade)
+        spec = config.spec
+        expected = (config.fim_items_per_op * spec.tCCD
                     <= spec.fim_internal_window)
-        assert spec.fim_window_ok() == expected
+        assert config.fim_window_ok == expected
 
     def test_ddr4_2400_window_holds(self):
         # The paper's 39.84 ns <= 41.64 ns argument.
         spec = DEVICES["DDR4_2400_x16"]
-        assert spec.fim_window_ok()
+        assert config_for("DDR4_2400_x16").fim_window_ok
         assert 8 * spec.tCCD == pytest.approx(40.0, abs=0.2)
         assert spec.fim_internal_window == pytest.approx(41.67, abs=0.2)

@@ -184,15 +184,13 @@ class TestChunkedStreaming:
 class TestLocalityMonitor:
     def test_detects_sequential(self):
         monitor = LocalityMonitor(window=16, threshold=0.75)
-        for i in range(32):
-            monitor.observe(i * 8)
+        monitor.observe_many(np.arange(32, dtype=np.int64) * 8)
         assert monitor.bypass
 
     def test_random_does_not_trigger(self):
         monitor = LocalityMonitor(window=16, threshold=0.75)
         rng = np.random.default_rng(0)
-        for addr in rng.integers(0, 1 << 20, 64).tolist():
-            monitor.observe(addr * 8)
+        monitor.observe_many(rng.integers(0, 1 << 20, 64) * 8)
         assert not monitor.bypass
 
     def test_bypass_reroutes_to_bursts(self, mapper):

@@ -196,6 +196,23 @@ class TestCheckpointStore:
         assert loaded == result  # bit-exact dataclass equality
         assert record["cell"]["system"] == "PIM"
         assert record["timing"]["seconds"] == 1.25
+        # the record is one JSON file; no tmp file is left behind
+        assert [p.name for p in tmp_path.iterdir()] == [f"{cell.digest}.json"]
+
+    def test_store_with_npz_sidecars_still_loads(self, tmp_path):
+        """A store whose records also carry a ``<digest>.npz`` (the
+        two-file layout) loads from the JSON alone, sidecar or not."""
+        cell = resolve_cell(_spec())
+        result = runner.run_resolved(cell)
+        store = parallel.SweepCheckpointStore(tmp_path)
+        store.save(cell, result, seconds=0.5, rss_mb=2.0)
+        sidecar = tmp_path / f"{cell.digest}.npz"
+        np.savez(sidecar, total_ns=np.asarray(result.total_ns))
+        reopened = parallel.SweepCheckpointStore(tmp_path)
+        assert reopened.has(cell.digest) and len(reopened) == 1
+        assert reopened.load(cell.digest)[0] == result
+        sidecar.unlink()
+        assert reopened.load(cell.digest)[0] == result
 
     def test_result_record_json_round_trip(self):
         result = runner.run_resolved(resolve_cell(_spec()))
@@ -216,7 +233,7 @@ class TestCheckpointStore:
         store.save(cell, result, seconds=0.1, rss_mb=1.0)
         store.json_path(cell.digest).write_text("{truncated")
         assert store.load(cell.digest) is None
-        store.npz_path(cell.digest).unlink()
+        store.json_path(cell.digest).unlink()
         assert not store.has(cell.digest)
 
     def test_undigestable_cell_cannot_checkpoint(self, tmp_path):

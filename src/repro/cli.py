@@ -14,8 +14,8 @@ Commands:
     share memmapped graphs; ``--resume`` (with ``--checkpoint-dir``,
     default ``.repro_checkpoints``) skips cells already checkpointed by
     an earlier -- possibly killed -- run.  ``--tile-backing disk``
-    builds tiles with the bucketed external sort into a memmapped tile
-    store (``--tile-store-root``) instead of holding them in RAM --
+    builds tiles in two streaming passes into a memmapped tile store
+    (``--tile-store-root``) instead of holding them in RAM --
     bit-identical results at bounded RSS.
 ``profiles``
     Print the scale-profile knob table (toy / mid / paper).
@@ -262,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment scale profile (default: toy)")
     figure.add_argument("--tile-backing", default=None,
                         choices=("memory", "disk"),
-                        help="tile-array backing: disk builds tiles by "
-                        "bucketed external sort into a memmapped store "
+                        help="tile-array backing: disk builds tiles in "
+                        "two streaming passes into a memmapped store "
                         "(bounded RSS, bit-identical results)")
     figure.add_argument("--tile-store-root", default=None, metavar="DIR",
                         help="tile-store directory for --tile-backing "

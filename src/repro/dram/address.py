@@ -77,11 +77,14 @@ class AddressMapper:
         global_bank = (channel * self.config.ranks + rank) * spec.banks_per_rank + bank
         return global_bank, row
 
-    def word_in_row_many(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorised in-row 8-byte word index (the FIM offset payload)."""
+    def word_in_row_many(
+        self, addrs: np.ndarray, column: np.ndarray
+    ) -> np.ndarray:
+        """Vectorised in-row 8-byte word index (the FIM offset payload)
+        of ``addrs``, given the ``column`` :meth:`decode_many` gave them.
+        """
         addrs = np.asarray(addrs, dtype=np.int64)
-        _, _, _, _, column = self.decode_many(addrs)
-        words_per_burst = self.config.spec.burst_bytes // 8
+        words_per_burst = self.config.spec.burst_bytes >> 3
         return column * words_per_burst + (
             (addrs >> self._word_shift) & (words_per_burst - 1)
         )
@@ -105,10 +108,7 @@ class AddressMapper:
             channel * self.config.ranks + rank
         ) * spec.banks_per_rank + bank
         row_key = row * self.config.total_banks + global_bank
-        words_per_burst = spec.burst_bytes >> 3
-        word = column * words_per_burst + (
-            (addrs >> self._word_shift) & (words_per_burst - 1)
-        )
+        word = self.word_in_row_many(addrs, column)
         return channel, rank, global_bank, row, row_key, word
 
     def channel_of_many(self, addrs: np.ndarray) -> np.ndarray:

@@ -93,8 +93,8 @@ def fim_requests(
     """
     addrs = np.asarray(addrs, dtype=np.int64)
     mapper = AddressMapper(config)
-    channel, rank, bank, row, _ = mapper.decode_many(addrs)
-    words = mapper.word_in_row_many(addrs)
+    channel, rank, bank, row, column = mapper.decode_many(addrs)
+    words = mapper.word_in_row_many(addrs, column)
     items = config.fim_items_per_op
     kind = RequestType.SCATTER if scatter else RequestType.GATHER
     pending: dict[tuple[int, int, int, int], list[int]] = {}

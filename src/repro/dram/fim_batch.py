@@ -36,10 +36,11 @@ FIM_COLUMNS = (
 _INT_COLS = 5  # leading int64 columns; the last two are bool
 
 
-def _empty_columns() -> tuple[np.ndarray, ...]:
+def _typed(columns) -> tuple[np.ndarray, ...]:
+    """Parallel ``FIM_COLUMNS`` sequences as the batch's column arrays."""
     return tuple(
-        np.empty(0, dtype=np.int64 if i < _INT_COLS else bool)
-        for i in range(len(FIM_COLUMNS))
+        np.asarray(col, dtype=np.int64 if i < _INT_COLS else bool)
+        for i, col in enumerate(columns)
     )
 
 
@@ -83,6 +84,14 @@ class FimOpBatch:
         st[5].append(is_scatter)
         st[6].append(rank_level)
 
+    @classmethod
+    def from_columns(cls, *columns: np.ndarray) -> "FimOpBatch":
+        """A batch holding parallel ``FIM_COLUMNS`` arrays as one
+        sealed chunk (no per-operation appends)."""
+        batch = cls()
+        batch._chunks.append(_typed(columns))
+        return batch
+
     def extend(self, ops: "FimOpBatch") -> None:
         """Append another batch (chunk merge, no copies)."""
         ops._seal()
@@ -94,12 +103,7 @@ class FimOpBatch:
         st = self._staging
         if not st[0]:
             return
-        self._chunks.append(
-            tuple(
-                np.asarray(col, dtype=np.int64 if i < _INT_COLS else bool)
-                for i, col in enumerate(st)
-            )
-        )
+        self._chunks.append(_typed(st))
         self._staging = tuple([] for _ in FIM_COLUMNS)
 
     def columns(self) -> tuple[np.ndarray, ...]:
@@ -107,7 +111,7 @@ class FimOpBatch:
         rank_level) arrays; cached as the single remaining chunk."""
         self._seal()
         if not self._chunks:
-            return _empty_columns()
+            return _typed([()] * len(FIM_COLUMNS))
         if len(self._chunks) > 1:
             merged = tuple(
                 np.concatenate([chunk[i] for chunk in self._chunks])

@@ -91,7 +91,7 @@ class ExperimentScale:
     scale_shift: int | None = None
     #: where :class:`~repro.graph.partition.TiledCSR` keeps its sorted
     #: tile arrays: ``"memory"`` (global in-RAM argsort, tiles resident
-    #: for the run) or ``"disk"`` (bucketed external sort into a
+    #: for the run) or ``"disk"`` (two streaming passes into a
     #: memmapped tile store, O(chunk) build RSS, tiles paged on demand).
     #: Results are bit-identical either way, so the knob is *not* part
     #: of a cell's canonical digest.

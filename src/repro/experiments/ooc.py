@@ -13,8 +13,9 @@ in a *spawned child process* and records two phases:
    the tile arrays built ``memory``- or ``disk``-backed into a fresh
    store.  This is where the two backings diverge: the in-memory build
    holds a global argsort plus fully resident tiles, the disk build
-   holds one scatter chunk / one bucket at a time and pages tiles from
-   the memmapped store on demand.
+   holds one ``units.CHUNK_ACCESSES``-edge slice at a time (plus a few
+   integers per tile) and pages tiles from the memmapped store on
+   demand.
 
 Peak memory is sampled as **anonymous RSS** (``RssAnon`` in
 ``/proc/self/status``): memmap-backed graph and tile pages are

@@ -90,12 +90,15 @@ class TiledCSR:
 
     - ``"memory"`` (default): the global stable packed-key argsort below,
       every tile's arrays resident for the tiling's lifetime.
-    - ``"disk"``: a :mod:`repro.graph.tilestore` store built by bucketed
-      external sort (O(chunk) transient RSS, no global argsort) and
-      attached as memmaps; ``__getitem__`` assembles tiles whose
-      src/dst/weight are memmap *views*, so the chunk-streaming memory
-      paths pull tile bytes straight off disk and the OS drops them
-      after each walk.  Tile contents are bit-identical to the
+    - ``"disk"``: a :mod:`repro.graph.tilestore` store built by two
+      streaming passes over the CSR (O(chunk + tiles) transient memory,
+      no sort of the edges: sorted CSR rows grouped stably by tile are
+      already in tile order) and attached as memmaps;
+      ``__getitem__`` assembles tiles whose src/dst/weight are memmap
+      *views*, so the chunk-streaming memory paths pull tile bytes
+      straight off disk and the OS drops them after each walk.  A
+      graph whose CSR rows are not sorted by destination is refused
+      with ``ValueError``.  Tile contents are bit-identical to the
       in-memory build (pinned by the differential suite in
       ``tests/test_tilestore.py``).
     """
@@ -107,7 +110,6 @@ class TiledCSR:
         with_weights: bool = True,
         backing: str = "memory",
         store_root: str | os.PathLike | None = None,
-        bucket_edges: int | None = None,
     ) -> None:
         if tile_width <= 0:
             raise ValueError("tile_width must be positive")
@@ -127,11 +129,7 @@ class TiledCSR:
             from repro.graph import tilestore
 
             self.store = tilestore.build_or_attach(
-                graph,
-                self.tile_width,
-                with_weights,
-                root=store_root,
-                bucket_edges=bucket_edges,
+                graph, self.tile_width, with_weights, root=store_root
             )
             self._tiles = None
         else:

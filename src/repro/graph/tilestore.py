@@ -1,30 +1,34 @@
-"""Disk-backed tile store: bucketed external sort + memmapped tile arrays.
+"""Disk-backed tile store: a two-pass streaming build into memmapped tiles.
 
 The in-memory :class:`~repro.graph.partition.TiledCSR` build performs a
 global stable argsort of a packed (tile, src, dst) key, which
 materialises ~2 extra edge-sized temporaries and then keeps every
 tile's sorted copies resident for the whole run -- the RSS ceiling of
-paper-profile sweeps.  This module replaces that with an *external*
-two-pass build whose transient memory is O(bucket), not O(edges):
+paper-profile sweeps.  This module builds the same arrays on disk with
+transient memory O(chunk + tiles), not O(edges), and sorts no tile.
 
-1. **Scatter pass.**  One sequential walk over the CSR edge arrays in
-   bounded chunks; each chunk is grouped by destination-tile id (a
-   stable argsort of the id narrowed to the smallest type that holds
-   it, radix-sorted up to 65,536 tiles) and appended to a per-tile-row
-   *spill bucket* (a raw int64 row file in a temporary directory).
-   Because the walk is in CSR order and appends preserve it, every
-   bucket holds its tile's edges in original CSR (src, dst)-sorted
-   order.
-2. **Per-bucket sort pass.**  Each bucket is loaded alone, stably
-   sorted by (src, dst) -- one stable argsort of the packed key
-   ``src * |V| + dst``, a single run on a bucket already in CSR order,
-   with ``np.lexsort`` beyond the int64 guard.  Composed with the
-   grouping this equals the global stable (tile, src, dst) sort
-   bit-for-bit.  The tile is written into memmapped ``.npy`` output
-   arrays, together with the per-tile ``src_unique`` /
-   ``src_edge_start`` CSR row index read off the run starts of the
-   sorted sources.  The bucket file is deleted as soon as it is
-   consumed.
+CSR rows list their destinations in ascending order, so the tiling's
+(tile, src, dst) order is CSR order grouped stably by the tile id
+``dst // tile_width``, and within a tile each source's edges form one
+*run*.  Both passes walk the CSR in ``units.CHUNK_ACCESSES``-edge slices
+and never hold more than one slice:
+
+1. **Count pass.**  Each tile's edge count and run count.  A run starts
+   at a row start or where the tile id changes; a slice also reads the
+   edge before its cut, so runs carry across cuts.  A row whose
+   destinations decrease raises ``ValueError``: grouping it would not
+   give the sorted tiling.  The prefix sums are each tile's offsets
+   into the edge arrays and into its ``src_unique`` / ``src_edge_start``
+   row index.
+2. **Write pass.**  Each slice is grouped stably by tile id (an argsort
+   of the id narrowed to the smallest type that holds it, radix-sorted
+   up to 65,536 tiles) and written at per-tile cursors straight into
+   the memmapped src/dst/weight arrays.  Each run start writes its
+   source into ``src_unique`` and its in-tile offset into
+   ``src_edge_start``; each tile's closing edge count ends its row.
+
+The result equals the in-memory build bit for bit (the differential
+suite in ``tests/test_tilestore.py``).
 
 The finished store is a directory of plain ``.npy`` arrays plus a
 ``meta.json`` manifest, committed with the same tmp-dir + ``os.replace``
@@ -36,13 +40,13 @@ with_weights), so repeat runs and pool workers *attach* an existing
 store instead of rebuilding -- the tile analogue of the shared
 memmapped CSR graphs.
 
-Spill-bucket hygiene: the scatter pass runs inside a
-``tempfile.TemporaryDirectory`` (removed on any exception), and
-``build_or_attach`` sweeps stale partial build directories left behind
-by a SIGKILLed predecessor before starting, matching the
-checkpoint-store "atomic or missing" discipline.  A manifest whose
-arrays are missing or *short* (truncated by a crash or disk-full) reads
-as absent and the store is rebuilt.
+Hygiene: the write pass fills a private ``.<store>.tmp.<pid>``
+directory that is removed on any exception, and ``build_or_attach``
+sweeps stale partial build directories left behind by a SIGKILLed
+predecessor before starting, matching the checkpoint-store "atomic or
+missing" discipline.  A manifest whose arrays are missing or *short*
+(truncated by a crash or disk-full) reads as absent and the store is
+rebuilt.
 """
 
 from __future__ import annotations
@@ -58,18 +62,14 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 from numpy.lib.format import open_memmap
 
-from repro.utils.sorting import pair_order, run_starts
+from repro.utils import units
+from repro.utils.sorting import run_starts
 
 if TYPE_CHECKING:
     from repro.graph.csr import CSRGraph
 
 #: format marker written into a tile store's meta.json
 TILE_STORE_FORMAT = 1
-
-#: default scatter-chunk / spill-buffer size in edges; transient build
-#: memory is O(max(bucket_edges, largest tile's edges)), so smaller
-#: values bound the scatter pass tighter without changing the output
-DEFAULT_BUCKET_EDGES = 1 << 20
 
 #: the memmapped output arrays of a complete store, in manifest order
 _STORE_ARRAYS = (
@@ -226,49 +226,95 @@ def _edge_sources(indptr: np.ndarray, lo: int, hi: int) -> np.ndarray:
     )
 
 
-def _raw_to_npy(
-    raw_path: pathlib.Path, npy_path: pathlib.Path, count: int
-) -> None:
-    """Convert a raw int64 append file into a .npy array, chunk-copied
-    so the conversion stays O(chunk) like the build itself."""
-    # repro-lint: disable=RL002 -- callers pass paths inside the store's
-    # private build dir; the store root itself commits via os.replace
-    out = open_memmap(npy_path, mode="w+", dtype=np.int64, shape=(count,))
-    with open(raw_path, "rb") as handle:
-        written = 0
-        while written < count:
-            n = min(_HASH_CHUNK, count - written)
-            block = np.fromfile(handle, dtype=np.int64, count=n)
-            if block.size != n:
-                raise OSError(f"{raw_path} is short: {written + block.size} "
-                              f"of {count} entries")
-            out[written:written + n] = block
-            written += n
-    out.flush()
-    del out
-    raw_path.unlink()
+def _edge_slice(
+    graph: "CSRGraph", lo: int, hi: int, tile_width: int, key_type: np.dtype
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CSR edges [lo, hi), ``lo < hi``, as ``(src, dst, tile, run_start)``.
+
+    ``tile`` is ``dst // tile_width`` in ``key_type``; ``run_start``
+    marks the first edge of each (source, tile) run: a row start, or an
+    edge whose tile differs from the previous edge's.  Edge ``lo - 1``
+    is read too, so runs carry across slice cuts.
+
+    Raises:
+        ValueError: a row's destinations decrease.
+    """
+    base = max(lo - 1, 0)
+    src = _edge_sources(graph.indptr, base, hi)
+    dst = np.asarray(graph.indices[base:hi])
+    tile = (dst // tile_width).astype(key_type)
+    same_row = src[1:] == src[:-1]
+    falls = same_row & (dst[1:] < dst[:-1])
+    if falls.any():
+        row = int(src[1:][falls][0])
+        raise ValueError(
+            f"the disk tile store needs each CSR row's destinations "
+            f"sorted ascending; row {row} of {graph.name!r} decreases"
+        )
+    skip = lo - base
+    run_start = np.ones(hi - lo, dtype=bool)
+    run_start[1 - skip:] = ~same_row | (tile[1:] != tile[:-1])
+    return src[skip:], dst[skip:], tile[skip:], run_start
 
 
-def _external_sort_build(
+def _prefix(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: offsets of consecutive segments."""
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _claim(cursor: np.ndarray, grouped: np.ndarray) -> np.ndarray:
+    """Output slots for items whose tile ids ``grouped`` are in tile
+    order: each tile's items take consecutive slots from
+    ``cursor[tile]`` on, and the cursor advances past them."""
+    first = run_starts(grouped)
+    size = np.diff(first, append=grouped.size)
+    tiles = grouped[first]
+    slots = np.repeat(cursor[tiles] - first, size)
+    slots += np.arange(grouped.size)
+    cursor[tiles] += size
+    return slots
+
+
+def _build_store(
     graph: "CSRGraph",
     tile_width: int,
     with_weights: bool,
     target: pathlib.Path,
-    bucket_edges: int,
 ) -> None:
     """Build a complete store at ``target`` (which must not exist)."""
-    from repro.graph.partition import tile_row_index
-    from repro.utils.units import ceil_div
-
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    chunk = units.CHUNK_ACCESSES
     num_edges = int(graph.num_edges)
-    num_tiles = ceil_div(graph.num_vertices, tile_width)
-    n_v = max(1, graph.num_vertices)
-    ncols = 3 if with_weights else 2
+    num_tiles = units.ceil_div(graph.num_vertices, tile_width)
     # the narrowest type that holds every tile id: NumPy sorts keys of
     # 16 bits or fewer stably by radix, and a stable sort's permutation
     # depends only on the key values
-    tile_key_type = np.min_scalar_type(max(num_tiles - 1, 0))
+    key_type = np.min_scalar_type(max(num_tiles - 1, 0))
+
+    # -- pass 1: count each tile's edges and (source, tile) runs
+    edges = np.zeros(num_tiles, dtype=np.int64)
+    runs = np.zeros(num_tiles, dtype=np.int64)
+    for lo in range(0, num_edges, chunk):
+        _, _, tile, run_start = _edge_slice(
+            graph, lo, min(lo + chunk, num_edges), tile_width, key_type
+        )
+        edges += np.bincount(tile, minlength=num_tiles)
+        runs += np.bincount(tile[run_start], minlength=num_tiles)
+    boundaries = _prefix(edges)
+    uniq_boundaries = _prefix(runs)
+    del edges, runs
+    total_uniq = int(uniq_boundaries[-1])
+    arrays = {
+        "src": num_edges,
+        "dst": num_edges,
+        "boundaries": num_tiles + 1,
+        "src_unique": total_uniq,
+        "uniq_boundaries": num_tiles + 1,
+        "src_edge_start": total_uniq + num_tiles,
+    }
+    if with_weights:
+        arrays["weight"] = num_edges
 
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.parent / f".{target.name}.tmp.{os.getpid()}"
@@ -276,105 +322,46 @@ def _external_sort_build(
         shutil.rmtree(tmp)
     tmp.mkdir()
     try:
-        counts = np.zeros(max(1, num_tiles), dtype=np.int64)
-        with tempfile.TemporaryDirectory(
-            prefix=f".{target.name}.spill.{os.getpid()}.", dir=target.parent
-        ) as spill:
-            spill_dir = pathlib.Path(spill)
-            # -- pass 1: scatter CSR chunks into per-tile spill buckets
-            for lo in range(0, num_edges, bucket_edges):
-                hi = min(lo + bucket_edges, num_edges)
-                dst = np.asarray(indices[lo:hi])
-                src = _edge_sources(indptr, lo, hi)
-                key = (dst // tile_width).astype(tile_key_type)
-                order = np.argsort(key, kind="stable")
-                key = key[order]
-                columns = [src[order], dst[order]]
-                if with_weights:
-                    columns.append(np.asarray(weights[lo:hi])[order])
-                rows = np.stack(columns, axis=1)  # (n, ncols) C-order
-                del src, dst, order, columns
-                cuts = run_starts(key)
-                tiles_here = key[cuts]
-                cuts = np.append(cuts, key.size)
-                counts += np.bincount(key, minlength=counts.size)
-                for i, tile in enumerate(tiles_here.tolist()):
-                    block = rows[cuts[i]:cuts[i + 1]]
-                    with open(spill_dir / f"bucket_{tile}.bin", "ab") as f:
-                        block.tofile(f)
-                del key, rows
-            # -- pass 2: sort each bucket alone, stream into the outputs
-            boundaries = np.zeros(num_tiles + 1, dtype=np.int64)
-            np.cumsum(counts[:num_tiles], out=boundaries[1:])
-            out_src = open_memmap(
-                tmp / "src.npy", mode="w+", dtype=np.int64, shape=(num_edges,)
+        out = {
+            name: open_memmap(
+                tmp / f"{name}.npy", mode="w+", dtype=np.int64,
+                shape=(length,),
             )
-            out_dst = open_memmap(
-                tmp / "dst.npy", mode="w+", dtype=np.int64, shape=(num_edges,)
-            )
-            out_w = (
-                open_memmap(
-                    tmp / "weight.npy", mode="w+", dtype=np.int64,
-                    shape=(num_edges,),
-                )
-                if with_weights else None
-            )
-            uniq_counts = np.zeros(num_tiles, dtype=np.int64)
-            uniq_raw = tmp / "src_unique.raw"
-            start_raw = tmp / "src_edge_start.raw"
-            with open(uniq_raw, "wb") as uniq_f, \
-                    open(start_raw, "wb") as start_f:
-                for t in range(num_tiles):
-                    lo, hi = int(boundaries[t]), int(boundaries[t + 1])
-                    bucket = spill_dir / f"bucket_{t}.bin"
-                    if hi > lo:
-                        data = np.fromfile(bucket, dtype=np.int64)
-                        bucket.unlink()
-                        data = data.reshape(-1, ncols)
-                        if data.shape[0] != hi - lo:
-                            raise OSError(
-                                f"spill bucket {t} is short: "
-                                f"{data.shape[0]} of {hi - lo} edges"
-                            )
-                        t_src = data[:, 0]
-                        order = pair_order(t_src, data[:, 1], n_v)
-                        t_src = t_src[order]
-                        out_src[lo:hi] = t_src
-                        out_dst[lo:hi] = data[:, 1][order]
-                        if out_w is not None:
-                            out_w[lo:hi] = data[:, 2][order]
-                        del data, order
-                    else:
-                        t_src = np.empty(0, dtype=np.int64)
-                    # the in-memory build's row index, bit for bit
-                    uniq, edge_start = tile_row_index(t_src)
-                    uniq_counts[t] = uniq.size
-                    uniq.tofile(uniq_f)
-                    edge_start.tofile(start_f)
-                    del t_src, uniq, edge_start
-            for mapped in (out_src, out_dst, out_w):
-                if mapped is not None:
-                    mapped.flush()
-            del out_src, out_dst, out_w
-        total_uniq = int(uniq_counts.sum())
-        _raw_to_npy(uniq_raw, tmp / "src_unique.npy", total_uniq)
-        _raw_to_npy(
-            start_raw, tmp / "src_edge_start.npy", total_uniq + num_tiles
-        )
-        uniq_boundaries = np.zeros(num_tiles + 1, dtype=np.int64)
-        np.cumsum(uniq_counts, out=uniq_boundaries[1:])
-        np.save(tmp / "boundaries.npy", boundaries)
-        np.save(tmp / "uniq_boundaries.npy", uniq_boundaries)
-        arrays = {
-            "src": num_edges,
-            "dst": num_edges,
-            "boundaries": num_tiles + 1,
-            "src_unique": total_uniq,
-            "uniq_boundaries": num_tiles + 1,
-            "src_edge_start": total_uniq + num_tiles,
+            for name, length in arrays.items()
         }
-        if with_weights:
-            arrays["weight"] = num_edges
+        out["boundaries"][:] = boundaries
+        out["uniq_boundaries"][:] = uniq_boundaries
+        # -- pass 2: group each slice by tile, write at per-tile cursors
+        edge_cursor = boundaries[:-1].copy()
+        run_cursor = uniq_boundaries[:-1].copy()
+        for lo in range(0, num_edges, chunk):
+            hi = min(lo + chunk, num_edges)
+            src, dst, tile, run_start = _edge_slice(
+                graph, lo, hi, tile_width, key_type
+            )
+            order = np.argsort(tile, kind="stable")
+            slot = np.empty(hi - lo, dtype=np.int64)
+            slot[order] = _claim(edge_cursor, tile[order])
+            out["src"][slot] = src
+            out["dst"][slot] = dst
+            if with_weights:
+                out["weight"][slot] = graph.weights[lo:hi]
+            first = order[run_start[order]]  # run starts, tile-grouped
+            run_tile = tile[first]
+            run_slot = _claim(run_cursor, run_tile)
+            out["src_unique"][run_slot] = src[first]
+            # each tile's row index is one entry longer than its run
+            # list, so tile t's entries sit t slots past its runs'
+            out["src_edge_start"][run_slot + run_tile] = (
+                slot[first] - boundaries[run_tile]
+            )
+        del edge_cursor, run_cursor
+        closing = np.arange(num_tiles, dtype=np.int64)
+        closing += uniq_boundaries[1:]
+        out["src_edge_start"][closing] = np.diff(boundaries)
+        for mapped in out.values():
+            mapped.flush()
+        del out
         meta = {
             "format": TILE_STORE_FORMAT,
             "graph_name": graph.name,
@@ -410,14 +397,15 @@ def _pid_alive(pid: int) -> bool:
 
 
 def _sweep_stale_partials(root: pathlib.Path, store_name: str) -> None:
-    """Remove partial build/spill directories whose owning builder died
-    (SIGKILL skips the exception/context cleanup paths).
+    """Remove partial build directories whose owning builder died
+    (SIGKILL skips the exception cleanup path).
 
-    Partial names embed the builder's pid (``.<store>.tmp.<pid>`` /
-    ``.<store>.spill.<pid>.<rand>``); a partial whose pid is still
-    alive belongs to a concurrent builder racing us to ``os.replace``
-    and must be left alone -- first-writer-wins makes either finishing
-    order safe.  Unparsable names are treated as live (never deleted)."""
+    Partial names embed the builder's pid: ``.<store>.tmp.<pid>``, and
+    ``.<store>.spill.<pid>.<rand>`` for the spill-bucket directories of
+    earlier builders.  A partial whose pid is still alive belongs to a
+    concurrent builder racing us to ``os.replace`` and must be left
+    alone -- first-writer-wins makes either finishing order safe.
+    Unparsable names are treated as live (never deleted)."""
     import re
 
     for stale in root.glob(f".{store_name}.*"):
@@ -494,20 +482,20 @@ def build_or_attach(
     tile_width: int,
     with_weights: bool,
     root: str | os.PathLike | None = None,
-    bucket_edges: int | None = None,
 ) -> TileStore:
     """Attach the store for (graph, tile_width, with_weights), building
-    it with the bucketed external sort if it does not exist yet.
+    it with the two-pass streaming build if it does not exist yet.
 
     Concurrent callers converge: the build lands via ``os.replace``
     first-writer-wins, and a caller that loses the race attaches the
     winner's store.
+
+    Raises:
+        ValueError: ``tile_width`` is not positive, or a CSR row's
+            destinations are not sorted ascending.
     """
     if tile_width <= 0:
         raise ValueError("tile_width must be positive")
-    bucket = DEFAULT_BUCKET_EDGES if bucket_edges is None else int(bucket_edges)
-    if bucket < 1:
-        raise ValueError("bucket_edges must be >= 1")
     root = pathlib.Path(root) if root is not None else default_root()
     root.mkdir(parents=True, exist_ok=True)
     digest = store_digest(graph, tile_width, with_weights)
@@ -518,5 +506,5 @@ def build_or_attach(
             # absent, exactly like a missing checkpoint record
             shutil.rmtree(target, ignore_errors=True)
         _sweep_stale_partials(root, target.name)
-        _external_sort_build(graph, tile_width, with_weights, target, bucket)
+        _build_store(graph, tile_width, with_weights, target)
     return TileStore(target)

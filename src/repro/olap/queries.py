@@ -21,6 +21,7 @@ import numpy as np
 from repro.dram.spec import DRAMConfig, default_config
 from repro.dram.fim_batch import FimOpBatch
 from repro.dram.system import DRAMModel
+from repro.utils.sorting import run_starts
 
 
 @dataclass(frozen=True)
@@ -47,24 +48,22 @@ def _gather_ops(model: DRAMModel, addrs: np.ndarray) -> FimOpBatch:
     Mirrors the collection-extended MSHR: elements accumulate per
     (bank, row) -- regardless of interleaving order -- and fire one
     operation per ``items_per_op`` offsets, plus a partial for leftovers.
+    In (bank, row) key order, each key's elements are cut into
+    operations at every ``items_per_op``-th position of its run.
     """
     items = model.config.fim_items_per_op
     ch, ra, global_bank, row, key, _ = model.mapper.decode_fim_many(addrs)
     order = np.argsort(key, kind="stable")
-    ops = FimOpBatch()
-    i = 0
-    n = addrs.size
-    while i < n:
-        j = i + 1
-        while j < n and key[order[j]] == key[order[i]] and j - i < items:
-            j += 1
-        k = order[i]
-        ops.append(
-            int(ch[k]), int(ra[k]), int(global_bank[k]), int(row[k]),
-            j - i, False,
-        )
-        i = j
-    return ops
+    starts = run_starts(key[order])
+    in_run = np.arange(order.size)
+    in_run -= np.repeat(starts, np.diff(starts, append=order.size))
+    op_start = np.flatnonzero(in_run % items == 0)
+    first = order[op_start]
+    return FimOpBatch.from_columns(
+        ch[first], ra[first], global_bank[first], row[first],
+        np.diff(op_start, append=order.size),
+        np.zeros(first.size, dtype=bool), np.zeros(first.size, dtype=bool),
+    )
 
 
 def run_query(

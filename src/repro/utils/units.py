@@ -15,7 +15,8 @@ WORD_BYTES = 8
 #: system's Vtemp ids and a memory path's ``run`` work through a tile
 #: this many accesses at a time, so per-chunk temporaries (event
 #: arrays, the DRAM phase's request stream) stay bounded at any graph
-#: size.  No result depends on it
+#: size; the disk tile store's build walks the CSR in slices of this
+#: many edges for the same reason.  No result depends on it
 #: (docs/ARCHITECTURE.md, invariant 4); readers look it up on this
 #: module at call time, so a test can set it in one place.
 CHUNK_ACCESSES = 1 << 15

@@ -59,7 +59,7 @@ class TestDecode:
 
     def test_word_in_row_range(self, mapper):
         addrs = np.arange(0, 1 << 16, 8, dtype=np.int64)
-        words = mapper.word_in_row_many(addrs)
+        words = mapper.decode_fim_many(addrs)[5]
         assert words.min() >= 0
         assert words.max() < mapper.config.spec.row_words
 

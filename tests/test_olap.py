@@ -2,9 +2,43 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.olap.queries import OLAP_QUERIES, query_speedups, run_query
+from repro.dram.spec import DEVICES, DRAMConfig
+from repro.dram.system import DRAMModel
+from repro.olap.queries import (
+    OLAP_QUERIES,
+    _gather_ops,
+    query_speedups,
+    run_query,
+)
 from repro.olap.table import Table
+
+from reference_paths import FimRow, as_tuples
+
+
+def reference_gather_ops(model, addrs):
+    """The gathers of ``addrs``, one sorted element at a time: each
+    (bank, row) key's elements, in stream order, fire an operation per
+    ``fim_items_per_op`` of them plus a partial for the rest."""
+    items = model.config.fim_items_per_op
+    ch, ra, global_bank, row, key, _ = model.mapper.decode_fim_many(addrs)
+    order = np.argsort(key, kind="stable")
+    ops = []
+    i = 0
+    n = addrs.size
+    while i < n:
+        j = i + 1
+        while j < n and key[order[j]] == key[order[i]] and j - i < items:
+            j += 1
+        k = order[i]
+        ops.append(FimRow(
+            int(ch[k]), int(ra[k]), int(global_bank[k]), int(row[k]),
+            j - i, False,
+        ))
+        i = j
+    return ops
 
 
 class TestTable:
@@ -38,6 +72,39 @@ class TestTable:
         a = Table(64, 4, seed=9)
         b = Table(64, 4, seed=9)
         assert np.array_equal(a.data, b.data)
+
+
+class TestGatherOps:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=0, max_value=400),
+        footprint_words=st.sampled_from([4, 64, 4096, 1 << 20]),
+        device=st.sampled_from(["DDR4_2400_x16", "HBM2_2000"]),
+        long_burst=st.booleans(),
+    )
+    def test_matches_reference_walk(
+        self, seed, n, footprint_words, device, long_burst
+    ):
+        # small footprints repeat rows and words (runs longer than one
+        # operation); HBM2 moves 4 items per gather, 8 with long bursts
+        config = DRAMConfig(
+            spec=DEVICES[device], channels=2, ranks=2,
+            long_burst_fim=long_burst,
+        )
+        model = DRAMModel(config)
+        rng = np.random.default_rng(seed)
+        addrs = rng.integers(0, footprint_words, n, dtype=np.int64) * 8
+        assert as_tuples(_gather_ops(model, addrs)) == reference_gather_ops(
+            model, addrs
+        )
+
+    def test_strided_column_scan(self):
+        model = DRAMModel(DRAMConfig(spec=DEVICES["DDR4_2400_x16"]))
+        addrs = Table(4096, 16).column_addrs(1)
+        ops = as_tuples(_gather_ops(model, addrs))
+        assert ops == reference_gather_ops(model, addrs)
+        assert sum(op.items for op in ops) == addrs.size
 
 
 class TestQueries:

@@ -88,7 +88,7 @@ class TestSpawnedCell:
         assert payload["materialize_seconds"] >= 0
         assert payload["total_ns"] > 0
         # the child materialised the graph memmap and built its own
-        # external-sort tile store under the per-cell directory
+        # disk tile store under the per-cell directory
         assert list((tmp_path / "graphs").glob("UU-s*"))
         assert list(
             (tmp_path / "ooc_test_disk_Piccolo_PR_UU" / "tiles")

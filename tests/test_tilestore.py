@@ -4,20 +4,23 @@ The contract of :mod:`repro.graph.tilestore` is *bit-identity*: a
 disk-backed :class:`~repro.graph.partition.TiledCSR` must produce
 tiles whose every array (src/dst/weight/src_unique/src_edge_start,
 ordering and dtype included) equals the in-memory global-argsort
-build's.  The hypothesis suite below drives random graphs through both
-builds across tile widths (non-divisible, width >= |V|), empty tiles,
-and with_weights on/off.
+build's.  The hypothesis suite below drives random multigraphs through
+both builds and checks each against an independent reference tiling
+(``np.lexsort`` of the edge list by (tile, src, dst)) across tile
+widths (non-divisible, width >= |V|), empty tiles, with_weights on/off
+and build slices of 1 edge up to the default ``units.CHUNK_ACCESSES``.
 
 The store's hygiene contract is "atomic or missing": failed builds
-leave no spill buckets or partial stores, stale partials from a killed
-builder are swept, and a store with missing/short arrays reads as
-absent and is rebuilt.  The build's transient memory must stay
-O(bucket), not O(edges) -- pinned with tracemalloc (which sees NumPy
-heap allocations but not memmap pages, exactly the split we want).
+leave no partial stores, stale partials from a killed builder are
+swept, and a store with missing/short arrays reads as absent and is
+rebuilt.  The build's transient memory must stay O(chunk + tiles), not
+O(edges) -- pinned with tracemalloc (which sees NumPy heap allocations
+but not memmap pages, exactly the split we want).
 """
 
 import json
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from repro.graph import tilestore
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.partition import TiledCSR
+from repro.utils import units
 
 TILE_FIELDS = ("src", "dst", "weight", "src_unique", "src_edge_start")
 
@@ -42,34 +46,87 @@ def assert_tilings_identical(mem: TiledCSR, dsk: TiledCSR) -> None:
             assert np.array_equal(x, y), name
 
 
+def reference_tiles(graph: CSRGraph, width: int, with_weights: bool):
+    """The tiling by definition, one dict of arrays per tile.
+
+    Every edge, sorted by (tile, src, dst) with ``np.lexsort`` (stable,
+    so parallel edges keep their CSR order and weights), is cut into
+    tiles of ``width`` destinations; each tile's row index comes from
+    ``np.unique``.
+    """
+    src, dst, weight = graph.edge_array()
+    tile = dst // width
+    order = np.lexsort((dst, src, tile))
+    src, dst, weight, tile = src[order], dst[order], weight[order], tile[order]
+    num_tiles = -(-graph.num_vertices // width)
+    cuts = np.searchsorted(tile, np.arange(num_tiles + 1))
+    tiles = []
+    for t in range(num_tiles):
+        lo, hi = cuts[t], cuts[t + 1]
+        uniq, start = np.unique(src[lo:hi], return_index=True)
+        tiles.append({
+            "index": t,
+            "dst_lo": t * width,
+            "dst_hi": min((t + 1) * width, graph.num_vertices),
+            "src": src[lo:hi],
+            "dst": dst[lo:hi],
+            "weight": weight[lo:hi] if with_weights
+            else np.zeros(hi - lo, dtype=np.int64),
+            "src_unique": uniq,
+            "src_edge_start": np.append(start, hi - lo),
+        })
+    return tiles
+
+
+def assert_matches_reference(tiling: TiledCSR) -> None:
+    expected = reference_tiles(
+        tiling.graph, tiling.tile_width, tiling.with_weights
+    )
+    assert len(tiling) == len(expected)
+    for tile, ref in zip(tiling, expected):
+        assert (tile.index, tile.dst_lo, tile.dst_hi) == (
+            ref["index"], ref["dst_lo"], ref["dst_hi"]
+        )
+        for name in TILE_FIELDS:
+            got = getattr(tile, name)
+            assert got.dtype == np.int64, (name, got.dtype)
+            assert np.array_equal(got, ref[name]), (tile.index, name)
+
+
 @st.composite
-def graphs(draw):
+def multigraphs(draw):
+    """Random graphs that keep parallel edges, with distinct weights so
+    a reordered parallel edge shows."""
     n_v = draw(st.integers(min_value=1, max_value=48))
     n_e = draw(st.integers(min_value=0, max_value=300))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
     src = rng.integers(0, n_v, n_e)
     dst = rng.integers(0, n_v, n_e)
-    weights = rng.integers(0, 1_000, n_e)
-    return CSRGraph.from_edges(n_v, src, dst, weights, name="hyp")
+    weights = rng.permutation(n_e)
+    return CSRGraph.from_edges(
+        n_v, src, dst, weights, dedupe=False, name="hyp"
+    )
 
 
 class TestDifferentialBitIdentity:
     @settings(max_examples=60, deadline=None)
     @given(
-        graph=graphs(),
+        graph=multigraphs(),
         width_frac=st.floats(min_value=0.01, max_value=2.0),
         with_weights=st.booleans(),
-        bucket_edges=st.sampled_from([1, 3, 17, 64, None]),
+        chunk=st.sampled_from([1, 3, 17, 64, None]),
     )
     def test_disk_tiles_match_memory_build(
-        self, graph, width_frac, with_weights, bucket_edges
+        self, graph, width_frac, with_weights, chunk
     ):
         # widths span sub-vertex fractions through >= num_vertices
-        # (incl. non-divisible widths); bucket_edges=1 forces a spill
-        # append per edge, the adversarial chunking extreme
+        # (incl. non-divisible widths); a 1-edge slice cuts the build
+        # between every pair of edges, None keeps the default chunk
         width = max(1, int(graph.num_vertices * width_frac))
-        with tempfile.TemporaryDirectory() as root:
+        chunk = units.CHUNK_ACCESSES if chunk is None else chunk
+        with tempfile.TemporaryDirectory() as root, \
+                mock.patch.object(units, "CHUNK_ACCESSES", chunk):
             mem = TiledCSR(graph, width, with_weights=with_weights)
             dsk = TiledCSR(
                 graph,
@@ -77,9 +134,9 @@ class TestDifferentialBitIdentity:
                 with_weights=with_weights,
                 backing="disk",
                 store_root=root,
-                bucket_edges=bucket_edges,
             )
-            assert_tilings_identical(mem, dsk)
+            assert_matches_reference(mem)
+            assert_matches_reference(dsk)
             assert dsk.total_edges() == graph.num_edges
 
     def test_empty_tiles_and_isolated_vertices(self, tmp_path):
@@ -131,11 +188,11 @@ def assert_row_index_oracle(tiling: TiledCSR) -> None:
 
 class TestRowIndexOracle:
     @pytest.mark.parametrize("width", [1, 7, 40, 45])
-    def test_both_builders_match_unique(self, width, tmp_path):
+    def test_both_builders_match_unique(self, width, tmp_path, monkeypatch):
         graph = erdos_renyi(40, avg_degree=3.0, seed=11, name="oracle")
+        monkeypatch.setattr(units, "CHUNK_ACCESSES", 11)
         mem = TiledCSR(graph, width)
-        dsk = TiledCSR(graph, width, backing="disk", store_root=tmp_path,
-                       bucket_edges=11)
+        dsk = TiledCSR(graph, width, backing="disk", store_root=tmp_path)
         assert_row_index_oracle(mem)
         assert_row_index_oracle(dsk)
         assert_tilings_identical(mem, dsk)
@@ -151,11 +208,11 @@ class TestRowIndexOracle:
         assert_row_index_oracle(mem)
         assert_row_index_oracle(dsk)
 
-    @pytest.mark.parametrize("bucket_edges", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5])
     def test_zero_degree_rows_across_chunk_boundaries(
-        self, bucket_edges, tmp_path
+        self, chunk, tmp_path, monkeypatch
     ):
-        # out-degrees 3 0 0 2 0 5 0 0 1 0: small buckets cut the edge
+        # out-degrees 3 0 0 2 0 5 0 0 1 0: small slices cut the edge
         # range inside and right next to the zero-degree rows
         degrees = np.array([3, 0, 0, 2, 0, 5, 0, 0, 1, 0])
         src = np.repeat(np.arange(degrees.size), degrees)
@@ -163,21 +220,23 @@ class TestRowIndexOracle:
         graph = CSRGraph.from_edges(degrees.size, src, dst, dedupe=False)
         chunks = [
             tilestore._edge_sources(
-                graph.indptr, lo, min(lo + bucket_edges, graph.num_edges)
+                graph.indptr, lo, min(lo + chunk, graph.num_edges)
             )
-            for lo in range(0, graph.num_edges, bucket_edges)
+            for lo in range(0, graph.num_edges, chunk)
         ]
         assert all(c.dtype == np.int64 for c in chunks)
         assert np.array_equal(np.concatenate(chunks), src)
-        dsk = TiledCSR(graph, 3, backing="disk", store_root=tmp_path,
-                       bucket_edges=bucket_edges)
+        monkeypatch.setattr(units, "CHUNK_ACCESSES", chunk)
+        dsk = TiledCSR(graph, 3, backing="disk", store_root=tmp_path)
         assert_row_index_oracle(dsk)
         assert_tilings_identical(TiledCSR(graph, 3), dsk)
 
     @pytest.mark.parametrize("num_tiles", [256, 257, 65_536, 65_537])
-    def test_narrowed_tile_key_boundaries(self, num_tiles, tmp_path):
-        # width-1 tiles: the scatter pass narrows the tile id to uint8
-        # up to 256 tiles, uint16 up to 65,536 and uint32 beyond
+    def test_narrowed_tile_key_boundaries(
+        self, num_tiles, tmp_path, monkeypatch
+    ):
+        # width-1 tiles: the build narrows the tile id to uint8 up to
+        # 256 tiles, uint16 up to 65,536 and uint32 beyond
         itemsize = {256: 1, 257: 2, 65_536: 2, 65_537: 4}[num_tiles]
         assert np.min_scalar_type(num_tiles - 1).itemsize == itemsize
         rng = np.random.default_rng(num_tiles)
@@ -189,8 +248,8 @@ class TestRowIndexOracle:
         src = rng.integers(0, num_tiles, dst.size)
         graph = CSRGraph.from_edges(num_tiles, src, dst, name="wide")
         mem = TiledCSR(graph, 1)
-        dsk = TiledCSR(graph, 1, backing="disk", store_root=tmp_path,
-                       bucket_edges=64)
+        monkeypatch.setattr(units, "CHUNK_ACCESSES", 64)
+        dsk = TiledCSR(graph, 1, backing="disk", store_root=tmp_path)
         assert len(dsk) == num_tiles
         assert_row_index_oracle(mem)
         # the store's flat arrays are the memory build's tiles end to end
@@ -219,7 +278,7 @@ class TestStoreAttachAndValidation:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("store should have been attached, not built")
 
-        monkeypatch.setattr(tilestore, "_external_sort_build", boom)
+        monkeypatch.setattr(tilestore, "_build_store", boom)
         dsk = TiledCSR(
             medium_power_law_graph, 128, backing="disk", store_root=tmp_path
         )
@@ -298,17 +357,45 @@ class TestSpillHygiene:
     def test_failed_build_leaves_no_partials(
         self, tmp_path, monkeypatch, medium_power_law_graph
     ):
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected sort failure")
+        class FailingWrites(np.memmap):
+            def __setitem__(self, index, value):
+                raise RuntimeError("injected write failure")
 
-        # fail inside a bucket: pass 2 orders each bucket with pair_order
-        monkeypatch.setattr(tilestore, "pair_order", boom)
+        real_open_memmap = tilestore.open_memmap
+
+        def open_failing(path, *args, **kwargs):
+            mapped = real_open_memmap(path, *args, **kwargs)
+            # src.npy is written only by pass 2's per-slice writes
+            if path.name == "src.npy":
+                return mapped.view(FailingWrites)
+            return mapped
+
+        monkeypatch.setattr(tilestore, "open_memmap", open_failing)
         with pytest.raises(RuntimeError, match="injected"):
             TiledCSR(
                 medium_power_law_graph, 128, backing="disk",
                 store_root=tmp_path,
             )
-        # no store, no tmp build dir, no spill dir survives the failure
+        # no store and no tmp build dir survives the failure
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("chunk", [1, None])
+    def test_unsorted_row_refused_without_partials(
+        self, chunk, tmp_path, monkeypatch
+    ):
+        # row 1 lists 4 before 2: grouping CSR order by tile would not
+        # give the sorted tiling, so the build refuses the graph; with
+        # 1-edge slices the decrease straddles a slice cut
+        if chunk is not None:
+            monkeypatch.setattr(units, "CHUNK_ACCESSES", chunk)
+        graph = CSRGraph(
+            indptr=np.array([0, 2, 5, 6, 6, 6]),
+            indices=np.array([1, 3, 0, 4, 2, 0]),
+            weights=np.arange(6),
+            name="unsorted",
+        )
+        with pytest.raises(ValueError, match="sorted ascending; row 1"):
+            TiledCSR(graph, 2, backing="disk", store_root=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_stale_partials_from_killed_builder_swept(
@@ -323,10 +410,15 @@ class TestSpillHygiene:
         stale = tmp_path / f".tiles-{digest}.tmp.{proc.pid}"
         stale.mkdir()
         (stale / "src.npy").write_bytes(b"partial")
+        # the spill-bucket directory an earlier builder left
+        spill = tmp_path / f".tiles-{digest}.spill.{proc.pid}.k3j9"
+        spill.mkdir()
+        (spill / "bucket_0.bin").write_bytes(b"\x00" * 48)
         dsk = TiledCSR(
             medium_power_law_graph, 128, backing="disk", store_root=tmp_path
         )
         assert not stale.exists()
+        assert not spill.exists()
         assert dsk.total_edges() == medium_power_law_graph.num_edges
 
     def test_live_builders_partials_left_alone(
@@ -375,32 +467,34 @@ class TestDefaultRoot:
 
 
 class TestBuildMemoryBound:
-    def test_transient_memory_is_o_bucket_not_o_edges(self, tmp_path):
-        """The external build's NumPy-heap peak must be a small fraction
-        of the edge arrays (O(bucket + largest tile)), where the
-        in-memory argsort build's peak is a *multiple* of them."""
+    @pytest.mark.parametrize("width", [1024, 16])
+    def test_transient_memory_is_o_chunk_not_o_edges(
+        self, width, tmp_path, monkeypatch
+    ):
+        """The streaming build's NumPy-heap peak is O(chunk + tiles) --
+        a small fraction of the edge arrays -- where the in-memory
+        argsort build's peak is a *multiple* of them."""
         import tracemalloc
 
         graph = erdos_renyi(1 << 15, avg_degree=12.0, seed=9, name="bound")
         edge_bytes = graph.indices.nbytes  # one edge-sized int64 array
         assert graph.num_edges > 300_000
+        monkeypatch.setattr(units, "CHUNK_ACCESSES", 8192)
 
         tracemalloc.start()
-        TiledCSR(graph, 1024)
+        mem = TiledCSR(graph, width)
         _, mem_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
+        del mem
 
         tracemalloc.start()
-        TiledCSR(
-            graph, 1024, backing="disk", store_root=tmp_path,
-            bucket_edges=8192,
-        )
+        dsk = TiledCSR(graph, width, backing="disk", store_root=tmp_path)
         _, disk_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
         # in-memory: src copy + packed key + argsort + sorted copies
-        # >= several edge-sized arrays; external: one 8192-edge scatter
-        # chunk / one ~12k-edge tile bucket at a time
+        # >= several edge-sized arrays; streaming: one 8192-edge slice
+        # plus a few int64 offsets and cursors per tile
         assert mem_peak > 3 * edge_bytes
-        assert disk_peak < edge_bytes
-        assert disk_peak < mem_peak / 4
+        assert disk_peak < 128 * units.CHUNK_ACCESSES + 32 * len(dsk)
+        assert disk_peak < edge_bytes / 2

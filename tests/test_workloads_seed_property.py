@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.dram.address import AddressMapper
 from repro.dram.engine import DRAMEngine
 from repro.dram.engine.workloads import (
     conventional_requests,
@@ -101,3 +102,22 @@ def test_generated_streams_are_mode_agnostic(seed, n, scatter):
                           result.stats.reads, result.stats.writes,
                           result.stats.gathers, result.stats.scatters)
     assert outcomes["batched"] == outcomes["scalar"]
+
+
+def test_fim_requests_decode_each_stream_once(monkeypatch):
+    """``fim_requests`` decodes its stream once: the in-row words come
+    from that decode's column, and match a separate decode's."""
+    addrs, _ = random_mix(CONFIG, 256, seed=3)
+    words = AddressMapper(CONFIG).decode_fim_many(addrs)[5]
+    calls = []
+    decode_many = AddressMapper.decode_many
+
+    def counted(self, stream):
+        calls.append(len(stream))
+        return decode_many(self, stream)
+
+    monkeypatch.setattr(AddressMapper, "decode_many", counted)
+    requests, _ = fim_requests(CONFIG, addrs)
+    assert calls == [256]
+    offsets = [word for request in requests for word in request.offsets]
+    assert sorted(offsets) == sorted(words.tolist())
